@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -19,32 +18,39 @@ from . import __version__
 from .ecp import (QuadratureGrid, boltzmann_covariant, boltzmann_eta,
                   boltzmann_sphere, partition_function, seeley_density,
                   sphere_route_partition)
-from .geometry import GeometryError, point_geometry
+from .geometry import GeometryError, geometry_blocks, point_geometry
 from .metrics import BUILTIN_NAMES, MetricError, builtin, parse_metric
 from .montecarlo import mc_boltzmann, mc_two_point, mc_vertex_expectation
 from .propagator import PeriodicPropagator
 from .verify import run_suite
 from .wick import EngineError, RouteError, vertex_catalog
 
-_FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError)
+_FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError)
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None):
-        return args.threads
-    env = os.environ.get("CURVEPATH_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _positive(kind):
+    """Argument type: a finite number of the given kind, greater than zero."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = 0
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} > 0, got {text!r}")
+        return value
+    return parse
 
 
 def _parse_point(text: str | None) -> np.ndarray:
     if text is None:
         raise MetricError("--point is required for this route")
     try:
-        return np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        q = np.array([float(x) for x in text.split(",") if x.strip() != ""])
     except ValueError:
         raise MetricError(f"cannot parse point {text!r}") from None
+    if not np.all(np.isfinite(q)):
+        raise MetricError(f"point {text!r} is not finite")
+    return q
 
 
 def _parse_params(text: str | None) -> dict:
@@ -81,8 +87,9 @@ def _config_echo(args) -> dict:
 def _emit(payload: dict, args) -> None:
     payload = dict(payload)
     payload["config"] = _config_echo(args)
-    json.dump(payload, sys.stdout, indent=2, allow_nan=False)
-    sys.stdout.write("\n")
+    # serialize first: a value JSON cannot hold fails before anything is written
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    sys.stdout.write(text + "\n")
 
 
 def cmd_geometry(args) -> int:
@@ -158,30 +165,27 @@ def cmd_ecp(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = _resolve_metric(args)
-    points = [_parse_point(p) for p in args.points.split(";") if p.strip()]
     routes = args.routes.split(",")
-
-    def work(item):
-        q0, route = item
-        geom = point_geometry(spec, q0)
-        if route == "covariant":
-            rep = boltzmann_covariant(geom, args.beta, args.M)
-        elif route == "eta":
-            rep = boltzmann_eta(geom, args.beta, args.M, include_fp=not args.no_fp)
-        else:
-            raise RouteError(f"sweep supports covariant and eta routes, not {route!r}")
-        return q0, route, rep
-
-    jobs = [(q0, route) for q0 in points for route in routes]
-    with ThreadPoolExecutor(max_workers=_threads(args)) as pool:
-        results = list(pool.map(work, jobs))
-    D = spec.dim
-    header = ",".join(f"q{i + 1}" for i in range(D))
-    sys.stdout.write(f"{header},beta,route,B_coefficient,discrepancy\n")
-    for q0, route, rep in results:
-        coords = ",".join(repr(float(c)) for c in q0)
-        sys.stdout.write(f"{coords},{args.beta!r},{route},"
-                         f"{rep.B_coefficient!r},{rep.discrepancy!r}\n")
+    points = [_parse_point(p) for p in args.points.split(";") if p.strip()]
+    for q0 in points:
+        if q0.shape != (spec.dim,):
+            raise MetricError(f"point {q0.tolist()} has wrong dimension, expected {spec.dim}")
+    lines = [",".join(f"q{i + 1}" for i in range(spec.dim))
+             + ",beta,route,B_coefficient,discrepancy\n"]
+    for block in geometry_blocks(spec, np.reshape(points, (-1, spec.dim))):
+        for k in range(len(block.q0)):
+            geom = block.row(k)
+            coords = ",".join(repr(float(c)) for c in geom.q0)
+            for route in routes:
+                if route == "covariant":
+                    rep = boltzmann_covariant(geom, args.beta, args.M)
+                elif route == "eta":
+                    rep = boltzmann_eta(geom, args.beta, args.M, include_fp=not args.no_fp)
+                else:
+                    raise RouteError(f"sweep supports covariant and eta routes, not {route!r}")
+                lines.append(f"{coords},{args.beta!r},{route},"
+                             f"{rep.B_coefficient!r},{rep.discrepancy!r}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 
@@ -220,6 +224,9 @@ def cmd_partition(args) -> int:
     elif spec.name == "sphere" and spec.dim == 2:
         grid = QuadratureGrid(kind="sphere-polar", n=args.nodes)
     else:
+        if args.bounds is None:
+            sys.stderr.write("curvepath partition: error: a box grid needs --bounds lo:hi;...\n")
+            return 2
         bounds = tuple((lo, hi) for lo, hi in
                        (tuple(map(float, b.split(":"))) for b in args.bounds.split(";")))
         grid = QuadratureGrid(kind="box", bounds=bounds, n=args.nodes)
@@ -261,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_geometry)
 
     pr = sub.add_parser("propagator", help="periodic kernel values")
-    pr.add_argument("--beta", type=float, required=True)
-    pr.add_argument("--M", type=int, required=True)
+    pr.add_argument("--beta", type=_positive(float), required=True)
+    pr.add_argument("--M", type=_positive(int), required=True)
     pr.add_argument("--tau", type=float, default=0.0)
     pr.add_argument("--taup", type=float, default=0.0)
     pr.set_defaults(func=cmd_propagator)
@@ -270,9 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("ecp", help="Boltzmann factor by one route")
     e.add_argument("--route", required=True, choices=("covariant", "eta", "sphere"))
     add_metric_opts(e, point_required=False)
-    e.add_argument("--beta", type=float, required=True)
-    e.add_argument("--M", type=int, default=64)
-    e.add_argument("--D", type=int, help="dimension for the sphere route")
+    e.add_argument("--beta", type=_positive(float), required=True)
+    e.add_argument("--M", type=_positive(int), default=64)
+    e.add_argument("--D", type=_positive(int), help="dimension for the sphere route")
     e.add_argument("--no-fp", action="store_true", dest="no_fp",
                    help="drop the Faddeev-Popov term (eta route)")
     e.add_argument("--mode-series", action="store_true", dest="mode_series",
@@ -285,19 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric_opts(sw, point_required=False)
     sw.add_argument("--points", required=True, help="semicolon-separated points")
     sw.add_argument("--routes", default="covariant")
-    sw.add_argument("--beta", type=float, required=True)
-    sw.add_argument("--M", type=int, default=64)
+    sw.add_argument("--beta", type=_positive(float), required=True)
+    sw.add_argument("--M", type=_positive(int), default=64)
     sw.add_argument("--no-fp", action="store_true", dest="no_fp")
-    sw.add_argument("--threads", type=int)
     sw.set_defaults(func=cmd_sweep)
 
     m = sub.add_parser("mc", help="Monte Carlo cross-check")
     m.add_argument("--route", required=True, choices=("covariant", "eta", "sphere"))
     add_metric_opts(m, point_required=False)
-    m.add_argument("--D", type=int)
-    m.add_argument("--beta", type=float, required=True)
-    m.add_argument("--M", type=int, required=True)
-    m.add_argument("--samples", type=int, required=True)
+    m.add_argument("--D", type=_positive(int))
+    m.add_argument("--beta", type=_positive(float), required=True)
+    m.add_argument("--M", type=_positive(int), required=True)
+    m.add_argument("--samples", type=_positive(int), required=True)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--csv", action="store_true",
                    help="stream per-batch partial results as CSV")
@@ -305,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("partition", help="configuration-space quadrature")
     add_metric_opts(pa, point_required=False)
-    pa.add_argument("--beta", type=float, required=True)
-    pa.add_argument("--M", type=int, default=16)
+    pa.add_argument("--beta", type=_positive(float), required=True)
+    pa.add_argument("--M", type=_positive(int), default=16)
     pa.add_argument("--sphere-D", type=int, dest="sphere_D",
                     help="closed-form sphere-route partition function")
     pa.add_argument("--bounds", help="box bounds lo:hi;lo:hi;...")
     pa.add_argument("--polar", type=float, help="polar grid with this radial extent")
-    pa.add_argument("--nodes", type=int, default=32)
+    pa.add_argument("--nodes", type=_positive(int), default=32)
     pa.set_defaults(func=cmd_partition)
 
     v = sub.add_parser("verify", help="run invariant suites")

@@ -8,13 +8,13 @@ wick.check_divergence_cancellation and by the acceptance suite).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .geometry import PointGeometry, point_geometry
+from .geometry import PointGeometry, geometry_blocks, point_geometry
 from .metrics import MetricSpec, builtin
 from .propagator import PeriodicPropagator
 from .wick import (ExpectationValue, expect_first_order,
@@ -195,9 +195,13 @@ def sphere_area(D: int) -> float:
     return 2.0 * math.pi ** ((D + 1) / 2.0) / math.gamma((D + 1) / 2.0)
 
 
-def _b_factor(spec: MetricSpec, q: np.ndarray, beta: float) -> tuple[float, float]:
-    geom = point_geometry(spec, q)
-    return geom.sqrt_g, 1.0 - geom.R * beta / 24.0
+def _node_fields(spec: MetricSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(g) and R at every node, evaluated block by block."""
+    sqrt_g, R = [], []
+    for geom in geometry_blocks(spec, nodes):
+        sqrt_g.append(geom.sqrt_g)
+        R.append(geom.R)
+    return np.concatenate(sqrt_g), np.concatenate(R)
 
 
 def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> float:
@@ -211,19 +215,13 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
     if grid.kind == "box":
         if len(grid.bounds) != D:
             raise ValueError(f"box grid needs {D} bounds")
-        axes = []
-        weights = []
-        for lo, hi in grid.bounds:
-            axes.append(0.5 * (hi - lo) * (x + 1.0) + lo)
-            weights.append(0.5 * (hi - lo) * w)
-        total = 0.0
-        idx = np.ndindex(*(grid.n,) * D)
-        for multi in idx:
-            q = np.array([axes[k][multi[k]] for k in range(D)])
-            wt = float(np.prod([weights[k][multi[k]] for k in range(D)]))
-            sg, b = _b_factor(spec, q, beta)
-            total += wt * sg * b
-        return pref * total
+        axes = [0.5 * (hi - lo) * (x + 1.0) + lo for lo, hi in grid.bounds]
+        weights = [0.5 * (hi - lo) * w for lo, hi in grid.bounds]
+        # tensor-product nodes in C order, weights multiplied axis by axis
+        nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, D)
+        wt = functools.reduce(np.multiply.outer, weights).reshape(-1)
+        sqrt_g, R = _node_fields(spec, nodes)
+        return pref * float(np.sum(wt * sqrt_g * (1.0 - R * beta / 24.0)))
 
     if grid.kind in ("polar", "sphere-polar"):
         if D != 2:
@@ -231,27 +229,22 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
         ntheta = 2 * grid.n
         thetas = 2.0 * math.pi * np.arange(ntheta) / ntheta
         wtheta = 2.0 * math.pi / ntheta
-        total = 0.0
         if grid.kind == "polar":
             r_nodes = 0.5 * grid.rmax * (x + 1.0)
-            r_weights = 0.5 * grid.rmax * w
-            for rn, rw in zip(r_nodes, r_weights):
-                for th in thetas:
-                    q = np.array([rn * math.cos(th), rn * math.sin(th)])
-                    sg, b = _b_factor(spec, q, beta)
-                    total += rw * wtheta * rn * sg * b
+            r_weights = 0.5 * grid.rmax * w * wtheta * r_nodes
         else:
             # r = sin(psi): r dr / sqrt(1 - r^2) = sin(psi) dpsi on the sphere chart
             psi_nodes = 0.25 * math.pi * (x + 1.0)
-            psi_weights = 0.25 * math.pi * w
-            for pn, pw in zip(psi_nodes, psi_weights):
-                rn = math.sin(pn)
-                for th in thetas:
-                    q = np.array([rn * math.cos(th), rn * math.sin(th)])
-                    geom = point_geometry(spec, q)
-                    b = 1.0 - geom.R * beta / 24.0
-                    total += pw * wtheta * math.sin(pn) * b
-        return pref * total
+            r_nodes = np.sin(psi_nodes)
+            r_weights = 0.25 * math.pi * w * wtheta * r_nodes
+        nodes = np.stack([np.multiply.outer(r_nodes, np.cos(thetas)),
+                          np.multiply.outer(r_nodes, np.sin(thetas))], axis=-1).reshape(-1, D)
+        sqrt_g, R = _node_fields(spec, nodes)
+        b = 1.0 - R * beta / 24.0
+        wt = np.repeat(r_weights, ntheta)
+        # the sphere-polar substitution absorbs sqrt(g) into the radial weight
+        terms = wt * sqrt_g * b if grid.kind == "polar" else wt * b
+        return pref * float(np.sum(terms))
 
     raise ValueError(f"unknown grid kind {grid.kind!r}")
 

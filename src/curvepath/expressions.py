@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .jets import JET_FUNCTIONS, Jet3
+from .jets import JET_FUNCTIONS, Jet2
 
 __all__ = [
     "Expression", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
@@ -316,11 +316,11 @@ def free_identifiers(node: Expression) -> set[str]:
 # --- evaluation ---------------------------------------------------------------
 
 def evaluate(node: Expression, env: Mapping[str, object]):
-    """Evaluate over floats or Jet3, depending on what env holds."""
+    """Evaluate over floats or Jet2, depending on what env holds.
+
+    Literals stay plain floats; Jet2 arithmetic takes them as constants.
+    """
     if isinstance(node, Num):
-        sample = next(iter(env.values()), None)
-        if isinstance(sample, Jet3):
-            return Jet3.constant(node.value, sample.dim)
         return node.value
     if isinstance(node, Var):
         try:
@@ -344,17 +344,18 @@ def evaluate(node: Expression, env: Mapping[str, object]):
             raise EvalError("division by zero during evaluation") from None
     if isinstance(node, Pow):
         base = evaluate(node.base, env)
-        if isinstance(base, Jet3):
+        try:
             return base ** node.exponent
-        if base == 0.0 and node.exponent < 0:
-            raise EvalError("division by zero during evaluation")
-        return base ** node.exponent
+        except ZeroDivisionError:
+            raise EvalError("division by zero during evaluation") from None
+        except OverflowError:
+            raise EvalError("overflow during evaluation") from None
     if isinstance(node, Call):
         arg = evaluate(node.arg, env)
         try:
-            if isinstance(arg, Jet3):
+            if isinstance(arg, Jet2):
                 return JET_FUNCTIONS[node.func](arg)
             return _MATH_FUNCTIONS[node.func](arg)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise EvalError(str(exc)) from None
     raise TypeError(f"not an expression node: {node!r}")

@@ -1,105 +1,94 @@
-"""Truncated Taylor arithmetic to third order (dense jets).
+"""Truncated Taylor arithmetic to second order (dense jets).
 
-A Jet3 carries a value together with its first three partial derivative
-arrays with respect to D base coordinates. Sums, products, quotients and
-compositions with the supported scalar functions propagate derivatives
-exactly (truncated Leibniz/chain rules), so metric components defined by
-closed-form expressions yield machine-precision derivatives without a CAS.
+A Jet2 carries a value together with its gradient and Hessian with respect
+to D base coordinates. Each part may carry the same leading batch axes, so
+one jet holds one point (value shape ()) or N points (value shape (N,)).
+Sums, products, quotients and compositions with the supported scalar
+functions propagate derivatives exactly (truncated Leibniz/chain rules), so
+metric components defined by closed-form expressions yield machine-precision
+derivatives without a CAS. Plain floats mix freely with jets as constants.
 """
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Jet3", "JET_FUNCTIONS"]
+__all__ = ["Jet2", "JET_FUNCTIONS"]
 
 
-class Jet3:
-    """Value plus gradient, Hessian and third-derivative tensor."""
+class Jet2:
+    """Value, gradient and Hessian with shapes B, B + (D,) and B + (D, D)."""
 
-    __slots__ = ("value", "grad", "hess", "third")
+    __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value: float, grad: np.ndarray, hess: np.ndarray, third: np.ndarray):
-        self.value = float(value)
-        self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
-        self.third = np.asarray(third, dtype=float)
+    def __init__(self, value, grad: np.ndarray, hess: np.ndarray):
+        self.value = value
+        self.grad = grad
+        self.hess = hess
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     @staticmethod
-    def constant(value: float, dim: int) -> "Jet3":
-        return Jet3(value, np.zeros(dim), np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
+    def constant(value, dim: int) -> "Jet2":
+        value = np.asarray(value, dtype=float)
+        return Jet2(value, np.zeros(value.shape + (dim,)),
+                    np.zeros(value.shape + (dim, dim)))
 
     @staticmethod
-    def coordinate(value: float, index: int, dim: int) -> "Jet3":
-        g = np.zeros(dim)
-        g[index] = 1.0
-        return Jet3(value, g, np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
-
-    def _coerce(self, other) -> "Jet3":
-        if isinstance(other, Jet3):
-            return other
-        return Jet3.constant(float(other), self.dim)
+    def coordinate(value, index: int, dim: int) -> "Jet2":
+        jet = Jet2.constant(value, dim)
+        jet.grad[..., index] = 1.0
+        return jet
 
     # arithmetic -----------------------------------------------------------
 
-    def __add__(self, other) -> "Jet3":
-        o = self._coerce(other)
-        return Jet3(self.value + o.value, self.grad + o.grad,
-                    self.hess + o.hess, self.third + o.third)
+    def __add__(self, other) -> "Jet2":
+        if isinstance(other, Jet2):
+            return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return Jet2(self.value + other, self.grad, self.hess)
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Jet3":
-        o = self._coerce(other)
-        return Jet3(self.value - o.value, self.grad - o.grad,
-                    self.hess - o.hess, self.third - o.third)
+    def __sub__(self, other) -> "Jet2":
+        if isinstance(other, Jet2):
+            return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        return Jet2(self.value - other, self.grad, self.hess)
 
-    def __rsub__(self, other) -> "Jet3":
-        return self._coerce(other).__sub__(self)
+    def __rsub__(self, other) -> "Jet2":
+        return Jet2(other - self.value, -self.grad, -self.hess)
 
-    def __neg__(self) -> "Jet3":
-        return Jet3(-self.value, -self.grad, -self.hess, -self.third)
+    def __neg__(self) -> "Jet2":
+        return Jet2(-self.value, -self.grad, -self.hess)
 
-    def __mul__(self, other) -> "Jet3":
-        o = self._coerce(other)
-        u0, v0 = self.value, o.value
-        ug, vg = self.grad, o.grad
-        uh, vh = self.hess, o.hess
-        value = u0 * v0
-        grad = ug * v0 + u0 * vg
-        hess = uh * v0 + u0 * vh + np.outer(ug, vg) + np.outer(vg, ug)
-        # symmetrized Leibniz for the third derivatives
-        cross_hg = (np.einsum("ij,k->ijk", uh, vg)
-                    + np.einsum("ik,j->ijk", uh, vg)
-                    + np.einsum("jk,i->ijk", uh, vg))
-        cross_gh = (np.einsum("ij,k->ijk", vh, ug)
-                    + np.einsum("ik,j->ijk", vh, ug)
-                    + np.einsum("jk,i->ijk", vh, ug))
-        third = self.third * v0 + u0 * o.third + cross_hg + cross_gh
-        return Jet3(value, grad, hess, third)
+    def __mul__(self, other) -> "Jet2":
+        if not isinstance(other, Jet2):
+            return Jet2(self.value * other, self.grad * other, self.hess * other)
+        u0, v0 = self.value, other.value
+        ug, vg = self.grad, other.grad
+        u1, v1 = u0[..., None], v0[..., None]
+        outer = ug[..., :, None] * vg[..., None, :]
+        hess = (self.hess * v1[..., None] + u1[..., None] * other.hess
+                + outer + np.swapaxes(outer, -1, -2))
+        return Jet2(u0 * v0, ug * v1 + u1 * vg, hess)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Jet3":
-        o = self._coerce(other)
-        if o.value == 0.0:
-            raise ZeroDivisionError("jet division by zero")
-        return self * o._reciprocal()
+    def __truediv__(self, other) -> "Jet2":
+        if isinstance(other, Jet2):
+            return self * other._reciprocal()
+        return self * (1.0 / other)
 
-    def __rtruediv__(self, other) -> "Jet3":
-        return self._coerce(other).__truediv__(self)
+    def __rtruediv__(self, other) -> "Jet2":
+        return self._reciprocal() * other
 
-    def __pow__(self, exponent: int) -> "Jet3":
+    def __pow__(self, exponent: int) -> "Jet2":
         if not isinstance(exponent, int):
             raise TypeError("jet power requires an integer exponent")
         if exponent == 0:
-            return Jet3.constant(1.0, self.dim)
+            return Jet2.constant(np.ones_like(self.value), self.dim)
         if exponent < 0:
             return (self.__pow__(-exponent))._reciprocal()
         out = self
@@ -107,73 +96,70 @@ class Jet3:
             out = out * self
         return out
 
-    def _reciprocal(self) -> "Jet3":
+    def _reciprocal(self) -> "Jet2":
         v = self.value
-        if v == 0.0:
+        if np.any(v == 0.0):
             raise ZeroDivisionError("jet reciprocal of zero")
-        return self._compose(1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)
+        return self._compose(1.0 / v, -1.0 / np.square(v), 2.0 / np.power(v, 3))
 
     # composition with a smooth scalar function ----------------------------
 
-    def _compose(self, f0: float, f1: float, f2: float, f3: float) -> "Jet3":
-        """Chain rule through third order for f(self)."""
-        g, h, t = self.grad, self.hess, self.third
-        gg = np.outer(g, g)
-        ggg = np.einsum("i,j,k->ijk", g, g, g)
-        hg = (np.einsum("ij,k->ijk", h, g)
-              + np.einsum("ik,j->ijk", h, g)
-              + np.einsum("jk,i->ijk", h, g))
-        return Jet3(f0, f1 * g, f2 * gg + f1 * h, f3 * ggg + f2 * hg + f1 * t)
+    def _compose(self, f0, f1, f2) -> "Jet2":
+        """Chain rule through second order for f(self)."""
+        g = self.grad
+        f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
+        gg = g[..., :, None] * g[..., None, :]
+        return Jet2(f0, f1 * g, f2 * gg + f1[..., None] * self.hess)
 
-    def sqrt(self) -> "Jet3":
+    def sqrt(self) -> "Jet2":
         v = self.value
-        if v <= 0.0:
+        if np.any(v <= 0.0):
             raise ValueError(f"sqrt domain error: {v}")
-        s = math.sqrt(v)
-        return self._compose(s, 0.5 / s, -0.25 / (s * v), 0.375 / (s * v * v))
+        s = np.sqrt(v)
+        return self._compose(s, 0.5 / s, -0.25 / (s * v))
 
-    def exp(self) -> "Jet3":
-        e = math.exp(self.value)
-        return self._compose(e, e, e, e)
+    def exp(self) -> "Jet2":
+        e = np.exp(self.value)
+        return self._compose(e, e, e)
 
-    def log(self) -> "Jet3":
+    def log(self) -> "Jet2":
         v = self.value
-        if v <= 0.0:
+        if np.any(v <= 0.0):
             raise ValueError(f"log domain error: {v}")
-        return self._compose(math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+        return self._compose(np.log(v), 1.0 / v, -1.0 / np.square(v))
 
-    def sin(self) -> "Jet3":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(s, c, -s, -c)
+    def sin(self) -> "Jet2":
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self._compose(s, c, -s)
 
-    def cos(self) -> "Jet3":
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._compose(c, -s, -c, s)
+    def cos(self) -> "Jet2":
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self._compose(c, -s, -c)
 
-    def tan(self) -> "Jet3":
-        t = math.tan(self.value)
+    def tan(self) -> "Jet2":
+        t = np.tan(self.value)
         s = 1.0 + t * t  # sec^2
-        return self._compose(t, s, 2.0 * s * t, s * (4.0 * t * t + 2.0 * s))
+        return self._compose(t, s, 2.0 * s * t)
 
-    def sinh(self) -> "Jet3":
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._compose(s, c, s, c)
+    def sinh(self) -> "Jet2":
+        s, c = np.sinh(self.value), np.cosh(self.value)
+        return self._compose(s, c, s)
 
-    def cosh(self) -> "Jet3":
-        s, c = math.sinh(self.value), math.cosh(self.value)
-        return self._compose(c, s, c, s)
+    def cosh(self) -> "Jet2":
+        s, c = np.sinh(self.value), np.cosh(self.value)
+        return self._compose(c, s, c)
 
     def __repr__(self) -> str:
-        return f"Jet3(value={self.value!r}, dim={self.dim})"
+        return f"Jet2(value={self.value!r}, dim={self.dim})"
 
 
-JET_FUNCTIONS: dict[str, Callable[[Jet3], Jet3]] = {
-    "sqrt": Jet3.sqrt,
-    "exp": Jet3.exp,
-    "log": Jet3.log,
-    "sin": Jet3.sin,
-    "cos": Jet3.cos,
-    "tan": Jet3.tan,
-    "sinh": Jet3.sinh,
-    "cosh": Jet3.cosh,
+JET_FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
+    "sqrt": Jet2.sqrt,
+    "exp": Jet2.exp,
+    "log": Jet2.log,
+    "sin": Jet2.sin,
+    "cos": Jet2.cos,
+    "tan": Jet2.tan,
+    "sinh": Jet2.sinh,
+    "cosh": Jet2.cosh,
 }

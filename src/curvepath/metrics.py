@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import expressions as ex
-from .jets import Jet3
+from .jets import Jet2
 
 __all__ = [
     "MetricSpec", "MetricError", "DomainError", "parse_metric", "builtin",
@@ -60,18 +60,18 @@ class MetricSpec:
                     raise MetricError(
                         f"unknown identifier(s) {sorted(unknown)} in component ({i}, {j})")
 
-    def domain_ok(self, q: np.ndarray) -> bool:
-        """Conservative chart-domain test for the builtin families."""
-        if self.name in ("sphere", "sphere-stereographic-interior", "hyperbolic-ball"):
-            return float(q @ q) < 1.0
-        return True
-
     def check_domain(self, q: Sequence[float]) -> np.ndarray:
+        """q as a float array of shape (D,) or (N, D), every point inside the chart
+        (a conservative test for the builtin families)."""
         q = np.asarray(q, dtype=float)
-        if q.shape != (self.dim,):
+        if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
             raise MetricError(f"point has wrong dimension {q.shape}, expected ({self.dim},)")
-        if not self.domain_ok(q):
-            raise DomainError(f"point {q.tolist()} outside domain of chart {self.name!r}")
+        if self.name in ("sphere", "sphere-stereographic-interior", "hyperbolic-ball"):
+            points = q.reshape(-1, self.dim)
+            outside = ~(np.sum(points * points, axis=-1) < 1.0)
+            if outside.any():
+                raise DomainError(f"point {points[np.argmax(outside)].tolist()} "
+                                  f"outside domain of chart {self.name!r}")
         return q
 
 
@@ -195,23 +195,31 @@ def builtin(name: str, D: int, params: Mapping[str, float] | None = None) -> Met
 
 # --- evaluation ---------------------------------------------------------------
 
-def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet3]]:
-    """g_{mu nu}(q) with exact first, second and third partials."""
+def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
+    """g_{mu nu}(q) with exact first and second partials.
+
+    q has shape (D,) or (N, D); every jet carries the leading axes of q, so
+    each component is evaluated once for all points.
+    """
     qv = spec.check_domain(q)
+    D = spec.dim
     env: dict[str, object] = {
-        name: Jet3.coordinate(qv[i], i, spec.dim) for i, name in enumerate(spec.coords)
+        name: Jet2.coordinate(qv[..., i], i, D) for i, name in enumerate(spec.coords)
     }
-    for pname, pval in spec.params.items():
-        env[pname] = Jet3.constant(pval, spec.dim)
-    out: list[list[Jet3]] = []
-    for i in range(spec.dim):
-        row = []
-        for j in range(spec.dim):
+    env.update(spec.params)
+    out: list[list[Jet2]] = [[None] * D for _ in range(D)]  # type: ignore
+    for i in range(D):
+        for j in range(i, D):
             try:
-                row.append(ex.evaluate(spec.components[i][j], env))
+                jet = ex.evaluate(spec.components[i][j], env)
             except ex.EvalError as exc:
+                if qv.ndim == 2:
+                    for point in qv:  # error path only: name the offending point
+                        eval_metric_jet(spec, point)
                 raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
-        out.append(row)
+            if not isinstance(jet, Jet2):
+                jet = Jet2.constant(np.full(qv.shape[:-1], jet), D)
+            out[i][j] = out[j][i] = jet
     return out
 
 

@@ -25,10 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "CounterPolynomial", "PeriodicPropagator",
-    "green_closed", "green_modes", "equal_time_table", "ode_residual",
-]
+__all__ = ["CounterPolynomial", "PeriodicPropagator"]
 
 
 @dataclass(frozen=True)
@@ -195,20 +192,3 @@ class PeriodicPropagator:
         rhs = num / (ld(self.beta) * den) - 1.0 / ld(self.beta)
         return float(np.max(np.abs(minus_ddG - rhs)))
 
-
-# module-level conveniences mirroring the operation names
-
-def green_closed(p: PeriodicPropagator, tau, taup=0.0):
-    return p.green_closed(tau, taup)
-
-
-def green_modes(p: PeriodicPropagator, tau, taup=0.0):
-    return p.green_modes(tau, taup)
-
-
-def equal_time_table(p: PeriodicPropagator) -> dict:
-    return p.equal_time_table()
-
-
-def ode_residual(p: PeriodicPropagator, tau_grid: Sequence[float]) -> float:
-    return p.ode_residual(tau_grid)

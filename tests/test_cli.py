@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from curvepath import cli
 
@@ -90,7 +94,7 @@ def test_mc_csv_streams_partials(capsys):
 def test_sweep_csv(capsys):
     code, out = run_cli(capsys, ["sweep", "--builtin", "sphere:2",
                                  "--points", "0.1,0;0.2,0.1", "--beta", "0.1",
-                                 "--routes", "covariant,eta", "--threads", "2"])
+                                 "--routes", "covariant,eta"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "q1,q2,beta,route,B_coefficient,discrepancy"
@@ -168,3 +172,86 @@ def test_metric_file_input(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["sqrt_g"] == pytest.approx(4.0)
     assert doc["R"] == pytest.approx(0.0, abs=1e-12)
+
+
+ECP_COV = ["ecp", "--route", "covariant", "--builtin", "sphere:2", "--point=0.1,0"]
+MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
+
+
+@pytest.mark.parametrize("argv,code,needle", [
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "nan"], 2, "--beta"),
+    (["propagator", "--beta", "inf", "--M", "4"], 2, "--beta"),
+    (["partition", "--sphere-D", "2", "--beta", "0"], 2, "--beta"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--beta=-0.1"], 2, "--beta"),
+    (MC_SPHERE + ["--beta", "0.1", "--samples", "0"], 2, "--samples"),
+    (["mc", "--route", "sphere", "--D", "2", "--beta", "0.1", "--M", "-1",
+      "--samples", "8"], 2, "--M"),
+    (["partition", "--builtin", "sphere:2", "--beta", "0.1", "--nodes", "0"], 2, "--nodes"),
+    (["ecp", "--route", "sphere", "--D", "0", "--beta", "0.1"], 2, "--D"),
+    (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1"], 2, "--bounds"),
+    # B = 1 - R beta / 24 < 0 gives veff = inf: one error document, nothing half written
+    (ECP_COV + ["--beta", "20"], 1, "ValueError"),
+])
+def test_bad_arguments_rejected(capsys, argv, code, needle):
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 2:
+        assert captured.out == "" and needle in captured.err
+    else:
+        assert json.loads(captured.out)["error"] == needle
+
+
+# --- fuzz: random argument vectors end with exit 0, 1 or 2 and one JSON document
+
+_CHARTS = ["sphere:2", "sphere:3", "hyperbolic-ball:2", "conformal2d:2", "flat:1",
+           "conformal2d:3", "torus:2", "sphere", "sphere:x", "sphere:0"]
+_POINTS = ["0.1,0.2", "0,0", "0.9,0.9", "0.3,-0.2,0.1", "0.2", "", "nan,0", "a,b", "1e308,0"]
+_BETAS = ["0.1", "0.05", "20", "0", "-1", "nan", "inf", "1e-300", "x"]
+_MS = ["1", "2", "8", "0", "-3", "y"]
+_OPTIONS = {
+    "geometry": {"--builtin": _CHARTS, "--point": _POINTS, "--params": ["a=0.1", "a", "b=2"],
+                 "--metric": ["/nonexistent/metric.json"]},
+    "ecp": {"--route": ["covariant", "eta", "sphere", "bogus"], "--builtin": _CHARTS,
+            "--point": _POINTS, "--beta": _BETAS, "--M": _MS, "--D": ["1", "2", "3", "0"],
+            "--no-fp": None, "--mode-series": None, "--seeley": None},
+    "mc": {"--route": ["covariant", "eta", "sphere"], "--builtin": _CHARTS,
+           "--point": _POINTS, "--beta": _BETAS, "--M": _MS, "--D": ["1", "2", "0"],
+           "--samples": ["1", "16", "256", "0", "-5"], "--seed": ["0", "7", "-1"]},
+    "partition": {"--builtin": _CHARTS, "--beta": _BETAS, "--M": _MS,
+                  "--sphere-D": ["1", "2", "0", "-1"], "--polar": ["0.5", "-1", "nan"],
+                  "--bounds": ["-0.5:0.5;-0.5:0.5", "0:1", "a:b", "0:1:2;0:1"],
+                  "--nodes": ["1", "3", "6", "0"]},
+    "propagator": {"--beta": _BETAS, "--M": _MS, "--tau": ["0", "0.25", "nan", "-3"],
+                   "--taup": ["0", "1e300"]},
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = _OPTIONS[command]
+    argv = [command]
+    for name in draw(st.lists(st.sampled_from(sorted(options)), max_size=7, unique=True)):
+        values = options[name]
+        argv.append(name if values is None else f"{name}={draw(st.sampled_from(values))}")
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_argv_ends_with_one_json_document(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code in (0, 1):
+        json.loads(out.getvalue())

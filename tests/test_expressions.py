@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from curvepath import expressions as ex
-from curvepath.jets import Jet3
+from curvepath.jets import Jet2
 
 
 def test_parse_basic():
@@ -43,7 +43,7 @@ def test_fractional_exponent_rejected():
 def test_jet_evaluation_matches_scalar():
     node = ex.parse("sqrt(1 + q1^2) * cos(q2)")
     env_f = {"q1": 0.4, "q2": -0.8}
-    env_j = {"q1": Jet3.coordinate(0.4, 0, 2), "q2": Jet3.coordinate(-0.8, 1, 2)}
+    env_j = {"q1": Jet2.coordinate(0.4, 0, 2), "q2": Jet2.coordinate(-0.8, 1, 2)}
     assert ex.evaluate(node, env_j).value == pytest.approx(ex.evaluate(node, env_f))
 
 
@@ -51,6 +51,12 @@ def test_division_by_zero_is_eval_error():
     node = ex.parse("1 / (q1 - 1)")
     with pytest.raises(ex.EvalError):
         ex.evaluate(node, {"q1": 1.0})
+
+
+@pytest.mark.parametrize("source", ["exp(1000) + q1", "(1e300 + q1)^2"])
+def test_overflow_is_eval_error(source):
+    with pytest.raises(ex.EvalError):
+        ex.evaluate(ex.parse(source), {"q1": 0.0})
 
 
 # --- property: print/parse round-trip -----------------------------------------

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from curvepath import geometry
 from curvepath.geometry import (GeometryError, divergence_identity_residual,
-                                point_geometry)
-from curvepath.metrics import builtin, embedding_to_stereographic, parse_metric
+                                geometry_blocks, point_geometry)
+from curvepath.metrics import (DomainError, MetricError, builtin,
+                               embedding_to_stereographic, parse_metric)
 
 CATALOG_2D = ("sphere", "sphere-stereographic", "hyperbolic-ball", "conformal2d")
 
@@ -126,3 +129,33 @@ def test_sphere_T_trace_at_origin():
     geom = point_geometry(builtin("sphere", D), np.zeros(D))
     assert np.allclose(geom.T, D * np.eye(D), atol=1e-11)
     assert float(np.einsum("st,st->", geom.g_inv, geom.T)) == pytest.approx(D * D, abs=1e-10)
+
+
+@pytest.mark.parametrize("name,D", [("sphere", 4), ("hyperbolic-ball", 3), ("conformal2d", 2)])
+def test_batch_matches_single_points(name, D, monkeypatch):
+    spec = builtin(name, D)
+    qs = np.random.default_rng(23).uniform(-0.35, 0.35, size=(9, D))
+    batch = point_geometry(spec, qs)
+    for k, q in enumerate(qs):
+        one = point_geometry(spec, q)
+        for field in dataclasses.fields(one):
+            assert np.array_equal(getattr(batch, field.name)[k], getattr(one, field.name)), field.name
+    monkeypatch.setattr(geometry, "BLOCK_POINTS", 4)
+    blocks = list(geometry_blocks(spec, qs))
+    assert [len(b.q0) for b in blocks] == [4, 4, 1]
+    assert np.array_equal(np.concatenate([b.R for b in blocks]), batch.R)
+
+
+def _chart(g):
+    return parse_metric(json.dumps({"name": "chart", "dim": 1, "coords": ["q1"], "g": [[g]]}))
+
+
+@pytest.mark.parametrize("spec,error,match", [
+    (builtin("sphere", 2), DomainError, r"point \[0\.9, 0\.9\] outside"),
+    (_chart("1 + 1/(q1 - 0.9)"), MetricError, r"at \[0\.9\]"),
+    (_chart("q1 - 0.4"), GeometryError, r"positive definite at \[0\.3\]"),
+])
+def test_batch_error_names_offending_point(spec, error, match):
+    qs = np.array([[0.5, 0.2], [0.9, 0.9], [0.3, -0.1]])[:, :spec.dim]
+    with pytest.raises(error, match=match):
+        point_geometry(spec, qs)

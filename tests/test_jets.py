@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from curvepath.jets import JET_FUNCTIONS, Jet3
+from curvepath.jets import JET_FUNCTIONS, Jet2
 
 
 def fd_grad(f, q, h):
@@ -26,8 +26,9 @@ def sample_function(q):
 
 
 def sample_jet(q):
-    x = Jet3.coordinate(q[0], 0, 2)
-    y = Jet3.coordinate(q[1], 1, 2)
+    # q has shape (2,) or (N, 2): one point or a batch
+    x = Jet2.coordinate(q[..., 0], 0, 2)
+    y = Jet2.coordinate(q[..., 1], 1, 2)
     return ((x * y).sin() + (0.3 * x).exp() / ((x * 0.0 + 2.0) + y.cos())
             + (1.0 + 0.1 * x * x) ** 3 - (4.0 + x + 0.5 * y).sqrt())
 
@@ -45,22 +46,19 @@ def test_jet_matches_finite_differences():
         assert np.allclose(jet.hess, hess, rtol=1e-5, atol=1e-6)
 
 
-def test_third_derivative_on_closed_form():
-    # f = x^2 y has d3/dx2dy = 2 and no other nonzero thirds beyond symmetry
-    x = Jet3.coordinate(0.7, 0, 2)
-    y = Jet3.coordinate(-0.2, 1, 2)
-    f = x * x * y
-    expected = np.zeros((2, 2, 2))
-    expected[0, 0, 1] = expected[0, 1, 0] = expected[1, 0, 0] = 2.0
-    assert np.allclose(f.third, expected)
+def test_batch_matches_single_points():
+    qs = np.random.default_rng(7).uniform(-1.0, 1.0, size=(17, 2))
+    batch = sample_jet(qs)
+    for k, q in enumerate(qs):
+        one = sample_jet(q)
+        assert batch.value[k] == one.value
+        assert np.array_equal(batch.grad[k], one.grad)
+        assert np.array_equal(batch.hess[k], one.hess)
 
 
 def test_symmetry_invariants():
     jet = sample_jet(np.array([0.4, -0.6]))
     assert np.allclose(jet.hess, jet.hess.T)
-    t = jet.third
-    for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1)]:
-        assert np.allclose(t, np.transpose(t, perm))
 
 
 @pytest.mark.parametrize("name", sorted(JET_FUNCTIONS))
@@ -74,8 +72,8 @@ def test_function_table_against_differences(name):
         return getattr(math, name)(u)
 
     q = np.array([0.2, -0.3])
-    x = Jet3.coordinate(q[0], 0, 2)
-    y = Jet3.coordinate(q[1], 1, 2)
+    x = Jet2.coordinate(q[0], 0, 2)
+    y = Jet2.coordinate(q[1], 1, 2)
     jet = fn(base + 0.3 * x - 0.2 * y + 0.15 * x * y)
     assert jet.value == pytest.approx(scalar(q), rel=1e-13)
     assert np.allclose(jet.grad, fd_grad(scalar, q, 1e-3), rtol=1e-7, atol=1e-9)
@@ -83,7 +81,7 @@ def test_function_table_against_differences(name):
 
 
 def test_integer_powers():
-    x = Jet3.coordinate(1.3, 0, 1)
+    x = Jet2.coordinate(1.3, 0, 1)
     assert (x ** 4).value == pytest.approx(1.3 ** 4)
     assert (x ** 4).grad[0] == pytest.approx(4 * 1.3 ** 3)
     assert (x ** -2).grad[0] == pytest.approx(-2 * 1.3 ** -3)
@@ -93,13 +91,13 @@ def test_integer_powers():
 
 
 def test_domain_errors():
-    x = Jet3.coordinate(-1.0, 0, 1)
+    x = Jet2.coordinate(-1.0, 0, 1)
     with pytest.raises(ValueError):
         x.sqrt()
     with pytest.raises(ValueError):
         x.log()
     with pytest.raises(ZeroDivisionError):
-        Jet3.constant(1.0, 1) / Jet3.constant(0.0, 1)
+        Jet2.constant(1.0, 1) / Jet2.constant(0.0, 1)
 
 
 @given(st.lists(st.floats(-2, 2), min_size=3, max_size=3),
@@ -108,10 +106,9 @@ def test_domain_errors():
 def test_product_rule_is_bilinear(a, b):
     # (sum_i a_i x_i)(sum_i b_i x_i) has hessian a b^T + b a^T exactly
     q = np.array([0.3, -0.1, 0.7])
-    xs = [Jet3.coordinate(q[i], i, 3) for i in range(3)]
-    u = sum((a[i] * xs[i] for i in range(3)), Jet3.constant(0.0, 3))
-    v = sum((b[i] * xs[i] for i in range(3)), Jet3.constant(0.0, 3))
+    xs = [Jet2.coordinate(q[i], i, 3) for i in range(3)]
+    u = sum((a[i] * xs[i] for i in range(3)), Jet2.constant(0.0, 3))
+    v = sum((b[i] * xs[i] for i in range(3)), Jet2.constant(0.0, 3))
     prod = u * v
     expected = np.outer(a, b) + np.outer(b, a)
     assert np.allclose(prod.hess, expected, atol=1e-12)
-    assert np.allclose(prod.third, 0.0, atol=1e-12)

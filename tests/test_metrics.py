@@ -20,7 +20,7 @@ def test_flat_line_metric():
     assert spec.dim == 1
     jet = eval_metric_jet(spec, [0.37])[0][0]
     assert jet.value == 1.0
-    assert np.all(jet.grad == 0) and np.all(jet.hess == 0) and np.all(jet.third == 0)
+    assert np.all(jet.grad == 0) and np.all(jet.hess == 0)
 
 
 def test_written_out_sphere_equals_builtin():
