@@ -41,6 +41,34 @@ def _positive(kind):
     return parse
 
 
+def _finite(text: str) -> float:
+    """Argument type: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
+    """Box bounds lo:hi;lo:hi;... as (lo, hi) pairs of finite floats."""
+    bounds = []
+    for piece in text.split(";"):
+        ends = piece.split(":")
+        if len(ends) != 2:
+            raise argparse.ArgumentTypeError(f"bounds need the form lo:hi;lo:hi;..., got {text!r}")
+        bounds.append(tuple(_finite(x) for x in ends))
+    return tuple(bounds)
+
+
+def _bounds(text: str) -> str:
+    """Argument type: box bounds, checked; the text is kept for the echo."""
+    _parse_bounds(text)
+    return text
+
+
 def _parse_point(text: str | None) -> np.ndarray:
     if text is None:
         raise MetricError("--point is required for this route")
@@ -227,9 +255,7 @@ def cmd_partition(args) -> int:
         if args.bounds is None:
             sys.stderr.write("curvepath partition: error: a box grid needs --bounds lo:hi;...\n")
             return 2
-        bounds = tuple((lo, hi) for lo, hi in
-                       (tuple(map(float, b.split(":"))) for b in args.bounds.split(";")))
-        grid = QuadratureGrid(kind="box", bounds=bounds, n=args.nodes)
+        grid = QuadratureGrid(kind="box", bounds=_parse_bounds(args.bounds), n=args.nodes)
     z = partition_function(spec, args.beta, grid)
     _emit({"schema": "curvepath/partition-v1", "Z": z, "kind": grid.kind}, args)
     return 0
@@ -270,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("propagator", help="periodic kernel values")
     pr.add_argument("--beta", type=_positive(float), required=True)
     pr.add_argument("--M", type=_positive(int), required=True)
-    pr.add_argument("--tau", type=float, default=0.0)
-    pr.add_argument("--taup", type=float, default=0.0)
+    pr.add_argument("--tau", type=_finite, default=0.0)
+    pr.add_argument("--taup", type=_finite, default=0.0)
     pr.set_defaults(func=cmd_propagator)
 
     e = sub.add_parser("ecp", help="Boltzmann factor by one route")
@@ -313,10 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric_opts(pa, point_required=False)
     pa.add_argument("--beta", type=_positive(float), required=True)
     pa.add_argument("--M", type=_positive(int), default=16)
-    pa.add_argument("--sphere-D", type=int, dest="sphere_D",
+    pa.add_argument("--sphere-D", type=_positive(int), dest="sphere_D",
                     help="closed-form sphere-route partition function")
-    pa.add_argument("--bounds", help="box bounds lo:hi;lo:hi;...")
-    pa.add_argument("--polar", type=float, help="polar grid with this radial extent")
+    pa.add_argument("--bounds", type=_bounds, help="box bounds lo:hi;lo:hi;...")
+    pa.add_argument("--polar", type=_finite, help="polar grid with this radial extent")
     pa.add_argument("--nodes", type=_positive(int), default=32)
     pa.set_defaults(func=cmd_partition)
 

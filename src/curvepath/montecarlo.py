@@ -3,15 +3,22 @@
 Zero-mode-free periodic Gaussian paths are sampled directly in Fourier
 space: the real and imaginary parts of each positive-frequency coefficient
 are independent normals with variance 1/(2 beta omega_m^2), which
-reproduces the two-point kernel of the free action exactly. Vertices are
-integrated on a uniform grid of 8M points, spectrally exact for the
-trigonometric polynomials that occur at cutoff M, so the only error is
-statistical.
+reproduces the two-point kernel of the free action exactly.
+
+Vertex integrals are exact, so the only error is statistical. A cubic or
+quartic vertex is a product of at most four trigonometric polynomials of
+degree M, with frequencies up to 4M, so a uniform grid of any K > 4M points
+integrates it exactly; the grid is the smallest such K whose only prime
+factors are 2 and 3 (72, 144, 288 points at M = 16, 32, 64), a fast FFT
+length. Its coefficient is applied as a D^2 x D^2 (or D^2 x D) matrix to
+pair products of the fields. A quadratic vertex needs no grid at all:
+by Parseval, int q^a q^b = 2 beta sum_m Re xi^a_m conj(xi^b_m).
 
 Estimates are reproducible: streams derive from a counter-based Philox
 generator keyed by the user seed, and batch substreams are spawned
 deterministically, so a fixed seed gives bit-identical results regardless
-of batch size.
+of batch size. Means and variances are merged batch by batch (Chan et al.),
+which keeps the variance accurate when the mean is large against the spread.
 """
 from __future__ import annotations
 
@@ -30,6 +37,20 @@ __all__ = [
 ]
 
 
+def _grid_size(M: int) -> int:
+    """Points of the integration grid at cutoff M: the smallest K > 4M whose
+    only prime factors are 2 and 3, exact for products of four fields."""
+    K = 4 * M + 1
+    while True:
+        rest = K
+        for p in (2, 3):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return K
+        K += 1
+
+
 @dataclass(frozen=True)
 class PathSample:
     beta: float
@@ -38,7 +59,7 @@ class PathSample:
     modes: np.ndarray  # complex, shape (D, M), positive frequencies
 
     def grid_values(self, K: int | None = None, derivative: bool = False) -> np.ndarray:
-        K = K or 8 * self.M
+        K = K or _grid_size(self.M)
         return _to_grid(self.modes[np.newaxis], self.beta, K, derivative)[0]
 
 
@@ -57,10 +78,39 @@ class McEstimate:
         return out
 
 
-def _block_size(D: int, K: int) -> int:
+class _Moments:
+    """Count, mean and summed squared deviations of a stream of samples,
+    merged one batch at a time by the pairwise update of Chan, Golub and
+    LeVeque. Trailing axes of a batch are independent quantities."""
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, x: np.ndarray) -> None:
+        n = x.shape[0]
+        mean = x.mean(axis=0)
+        m2 = np.square(x - mean).sum(axis=0)
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (n / total)
+        self.m2 = self.m2 + m2 + delta**2 * (self.count * n / total)
+        self.count = total
+
+    def variance(self):
+        return self.m2 / self.count
+
+    def stderr(self):
+        return np.sqrt(self.variance() / self.count)
+
+
+def _block_size(D: int, M: int) -> int:
     """Samples per PRNG stream; a function of the run shape only, so that a
-    fixed seed reproduces results bit for bit at any memory budget."""
-    return max(128, min(8192, (1 << 22) // max(1, D * K)))
+    fixed seed reproduces results bit for bit at any memory budget. The 8M
+    is fixed, not the integration grid: the block size decides which
+    substream draws each sample, so changing it would change the stream."""
+    return max(128, min(8192, (1 << 22) // max(1, D * 8 * M)))
 
 
 def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
@@ -68,17 +118,31 @@ def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(s)) for s in seq.spawn(count)]
 
 
+def _omega(beta: float, M: int) -> np.ndarray:
+    """Matsubara frequencies omega_m = 2 pi m / beta, m = 1..M."""
+    return 2.0 * math.pi * np.arange(1, M + 1) / beta
+
+
 def _draw_modes(rng: np.random.Generator, beta: float, M: int, D: int,
                 nbatch: int) -> np.ndarray:
-    omega = 2.0 * math.pi * np.arange(1, M + 1) / beta
-    sd = np.sqrt(1.0 / (2.0 * beta * omega**2))
-    re = rng.normal(0.0, sd, size=(nbatch, D, M))
-    im = rng.normal(0.0, sd, size=(nbatch, D, M))
-    return re + 1j * im
+    sd = np.sqrt(1.0 / (2.0 * beta * _omega(beta, M)**2))
+    # the same draws as rng.normal(0.0, sd), which scales one standard normal
+    # per entry, without its slower per-entry broadcasting
+    modes = np.empty((nbatch, D, M), dtype=complex)
+    np.multiply(rng.standard_normal(size=(nbatch, D, M)), sd, out=modes.real)
+    np.multiply(rng.standard_normal(size=(nbatch, D, M)), sd, out=modes.imag)
+    return modes
 
 
-def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool) -> np.ndarray:
-    """Field values on the uniform grid tau_j = j beta / K.
+def _mode_field(modes: np.ndarray, beta: float, derivative: bool) -> np.ndarray:
+    """Fourier coefficients of the field, or of its derivative (-i omega_m xi_m)."""
+    return modes * (-1j * _omega(beta, modes.shape[-1])) if derivative else modes
+
+
+def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Field values on the uniform grid tau_j = j beta / K, written to out
+    when it is given.
 
     xi(tau) = sum_{m>0} [xi_m e^{-i omega_m tau} + conj], realized through a
     half-spectrum inverse FFT; the derivative multiplies modes by -i omega_m.
@@ -86,12 +150,33 @@ def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool) -> np.nda
     nbatch, D, M = modes.shape
     if K < 2 * M + 2:
         raise ValueError("grid too coarse for the mode content")
-    omega = 2.0 * math.pi * np.arange(1, M + 1) / beta
-    coef = modes * (-1j * omega) if derivative else modes
     X = np.zeros((nbatch, D, M + 1), dtype=complex)
-    np.conjugate(coef, out=X[:, :, 1:M + 1])
-    X *= K
-    return np.fft.irfft(X, n=K, axis=2)
+    np.conjugate(modes, out=X[:, :, 1:])
+    if derivative:
+        X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
+    return np.fft.irfft(X, n=K, axis=2, norm="forward", out=out)
+
+
+def _mode_batches(beta: float, M: int, D: int, n: int, seed: int):
+    """The sample stream: one batch of modes per Philox substream of the seed,
+    _block_size(D, M) samples each and the rest in the last."""
+    if n < 1:
+        raise ValueError("sample count must be >= 1")
+    batch = _block_size(D, M)
+    return (_draw_modes(rng, beta, M, D, min(batch, n - k * batch))
+            for k, rng in enumerate(_rng_streams(seed, math.ceil(n / batch))))
+
+
+def _path_batches(beta: float, M: int, D: int, n: int, seed: int):
+    """(modes, q, qd) per substream, the fields on the exact grid. The next
+    batch overwrites q and qd, so only one batch of fields is held."""
+    batches = _mode_batches(beta, M, D, n, seed)
+    K = _grid_size(M)
+    q, qd = np.empty((2, min(n, _block_size(D, M)), D, K))
+    for modes in batches:
+        rows = len(modes)
+        yield (modes, _to_grid(modes, beta, K, False, out=q[:rows]),
+               _to_grid(modes, beta, K, True, out=qd[:rows]))
 
 
 def sample_modes(beta: float, M: int, D: int, seed: int) -> PathSample:
@@ -116,24 +201,48 @@ def _frame_coeff(coeff: np.ndarray, geom: PointGeometry) -> np.ndarray:
     return out
 
 
-def _vertex_action(v: Vertex, geom: PointGeometry, q: np.ndarray, qd: np.ndarray,
-                   beta: float, M: int) -> np.ndarray:
-    """Per-sample action of one vertex from grid fields (nbatch, D, K)."""
-    K = q.shape[2]
+# Elements of one pair-product block (256 kB): small sub-blocks of samples
+# keep the contraction's temporaries in cache, and far smaller than q.
+_CONTRACT_ELEMENTS = 1 << 15
+
+
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pair products a^i b^j of two (n, D, K) fields as an (n, D^2, K) array."""
+    n, D, K = a.shape
+    return (a[:, :, np.newaxis] * b[:, np.newaxis]).reshape(n, D * D, K)
+
+
+def _vertex_action(v: Vertex, geom: PointGeometry, modes: np.ndarray, q: np.ndarray,
+                   qd: np.ndarray, beta: float, M: int) -> np.ndarray:
+    """Per-sample action of one vertex: a quadratic one by Parseval from the
+    modes (nbatch, D, M), a cubic or quartic one from the grid fields
+    (nbatch, D, K) as a factored contraction."""
     coeff = _frame_coeff(v.coeff, geom)
+    if len(v.slots) == 2:
+        f, g = (_mode_field(modes, beta, s == 1) for s in v.slots)
+        h = np.matmul(coeff, g)
+        # sum_m Re(f_m conj h_m) as two real dot products
+        integral = 2.0 * beta * (np.einsum("nam,nam->n", f.real, h.real)
+                                 + np.einsum("nam,nam->n", f.imag, h.imag))
+        return v.prefactor_truncated(beta, M) * integral
+    n, D, K = q.shape
+    if K <= len(v.slots) * M:
+        raise ValueError("grid too coarse for an exact vertex integral")
     fields = [qd if s == 1 else q for s in v.slots]
-    acc = np.zeros((q.shape[0], K))
-    buf = np.empty_like(acc)
-    for index in np.ndindex(*coeff.shape):
-        c = coeff[index]
-        if c == 0.0:
-            continue
-        np.multiply(fields[0][:, index[0], :], fields[1][:, index[1], :], out=buf)
-        for slot in range(2, len(index)):
-            buf *= fields[slot][:, index[slot], :]
-        buf *= c
-        acc += buf
-    integral = acc.sum(axis=1) * (beta / K)
+    matrix = coeff.reshape(D * D, -1)
+    integral = np.empty(n)
+    step = max(1, _CONTRACT_ELEMENTS // (D * D * K))
+    for lo in range(0, n, step):
+        f = [x[lo:lo + step] for x in fields]
+        rows = len(f[0])
+        left = _pair(f[0], f[1])
+        if len(f) == 3:
+            right = f[2]
+        else:  # a repeated pair, as in (q.qdot)^2, is formed once
+            right = left if v.slots[2:] == v.slots[:2] else _pair(f[2], f[3])
+        integral[lo:lo + rows] = np.einsum("ij,ij->i", left.reshape(rows, -1),
+                                           np.matmul(matrix, right).reshape(rows, -1))
+    integral *= beta / K
     return v.prefactor_truncated(beta, M) * integral
 
 
@@ -144,29 +253,11 @@ def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
     Converges to the cutoff-M value (expect_first_order_truncated), which
     differs from the counter-table limit by the O(1/M) coincidence tail.
     """
-    K = 8 * M
-    if K < 2 * M + 2:
-        raise ValueError("time grid too coarse")
-    batch = _block_size(geom.dim, K)
-    nb = max(1, math.ceil(n / batch))
-    streams = _rng_streams(seed, nb)
-    total = 0.0
-    total2 = 0.0
-    count = 0
-    for rng in streams:
-        take = min(batch, n - count)
-        if take <= 0:
-            break
-        modes = _draw_modes(rng, beta, M, geom.dim, take)
-        q = _to_grid(modes, beta, K, derivative=False)
-        qd = _to_grid(modes, beta, K, derivative=True)
-        vals = _vertex_action(v, geom, q, qd, beta, M)
-        total += vals.sum()
-        total2 += (vals**2).sum()
-        count += take
-    mean = float(total) / count
-    var = max(float(total2) / count - mean**2, 0.0)
-    return McEstimate(mean=mean, stderr=math.sqrt(var / count), n_samples=count, seed=seed)
+    acc = _Moments()
+    for modes, q, qd in _path_batches(beta, M, geom.dim, n, seed):
+        acc.add(_vertex_action(v, geom, modes, q, qd, beta, M))
+    return McEstimate(mean=float(acc.mean), stderr=float(acc.stderr()),
+                      n_samples=acc.count, seed=seed)
 
 
 def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
@@ -182,81 +273,50 @@ def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
     on_batch(count, mean, stderr), when given, streams running partials.
     """
     vertices = vertex_catalog(geom, beta, route)
-    K = 8 * M
-    batch = _block_size(geom.dim, K)
-    nb = max(1, math.ceil(n / batch))
-    streams = _rng_streams(seed, nb)
-    s_a = s_a2 = s_e = s_e2 = 0.0
-    count = 0
-    for rng in streams:
-        take = min(batch, n - count)
-        if take <= 0:
-            break
-        modes = _draw_modes(rng, beta, M, geom.dim, take)
-        q = _to_grid(modes, beta, K, derivative=False)
-        qd = _to_grid(modes, beta, K, derivative=True)
-        a = np.zeros(take)
+    action = _Moments()
+    weight = _Moments()
+    for modes, q, qd in _path_batches(beta, M, geom.dim, n, seed):
+        a = np.zeros(len(modes))
         for v in vertices:
-            a += _vertex_action(v, geom, q, qd, beta, M)
-        e = np.exp(-a)
-        s_a += a.sum()
-        s_a2 += (a**2).sum()
-        s_e += e.sum()
-        s_e2 += (e**2).sum()
-        count += take
+            a += _vertex_action(v, geom, modes, q, qd, beta, M)
+        action.add(a)
+        weight.add(np.exp(-a))
         if on_batch is not None:
-            mean_sofar = float(s_a) / count
-            var_sofar = max(float(s_a2) / count - mean_sofar**2, 0.0)
-            on_batch(count, 1.0 - mean_sofar, math.sqrt(var_sofar / count))
-    mean_a = float(s_a) / count
-    var_a = max(float(s_a2) / count - mean_a**2, 0.0)
+            on_batch(action.count, 1.0 - float(action.mean), float(action.stderr()))
+    var_a = float(action.variance())
     if var_a >= variance_guard:
         raise ValueError(
             f"action variance {var_a:.3f} >= {variance_guard}: reweighting unreliable; "
             "use a smaller beta or a larger cutoff")
-    mean_e = float(s_e) / count
-    var_e = max(float(s_e2) / count - mean_e**2, 0.0)
-    est = McEstimate(mean=1.0 - mean_a, stderr=math.sqrt(var_a / count),
-                     n_samples=count, seed=seed)
+    est = McEstimate(mean=1.0 - float(action.mean), stderr=float(action.stderr()),
+                     n_samples=action.count, seed=seed)
     est.extras = {
-        "action_mean": float(mean_a),
-        "action_variance": float(var_a),
-        "exp_reweighted_mean": float(mean_e),
-        "exp_reweighted_stderr": float(math.sqrt(var_e / count)),
+        "action_mean": float(action.mean),
+        "action_variance": var_a,
+        "exp_reweighted_mean": float(weight.mean),
+        "exp_reweighted_stderr": float(weight.stderr()),
     }
     return est
 
 
 def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
                  pairs: list[tuple[float, float]]) -> list[dict]:
-    """Empirical <xi(tau) . xi(tau')>/D at probe pairs against the kernel."""
+    """Empirical <xi(tau) . xi(tau')>/D at probe pairs against the kernel.
+
+    Probe times are rounded to the lattice tau_j = j beta / 8M, and the
+    fields there are summed directly from the modes."""
     K = 8 * M
     p = PeriodicPropagator(beta, M)
-    idx = [(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
-           for t1, t2 in pairs]
-    batch = _block_size(D, K)
-    nb = max(1, math.ceil(n / batch))
-    streams = _rng_streams(seed, nb)
-    sums = np.zeros(len(pairs))
-    sums2 = np.zeros(len(pairs))
-    count = 0
-    for rng in streams:
-        take = min(batch, n - count)
-        if take <= 0:
-            break
-        modes = _draw_modes(rng, beta, M, D, take)
-        q = _to_grid(modes, beta, K, derivative=False)
-        for k, (i1, i2) in enumerate(idx):
-            prod = (q[:, :, i1] * q[:, :, i2]).sum(axis=1) / D
-            sums[k] += prod.sum()
-            sums2[k] += (prod**2).sum()
-        count += take
-    out = []
-    for k, (t1, t2) in enumerate(pairs):
-        mean = sums[k] / count
-        var = max(sums2[k] / count - mean**2, 0.0)
-        i1, i2 = idx[k]
-        expected = p.green_modes((i1 - i2) * beta / K)
-        out.append({"tau": t1, "taup": t2, "mean": mean,
-                    "stderr": math.sqrt(var / count), "expected": expected})
-    return out
+    idx = np.array([(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
+                    for t1, t2 in pairs]).reshape(-1, 2)
+    # e^{-i omega_m tau_j} at each probe; the phase m j is reduced mod K first
+    phase = np.outer(np.arange(1, M + 1), idx.ravel()) % K
+    basis = np.exp(-2j * math.pi * phase / K)
+    acc = _Moments()
+    for modes in _mode_batches(beta, M, D, n, seed):
+        q = 2.0 * np.matmul(modes, basis).real.reshape(len(modes), D, len(idx), 2)
+        acc.add((q[..., 0] * q[..., 1]).sum(axis=1) / D)
+    means, stderrs = acc.mean, acc.stderr()
+    return [{"tau": t1, "taup": t2, "mean": float(means[k]), "stderr": float(stderrs[k]),
+             "expected": p.green_modes((i1 - i2) * beta / K)}
+            for k, ((t1, t2), (i1, i2)) in enumerate(zip(pairs, idx.tolist()))]

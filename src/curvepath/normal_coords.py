@@ -206,44 +206,43 @@ def qbar_matrix(exp: NormalExpansion, eta) -> np.ndarray:
     return np.einsum("mk,kn->mn", J, Q) - dq0
 
 
+def _chart_gamma(exp: NormalExpansion, xi: np.ndarray, geom_q: PointGeometry) -> np.ndarray:
+    """Christoffels GammaHat^m_{st} of the normal chart at xi, from the bundle
+    geom_q at q0 + eta(xi).
+
+    The pullback metric at xi is ghat(xi) = g(q0 + eta) J^T . J with
+    J = d eta / d xi, and its first derivatives are propagated analytically.
+    """
+    J = deta_dxi(exp, xi)
+    # second derivative of the truncated map wrt xi: dJ[a, m, n] = d_a J^m_n
+    dJ = 2.0 * np.einsum("anm->amn", exp.eta_quad) + _dJ_cubic(exp.eta_cub, xi)
+    ghat = np.einsum("uv,um,vn->mn", geom_q.g, J, J)
+    # d_a ghat_mn = d_l g_uv J^l_a J^u_m J^v_n + g_uv (dJ^u_am J^v_n + J^u_m dJ^v_an)
+    dghat = (np.einsum("luv,la,um,vn->amn", geom_q.dg, J, J, J)
+             + np.einsum("uv,aum,vn->amn", geom_q.g, dJ, J)
+             + np.einsum("uv,um,avn->amn", geom_q.g, J, dJ))
+    ghat_inv = np.linalg.inv(ghat)
+    term = (np.einsum("snt->nst", dghat) + np.einsum("tns->nst", dghat)
+            - np.einsum("nst->nst", dghat))
+    return 0.5 * np.einsum("mn,nst->mst", ghat_inv, term)
+
+
 def _normal_chart_dgamma(spec: MetricSpec, q0, h: float = 1e-3) -> np.ndarray:
     """d_k GammaHat^m_{ts}(0) of the constructed normal chart, by differences.
 
-    The chart is the composition q = q0 + eta(q0, xi); its pullback metric
-    at xi is ghat(xi) = g(q0 + eta) J^T . J with J = d eta / d xi, and the
-    Christoffels of ghat are formed from analytically propagated first
-    derivatives, so only the outer derivative d_k is numerical.
+    The chart is the composition q = q0 + eta(q0, xi); only the outer
+    derivative d_k is numerical. The bundles at the 4 D stencil points come
+    from one batched point_geometry call.
     """
     q0 = np.asarray(q0, dtype=float)
     exp = normal_expansion(spec, q0)
     D = q0.shape[0]
-
-    def gamma_hat(xi: np.ndarray) -> np.ndarray:
-        eta = eta_of_xi(exp, xi)
-        geom_q = point_geometry(spec, q0 + eta)
-        J = deta_dxi(exp, xi)
-        # second derivative of the truncated map wrt xi: dJ[a, m, n] = d_a J^m_n
-        dJ = 2.0 * np.einsum("anm->amn", exp.eta_quad) + _dJ_cubic(exp.eta_cub, xi)
-        ghat = np.einsum("uv,um,vn->mn", geom_q.g, J, J)
-        # d_a ghat_mn = d_l g_uv J^l_a J^u_m J^v_n + g_uv (dJ^u_am J^v_n + J^u_m dJ^v_an)
-        dghat = (np.einsum("luv,la,um,vn->amn", geom_q.dg, J, J, J)
-                 + np.einsum("uv,aum,vn->amn", geom_q.g, dJ, J)
-                 + np.einsum("uv,um,avn->amn", geom_q.g, J, dJ))
-        ghat_inv = np.linalg.inv(ghat)
-        term = (np.einsum("snt->nst", dghat) + np.einsum("tns->nst", dghat)
-                - np.einsum("nst->nst", dghat))
-        return 0.5 * np.einsum("mn,nst->mst", ghat_inv, term)
-
-    out = np.empty((D, D, D, D))
-    for k in range(D):
-        e = np.zeros(D)
-        e[k] = h
-        gp2 = gamma_hat(2 * e)
-        gp1 = gamma_hat(e)
-        gm1 = gamma_hat(-e)
-        gm2 = gamma_hat(-2 * e)
-        out[k] = (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * h)
-    return out  # [k, m, t, s]
+    # xi = a h e_k for a in (2, 1, -1, -2), rows ordered (a, k)
+    xis = (np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (h * np.eye(D))).reshape(-1, D)
+    geom = point_geometry(spec, q0 + np.array([eta_of_xi(exp, xi) for xi in xis]))
+    gp2, gp1, gm1, gm2 = np.array([_chart_gamma(exp, xi, geom.row(j))
+                                   for j, xi in enumerate(xis)]).reshape(4, D, D, D, D)
+    return (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * h)  # [k, m, t, s]
 
 
 def _dJ_cubic(c3: np.ndarray, xi: np.ndarray) -> np.ndarray:

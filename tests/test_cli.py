@@ -191,6 +191,15 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1"], 2, "--bounds"),
     # B = 1 - R beta / 24 < 0 gives veff = inf: one error document, nothing half written
     (ECP_COV + ["--beta", "20"], 1, "ValueError"),
+    (["propagator", "--beta", "1", "--M", "4", "--tau", "nan"], 2, "--tau"),
+    (["propagator", "--beta", "1", "--M", "4", "--taup", "inf"], 2, "--taup"),
+    (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1", "--polar", "nan"],
+     2, "--polar"),
+    (["partition", "--builtin", "flat:2", "--beta", "0.1", "--bounds=0:nan;0:1",
+      "--nodes", "4"], 2, "--bounds"),
+    (["partition", "--builtin", "flat:2", "--beta", "0.1", "--bounds=0:1;0:1:2"], 2, "--bounds"),
+    (["partition", "--sphere-D", "0", "--beta", "0.1"], 2, "--sphere-D"),
+    (["partition", "--sphere-D", "-1", "--beta", "0.1"], 2, "--sphere-D"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:

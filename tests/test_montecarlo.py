@@ -1,13 +1,15 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from curvepath.cli import main
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin
-from curvepath.montecarlo import (_draw_modes, _to_grid, _vertex_action,
-                                  mc_boltzmann, mc_two_point,
-                                  mc_vertex_expectation, sample_modes)
+from curvepath.montecarlo import (_Moments, _draw_modes, _frame_coeff, _grid_size,
+                                  _to_grid, _vertex_action, mc_boltzmann,
+                                  mc_two_point, mc_vertex_expectation, sample_modes)
 from curvepath.propagator import PeriodicPropagator
 from curvepath.wick import expect_first_order_truncated, vertex_catalog
 
@@ -80,7 +82,7 @@ def test_vertex_estimates_match_engine():
     p = PeriodicPropagator(beta, M)
     vertices = (vertex_catalog(geom, beta, "covariant")
                 + vertex_catalog(geom, beta, "sphere"))
-    K = 8 * M
+    K = _grid_size(M)
     sums = np.zeros(len(vertices))
     sums2 = np.zeros(len(vertices))
     rng = np.random.Generator(np.random.Philox(31))
@@ -91,7 +93,7 @@ def test_vertex_estimates_match_engine():
         q = _to_grid(modes, beta, K, derivative=False)
         qd = _to_grid(modes, beta, K, derivative=True)
         for k, v in enumerate(vertices):
-            vals = _vertex_action(v, geom, q, qd, beta, M)
+            vals = _vertex_action(v, geom, modes, q, qd, beta, M)
             sums[k] += vals.sum()
             sums2[k] += (vals**2).sum()
         done += take
@@ -192,7 +194,7 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     sd = np.sqrt(1.0 / (2 * beta * omega**2))
 
-    def batch_means(seed, relabel=False, K=8 * M):
+    def batch_means(seed, relabel=False, K=_grid_size(M)):
         rng = np.random.Generator(np.random.Philox(seed))
         out = []
         for _ in range(nb):
@@ -204,7 +206,7 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
                 modes = _draw_modes(rng, beta, M, 2, bs)
             q = _to_grid(modes, beta, K, derivative=False)
             qd = _to_grid(modes, beta, K, derivative=True)
-            out.append(_vertex_action(v, geom, q, qd, beta, M).mean())
+            out.append(_vertex_action(v, geom, modes, q, qd, beta, M).mean())
         return np.array(out)
 
     base = batch_means(900)
@@ -214,3 +216,113 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
     assert ks < critical_1pct
     refined = batch_means(900, K=16 * M)
     assert np.allclose(base, refined, rtol=1e-12)
+
+
+def test_exact_grid_is_the_smallest_2_3_smooth_size_above_4M():
+    assert [_grid_size(M) for M in (16, 32, 64)] == [72, 144, 288]
+
+    def smooth(k):
+        for p in (2, 3):
+            while k % p == 0:
+                k //= p
+        return k == 1
+
+    for M in range(1, 200):
+        K = _grid_size(M)
+        assert K > 4 * M and smooth(K)
+        assert not any(smooth(k) for k in range(4 * M + 1, K))
+
+
+def test_moments_keep_their_digits_at_a_large_mean():
+    rng = np.random.default_rng(4)
+    x = 1e8 + rng.normal(size=10000)
+    acc = _Moments()
+    for chunk in np.array_split(x, 7):
+        acc.add(chunk)
+    assert acc.count == len(x)
+    assert acc.mean == pytest.approx(np.mean(x), rel=1e-15)
+    assert acc.variance() == pytest.approx(np.var(x), rel=1e-8)
+    # the one-pass E[x^2] - E[x]^2 loses every digit at this mean
+    naive = np.sum(x**2) / len(x) - np.mean(x)**2
+    assert abs(naive - np.var(x)) > 1e-3 * np.var(x)
+    # several independent columns at once
+    cols = _Moments()
+    xy = np.stack([x, -2.0 * x], axis=1)
+    for chunk in np.array_split(xy, 3):
+        cols.add(chunk)
+    np.testing.assert_allclose(cols.variance(), np.var(xy, axis=0), rtol=1e-8)
+
+
+def _catalog_cases():
+    hyper = point_geometry(builtin("hyperbolic-ball", 3), [0.2, -0.1, 0.15])
+    sphere = point_geometry(builtin("sphere", 2), [0.3, 0.1])
+    return [(hyper, "covariant"), (hyper, "eta"), (sphere, "covariant"),
+            (sphere, "eta"), (SPHERE0, "sphere")]
+
+
+@pytest.mark.parametrize("geom,route", _catalog_cases())
+def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
+    """Every vertex of the covariant, eta (cubic and quartic) and sphere
+    catalogs: the exact grid reproduces the 8M grid per sample, and a
+    quadratic vertex by Parseval equals its grid integral."""
+    beta, M, n = 0.1, 16, 300
+    modes = _draw_modes(np.random.Generator(np.random.Philox(5)), beta, M, geom.dim, n)
+    fields = {K: (_to_grid(modes, beta, K, False), _to_grid(modes, beta, K, True))
+              for K in (_grid_size(M), 8 * M)}
+    vertices = vertex_catalog(geom, beta, route)
+    assert {len(v.slots) for v in vertices} >= {2, 4}
+    for v in vertices:
+        ref = _vertex_action(v, geom, modes, *fields[8 * M], beta, M)
+        new = _vertex_action(v, geom, modes, *fields[_grid_size(M)], beta, M)
+        scale = np.abs(ref).max()
+        np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
+        if len(v.slots) == 2:
+            q, qd = fields[8 * M]
+            f, g = (qd if s else q for s in v.slots)
+            coeff = _frame_coeff(v.coeff, geom)
+            grid = np.einsum("nak,ab,nbk->n", f, coeff, g) * (beta / (8 * M))
+            np.testing.assert_allclose(new, v.prefactor_truncated(beta, M) * grid,
+                                       rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
+
+
+def test_coarse_grid_is_rejected_for_a_quartic_vertex():
+    beta, M = 0.1, 8
+    v = next(x for x in vertex_catalog(SPHERE0, beta, "sphere") if len(x.slots) == 4)
+    modes = _draw_modes(np.random.Generator(np.random.Philox(1)), beta, M, 2, 4)
+    K = 4 * M
+    q, qd = _to_grid(modes, beta, K, False), _to_grid(modes, beta, K, True)
+    with pytest.raises(ValueError, match="too coarse"):
+        _vertex_action(v, SPHERE0, modes, q, qd, beta, M)
+
+
+# Outputs of the earlier core (an 8M grid and a per-entry coefficient loop)
+# on the same seeded stream: the exact grid must reproduce them to rounding.
+GOLDEN_MC = [
+    (["--route", "sphere", "--D", "2"],
+     (0.9983895461822679, 0.00038182098995731236, 0.00029857232562581916)),
+    (["--route", "covariant", "--builtin", "hyperbolic-ball:3", "--point=0.1,-0.2,0.15"],
+     (1.0050182308023388, 0.00024227657554981363, 0.00012021337919517603)),
+    (["--route", "eta", "--builtin", "sphere:2", "--point=0.3,0.1"],
+     (0.9898487414267005, 0.0027141201941380737, 0.015086486381011135)),
+]
+
+
+@pytest.mark.parametrize("route_args,golden", GOLDEN_MC)
+def test_fixed_seed_reproduces_the_earlier_core(route_args, golden, capsys):
+    argv = ["mc", *route_args, "--M", "16", "--beta", "0.02", "--samples", "2048", "--seed", "9"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    got = (doc["mean"], doc["stderr"], doc["action_variance"])
+    assert got == pytest.approx(golden, rel=1e-12, abs=0)
+
+
+def test_two_point_reproduces_the_earlier_core():
+    pairs = [(0.1, 0.3), (0.2, 0.2), (0.013, 0.47)]
+    golden = [(-0.01859805059110169, 0.0004499068041101555, -0.01827568538909779),
+              (0.03897365580510222, 0.0005408658263948417, 0.0401319665170702),
+              (0.02145299226899685, 0.00044966515089296156, 0.022138647913245917)]
+    for c, (mean, stderr, expected) in zip(mc_two_point(0.5, 16, 2, 5000, seed=21, pairs=pairs),
+                                           golden):
+        assert c["mean"] == pytest.approx(mean, rel=1e-12, abs=0)
+        assert c["stderr"] == pytest.approx(stderr, rel=1e-12, abs=0)
+        assert c["expected"] == expected

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from curvepath import normal_coords
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin, eval_metric_value
-from curvepath.normal_coords import (connection_Q, deta_dq0_fd, deta_dxi,
+from curvepath.normal_coords import (_chart_gamma, _normal_chart_dgamma,
+                                     connection_Q, deta_dq0_fd, deta_dxi,
                                      deta_dxi_inverse_series, dxi_deta,
                                      eta_of_xi, jacobian_trlog, measure_trlog,
                                      measure_trlog_eta, normal_curvature_check,
@@ -201,3 +203,28 @@ def test_normal_curvature_check_flat():
 @pytest.mark.parametrize("name", ["sphere", "hyperbolic-ball"])
 def test_normal_curvature_check_curved(name):
     assert normal_curvature_check(builtin(name, 2), [0.3, 0.1]) <= 1e-5
+
+
+@pytest.mark.parametrize("name,D,q0", [("sphere", 3, [0.2, -0.1, 0.15]),
+                                       ("hyperbolic-ball", 2, [0.3, 0.1])])
+def test_batched_stencil_matches_per_point_calls(name, D, q0, monkeypatch):
+    spec = builtin(name, D)
+    h = 1e-3
+    exp = normal_expansion(spec, q0)
+    out = np.empty((D, D, D, D))
+    for k in range(D):
+        e = np.zeros(D)
+        e[k] = h
+        g = [_chart_gamma(exp, xi, point_geometry(spec, np.asarray(q0) + eta_of_xi(exp, xi)))
+             for xi in (2 * e, e, -e, -2 * e)]
+        out[k] = (-g[0] + 8 * g[1] - 8 * g[2] + g[3]) / (12 * h)
+    calls = []
+
+    def counted(spec, q):
+        calls.append(np.shape(q))
+        return point_geometry(spec, q)
+
+    monkeypatch.setattr(normal_coords, "point_geometry", counted)
+    assert np.array_equal(_normal_chart_dgamma(spec, q0, h=h), out)
+    # the base point for the expansion, then one batch for the 4 D stencil points
+    assert calls == [(D,), (4 * D, D)]
