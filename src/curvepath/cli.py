@@ -8,6 +8,7 @@ shortest round-trip repr (up to 17 significant digits), which is lossless.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,8 +65,11 @@ def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
 
 
 def _bounds(text: str) -> str:
-    """Argument type: box bounds, checked; the text is kept for the echo."""
-    _parse_bounds(text)
+    """Argument type: box bounds with lo < hi on every axis; the text is
+    kept for the echo."""
+    for lo, hi in _parse_bounds(text):
+        if not lo < hi:
+            raise argparse.ArgumentTypeError(f"every interval needs lo < hi, got {text!r}")
     return text
 
 
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--sphere-D", type=_positive(int), dest="sphere_D",
                     help="closed-form sphere-route partition function")
     pa.add_argument("--bounds", type=_bounds, help="box bounds lo:hi;lo:hi;...")
-    pa.add_argument("--polar", type=_finite, help="polar grid with this radial extent")
+    pa.add_argument("--polar", type=_positive(float), help="polar grid with this radial extent")
     pa.add_argument("--nodes", type=_positive(int), default=32)
     pa.set_defaults(func=cmd_partition)
 
@@ -352,9 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
+    if getattr(args, "D", None) is not None and args.route != "sphere":
+        ap.error(f"--D applies to --route sphere only, not --route {args.route}")
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:

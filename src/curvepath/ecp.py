@@ -64,7 +64,10 @@ class ExpansionReport:
 def _finalize(report: ExpansionReport, coeff: float) -> ExpansionReport:
     report.B_coefficient = coeff
     report.B_value = 1.0 - coeff * report.beta
-    report.veff = -math.log(report.B_value) / report.beta if report.B_value > 0 else math.inf
+    if not report.B_value > 0:
+        raise ValueError(f"B = 1 - c1 beta = {report.B_value!r} <= 0: beta = {report.beta!r} "
+                         f"is outside the range of the order-beta expansion")
+    report.veff = -math.log(report.B_value) / report.beta
     report.covariant_expected = report.R / 24.0
     report.discrepancy = abs(coeff - report.covariant_expected)
     report.noncovariant_defect = report.covariant_expected - coeff

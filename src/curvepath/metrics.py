@@ -5,6 +5,7 @@ so specs can be shared freely across threads.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -165,6 +166,16 @@ def builtin(name: str, D: int, params: Mapping[str, float] | None = None) -> Met
     params = dict(params or {})
     if D < 1:
         raise MetricError(f"dimension must be positive, got {D}")
+    components = _builtin_components(name, D)
+    if name == "conformal2d":
+        params = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1, **params}
+    return MetricSpec(name=name, dim=D, coords=_coords(D), components=components, params=params)
+
+
+@functools.lru_cache(maxsize=64)
+def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], ...]:
+    """Parsed components of a builtin chart. Parse trees are immutable, so
+    one parse serves every spec of the same name and dimension."""
     if name == "flat":
         comps = [[("1" if i == j else "0") for j in range(D)] for i in range(D)]
     elif name == "sphere":
@@ -182,15 +193,11 @@ def builtin(name: str, D: int, params: Mapping[str, float] | None = None) -> Met
     elif name == "conformal2d":
         if D != 2:
             raise MetricError("conformal2d requires D = 2")
-        defaults = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1}
-        defaults.update(params)
-        params = defaults
         sigma = "a*q1 + b*q2 + c*q1*q2 + e*(q1^2 + q2^2)"
         comps = [[("0" if i != j else f"exp(2*({sigma}))") for j in range(D)] for i in range(D)]
     else:
         raise MetricError(f"unknown builtin metric {name!r}; choose from {BUILTIN_NAMES}")
-    parsed = tuple(tuple(ex.parse(e) for e in row) for row in comps)
-    return MetricSpec(name=name, dim=D, coords=_coords(D), components=parsed, params=params)
+    return tuple(tuple(ex.parse(e) for e in row) for row in comps)
 
 
 # --- evaluation ---------------------------------------------------------------

@@ -139,6 +139,12 @@ def _mode_field(modes: np.ndarray, beta: float, derivative: bool) -> np.ndarray:
     return modes * (-1j * _omega(beta, modes.shape[-1])) if derivative else modes
 
 
+# Elements of one half spectrum block (1 MB): transforming a few samples at
+# a time keeps the spectra small, so a batch allocates no second copy of
+# its modes and the peak memory does not depend on how the heap is reused.
+_SPECTRUM_ELEMENTS = 1 << 16
+
+
 def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
              out: np.ndarray | None = None) -> np.ndarray:
     """Field values on the uniform grid tau_j = j beta / K, written to out
@@ -150,11 +156,16 @@ def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
     nbatch, D, M = modes.shape
     if K < 2 * M + 2:
         raise ValueError("grid too coarse for the mode content")
-    X = np.zeros((nbatch, D, M + 1), dtype=complex)
-    np.conjugate(modes, out=X[:, :, 1:])
-    if derivative:
-        X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
-    return np.fft.irfft(X, n=K, axis=2, norm="forward", out=out)
+    if out is None:
+        out = np.empty((nbatch, D, K))
+    step = max(1, _SPECTRUM_ELEMENTS // (D * (M + 1)))
+    for lo in range(0, nbatch, step):
+        X = np.zeros((min(step, nbatch - lo), D, M + 1), dtype=complex)
+        np.conjugate(modes[lo:lo + step], out=X[:, :, 1:])
+        if derivative:
+            X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
+        np.fft.irfft(X, n=K, axis=2, norm="forward", out=out[lo:lo + step])
+    return out
 
 
 def _mode_batches(beta: float, M: int, D: int, n: int, seed: int):

@@ -149,18 +149,28 @@ class PeriodicPropagator:
 
     # the finite rule table ---------------------------------------------------
 
-    def equal_time_table(self) -> dict:
-        """Coincidence values consumed by the Wick engine.
-
-        green0 is the exact beta/12 (its truncated companion is reported for
-        Monte Carlo comparisons at matching cutoff); the derivative entry and
-        the measure delta carry their full mode counts as counters.
-        """
+    def pair_counters(self) -> dict[tuple[int, int], CounterPolynomial]:
+        """Coincidence value of a Wick pair, keyed by the derivative orders
+        at its two ends: the exact beta/12, the vanishing mixed derivative,
+        and the double derivative carrying its full mode count."""
+        mixed = CounterPolynomial()
         return {
-            "green0": CounterPolynomial(constant=self.beta / 12.0),
+            (0, 0): CounterPolynomial(constant=self.beta / 12.0),
+            (0, 1): mixed,
+            (1, 0): mixed,
+            (1, 1): CounterPolynomial(coeff_nprop=1.0 / self.beta),
+        }
+
+    def equal_time_table(self) -> dict:
+        """The coincidence values by name, with the measure delta and the
+        truncated companion of green0 (for Monte Carlo comparisons at
+        matching cutoff)."""
+        pairs = self.pair_counters()
+        return {
+            "green0": pairs[(0, 0)],
             "green0_truncated": self.green0_truncated(),
-            "dgreen0": CounterPolynomial(),
-            "ddgreen0": CounterPolynomial(coeff_nprop=1.0 / self.beta),
+            "dgreen0": pairs[(0, 1)],
+            "ddgreen0": pairs[(1, 1)],
             "delta_measure0": CounterPolynomial(coeff_nall=1.0 / self.beta),
         }
 

@@ -156,6 +156,15 @@ def suite_wick() -> list[Row]:
                      rep["cancels"] and rep["first_matches_closed_form"]
                      and rep["second_matches_closed_form"],
                      f"residual {rep['residual']:.2e}"))
+    worst = 0.0
+    for name, q0 in (("sphere", [0.2, -0.3]), ("hyperbolic-ball", [0.25, 0.1, -0.2]),
+                     ("conformal2d", [0.4, -0.3])):
+        chart = point_geometry(builtin(name, len(q0)), q0)
+        rep = check_divergence_cancellation("eta", chart, PeriodicPropagator(beta, 16))
+        closed = rep["closed_form_coefficient"]
+        worst = max(worst, abs(rep["delta0_second_order"] - closed) / abs(closed))
+    rows.append(_row("compiled second order = Christoffel-squared form on 3 charts",
+                     worst <= 1e-12, f"max rel {worst:.2e}"))
     flat = point_geometry(builtin("flat", 2), [0.0, 0.0])
     p = PeriodicPropagator(beta, 8)
     flat_ok = all(

@@ -9,11 +9,14 @@ delta), so the result is an exact counter polynomial at any cutoff.
 Second order (connected): the double time integral reduces by periodicity
 to one integral over the time difference of a product of propagator lines.
 Lines are classified by the derivative orders they join. Products that stay
-locally integrable are integrated in closed form (the lines are polynomials
-on the open circle). Products containing the delta-like line d_tau d_tau'
-G alongside other singular factors are genuinely ambiguous as distributions;
-they are assigned the values forced by the defining equation of the kernel
-together with route independence of the assembled Boltzmann factor:
+locally integrable are integrated in closed form: the lines are polynomials
+on the open circle, so each integral is an exact rational times a power of
+beta. The live pairings of each slot signature, with their einsum specs, are
+compiled once per process; evaluating a vertex walks that plan. Products
+containing the delta-like line d_tau d_tau' G alongside other singular
+factors are genuinely ambiguous as distributions; they are assigned the
+values forced by the defining equation of the kernel together with route
+independence of the assembled Boltzmann factor:
 
     integral G (G'')^2          -> N_all/12 - 1/24      (counter polynomial)
     integral (G')^2 G''         -> smooth(0)/8 rule, giving -1/24 here
@@ -27,9 +30,10 @@ are kept available (scheme="modes") as a diagnostic; the rule table
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +44,7 @@ __all__ = [
     "Vertex", "ExpectationValue", "EngineError", "RouteError",
     "pairings", "vertex_catalog", "expect_first_order",
     "expect_first_order_truncated", "expect_second_order_connected",
-    "check_divergence_cancellation", "richardson_limit",
+    "check_divergence_cancellation", "richardson_limit", "smooth_coefficient",
 ]
 
 _LETTERS = "abcdefgh"
@@ -128,55 +132,85 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from rec(items)
 
 
-# --- first order ---------------------------------------------------------------
+# --- compiled pairings ------------------------------------------------------------
 
-def _contract(coeffs: Sequence[np.ndarray], g_inv: np.ndarray,
-              pairing: Sequence[tuple[int, int]]) -> float:
-    offsets = []
-    total = 0
-    for c in coeffs:
-        offsets.append(total)
-        total += c.ndim
-    letters = _LETTERS[:total]
+class _Term(NamedTuple):
+    """One live Wick pairing of a slot signature.
+
+    equal_time holds the derivative orders at the ends of each equal-time
+    pair, cross the sorted orders of each cross line (second order only),
+    spec the einsum that contracts the vertex coefficients with one inverse
+    metric per pair.
+    """
+
+    equal_time: tuple[tuple[int, int], ...]
+    cross: tuple[tuple[int, int], ...]
+    spec: str
+
+    def contract(self, coeffs: Sequence[np.ndarray], g_inv: np.ndarray) -> float:
+        pairs = len(self.equal_time) + len(self.cross)
+        return float(np.einsum(self.spec, *coeffs, *(g_inv,) * pairs))
+
+
+def _einsum_spec(ranks: Sequence[int], pairing: Sequence[tuple[int, int]]) -> str:
+    letters = _LETTERS[:sum(ranks)]
     terms = []
     start = 0
-    for c in coeffs:
-        terms.append(letters[start:start + c.ndim])
-        start += c.ndim
-    spec = ",".join(terms)
-    ops = list(coeffs)
-    for i, j in pairing:
-        spec += f",{letters[i]}{letters[j]}"
-        ops.append(g_inv)
-    return float(np.einsum(spec + "->", *ops))
+    for rank in ranks:
+        terms.append(letters[start:start + rank])
+        start += rank
+    terms.extend(letters[i] + letters[j] for i, j in pairing)
+    return ",".join(terms) + "->"
 
+
+@functools.lru_cache(maxsize=None)
+def _first_order_plan(slots: tuple[int, ...]) -> tuple[_Term, ...]:
+    """Pairings of one vertex whose equal-time pairs all survive: a pair
+    joining a field to a velocity has the vanishing coincidence value dgreen0."""
+    terms = []
+    for pairing in pairings(len(slots)):
+        types = tuple((slots[i], slots[j]) for i, j in pairing)
+        if any(t in ((0, 1), (1, 0)) for t in types):
+            continue
+        terms.append(_Term(types, (), _einsum_spec((len(slots),), pairing)))
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _second_order_plan(slots1: tuple[int, ...], slots2: tuple[int, ...]) -> tuple[_Term, ...]:
+    """Connected pairings of two vertices with at least two cross lines and
+    no mixed equal-time pair (disconnected pieces are removed by the
+    cumulant, a single cross line integrates to zero, and the mixed
+    coincidence value vanishes)."""
+    n1 = len(slots1)
+    slots = slots1 + slots2
+    terms = []
+    for pairing in pairings(len(slots)):
+        cross = [(i, j) for i, j in pairing if i < n1 <= j]
+        if len(cross) < 2:
+            continue
+        internal = tuple((slots[i], slots[j]) for i, j in pairing if not i < n1 <= j)
+        if any(t in ((0, 1), (1, 0)) for t in internal):
+            continue
+        types = tuple(sorted((slots[i], slots[j]) for i, j in cross))
+        terms.append(_Term(internal, types, _einsum_spec((n1, len(slots2)), pairing)))
+    return tuple(terms)
+
+
+# --- first order ---------------------------------------------------------------
 
 def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> ExpectationValue:
     """<integral of the vertex> under the free measure, as a counter polynomial."""
     n = len(v.slots)
     if n % 2 == 1:
         return ExpectationValue(counter_poly=CounterPolynomial(), limit=0.0)
-    table = p.equal_time_table()
-    pair_value = {
-        (0, 0): table["green0"],
-        (0, 1): table["dgreen0"],
-        (1, 0): table["dgreen0"],
-        (1, 1): table["ddgreen0"],
-    }
+    pair_value = p.pair_counters()
     total = CounterPolynomial()
-    for pairing in pairings(n):
+    for term in _first_order_plan(tuple(v.slots)):
         value = CounterPolynomial(constant=1.0)
-        dead = False
-        for i, j in pairing:
-            entry = pair_value[(v.slots[i], v.slots[j])]
-            if entry.constant == 0.0 and entry.divergent_weight() == 0.0:
-                dead = True
-                break
-            value = value * entry
-        if dead:
-            continue
-        contraction = _contract([v.coeff], geom.g_inv, pairing)
-        total = total + value.scaled(contraction)
+        for t in term.equal_time:
+            value = value * pair_value[t]
+        total = total + value.scaled(term.contract((v.coeff,), geom.g_inv))
     total = (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
     ev = ExpectationValue(counter_poly=total)
     ev.numeric_M_series = [(p.M, total.value_at(p.M))]
@@ -194,32 +228,46 @@ def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGe
     n = len(v.slots)
     if n % 2 == 1:
         return 0.0
-    g0 = p.green0_truncated()
-    pair_value = {(0, 0): g0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 2 * p.M / p.beta}
+    pair_value = {(0, 0): p.green0_truncated(), (1, 1): 2 * p.M / p.beta}
     total = 0.0
-    for pairing in pairings(n):
+    for term in _first_order_plan(tuple(v.slots)):
         value = 1.0
-        for i, j in pairing:
-            value *= pair_value[(v.slots[i], v.slots[j])]
-        if value == 0.0:
-            continue
-        total += value * _contract([v.coeff], geom.g_inv, pairing)
+        for t in term.equal_time:
+            value *= pair_value[t]
+        total += value * term.contract((v.coeff,), geom.g_inv)
     return total * v.prefactor_truncated(p.beta, p.M) * p.beta
 
 
 # --- second order: cross-line integrals ----------------------------------------
 
-def _gauss_nodes(beta: float, n: int = 16):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * beta * (x + 1.0), 0.5 * beta * w
+@functools.lru_cache(maxsize=None)
+def smooth_coefficient(a: int, b: int) -> tuple[int, int]:
+    """c(a, b), the integral over u in [0, 1] of g(u)^a g'(u)^b, as a reduced
+    ratio (numerator, denominator) of integers.
+
+    G(x) = beta g(x/beta) with g(u) = u^2/2 - u/2 + 1/12 and G'(x) = g'(u)
+    = u - 1/2, so the integral of G^a (G')^b over one period is
+    beta^(a+1) c(a, b); for example c(2, 0) = 1/720. The integrand is
+    P(u) / (12^a 2^b) with P = (6u^2 - 6u + 1)^a (2u - 1)^b integral.
+    """
+    poly = [1]
+    for factor in ((1, -6, 6),) * a + ((-1, 2),) * b:
+        product = [0] * (len(poly) + len(factor) - 1)
+        for i, p in enumerate(poly):
+            for j, f in enumerate(factor):
+                product[i + j] += p * f
+        poly = product
+    common = math.lcm(*range(1, len(poly) + 1))  # integral of u^k is 1/(k+1)
+    numerator = sum(p * (common // (k + 1)) for k, p in enumerate(poly))
+    denominator = common * 12**a * 2**b
+    g = math.gcd(numerator, denominator)
+    return numerator // g, denominator // g
 
 
 def _smooth_product(beta: float, n00: int, n01: int) -> float:
-    """integral over one period of G^n00 * (G')^n01 (polynomial integrand)."""
-    x, w = _gauss_nodes(beta)
-    G = x * x / (2 * beta) - x / 2 + beta / 12
-    Gd = x / beta - 0.5
-    return float(np.sum(w * G**n00 * Gd**n01))
+    """integral over one period of G^n00 * (G')^n01, exactly."""
+    numerator, denominator = smooth_coefficient(n00, n01)
+    return numerator / denominator * beta ** (n00 + 1)
 
 
 def cross_integral_table(beta: float, types: Sequence[tuple[int, int]]) -> CounterPolynomial:
@@ -327,58 +375,26 @@ def expect_second_order_connected(
         return ExpectationValue(counter_poly=CounterPolynomial(), limit=0.0)
     if n1 + n2 > 8:
         raise EngineError("second-order slot count limited to 8")
-    table = p.equal_time_table()
-    eq_value = {
-        (0, 0): table["green0"],
-        (0, 1): table["dgreen0"],
-        (1, 0): table["dgreen0"],
-        (1, 1): table["ddgreen0"],
-    }
-    slots = list(v1.slots) + list(v2.slots)
-
-    # collect (equal-time pair types, contraction, cross-line types); values
-    # are attached per scheme so dead pairings never touch the counter algebra
-    terms: list[tuple[list[tuple[int, int]], float, tuple[tuple[int, int], ...]]] = []
-    for pairing in pairings(n1 + n2):
-        cross = [(i, j) for i, j in pairing if i < n1 <= j]
-        if not cross:
-            continue  # disconnected piece, removed by the cumulant
-        if len(cross) == 1:
-            continue  # a single cross line integrates to zero (no zero mode)
-        internal = []
-        dead = False
-        for i, j in pairing:
-            if i < n1 <= j:
-                continue
-            t = (slots[i], slots[j])
-            if t in ((0, 1), (1, 0)):
-                dead = True  # coincidence value of the mixed derivative vanishes
-                break
-            internal.append(t)
-        if dead:
-            continue
-        contraction = _contract([v1.coeff, v2.coeff], geom.g_inv, pairing)
-        types = tuple(sorted((slots[i], slots[j]) for i, j in cross))
-        terms.append((internal, contraction, types))
-
-    pref = (v1.prefactor(p.beta) * v2.prefactor(p.beta)
-            if not (v1.measure_counter and v2.measure_counter) else None)
-    if pref is None:
+    if v1.measure_counter and v2.measure_counter:
         raise EngineError("two measure-counter prefactors exceed the counter algebra")
+    pref = v1.prefactor(p.beta) * v2.prefactor(p.beta)
+    plan = _second_order_plan(tuple(v1.slots), tuple(v2.slots))
+    eq_value = p.pair_counters()
+    coeffs = (v1.coeff, v2.coeff)
 
     if scheme == "table":
         total = CounterPolynomial()
-        for internal, contraction, types in terms:
-            x = cross_integral_table(p.beta, types)
+        for term in plan:
+            x = cross_integral_table(p.beta, term.cross)
             if x.constant == 0.0 and x.divergent_weight() == 0.0:
                 continue
             value = x
             try:
-                for t in internal:
+                for t in term.equal_time:
                     value = value * eq_value[t]
             except ValueError as exc:
                 raise EngineError(f"pairing outside the rule table: {exc}") from None
-            total = total + value.scaled(contraction)
+            total = total + value.scaled(term.contract(coeffs, geom.g_inv))
         total = (total * pref).scaled(p.beta)
         ev = ExpectationValue(counter_poly=total)
         ev.numeric_M_series = [(p.M, total.value_at(p.M))]
@@ -387,12 +403,13 @@ def expect_second_order_connected(
 
     if scheme == "modes":
         ms = list(m_series) if m_series else [p.M // 4 or 1, p.M // 2 or 2, p.M]
+        contractions = [term.contract(coeffs, geom.g_inv) for term in plan]
         series = []
         for M in ms:
             val = 0.0
-            for internal, contraction, types in terms:
-                x = cross_integral_modes(p, types, M=M)
-                for t in internal:
+            for term, contraction in zip(plan, contractions):
+                x = cross_integral_modes(p, term.cross, M=M)
+                for t in term.equal_time:
                     x *= eq_value[t].value_at(M)
                 val += x * contraction
             val *= pref.value_at(M) * p.beta

@@ -189,7 +189,7 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["partition", "--builtin", "sphere:2", "--beta", "0.1", "--nodes", "0"], 2, "--nodes"),
     (["ecp", "--route", "sphere", "--D", "0", "--beta", "0.1"], 2, "--D"),
     (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1"], 2, "--bounds"),
-    # B = 1 - R beta / 24 < 0 gives veff = inf: one error document, nothing half written
+    # B = 1 - R beta / 24 < 0 is outside the expansion: one error document, nothing half written
     (ECP_COV + ["--beta", "20"], 1, "ValueError"),
     (["propagator", "--beta", "1", "--M", "4", "--tau", "nan"], 2, "--tau"),
     (["propagator", "--beta", "1", "--M", "4", "--taup", "inf"], 2, "--taup"),
@@ -200,6 +200,17 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["partition", "--builtin", "flat:2", "--beta", "0.1", "--bounds=0:1;0:1:2"], 2, "--bounds"),
     (["partition", "--sphere-D", "0", "--beta", "0.1"], 2, "--sphere-D"),
     (["partition", "--sphere-D", "-1", "--beta", "0.1"], 2, "--sphere-D"),
+    (["partition", "--builtin", "flat:2", "--beta", "0.1", "--bounds=1:0;0:1"], 2, "--bounds"),
+    (["partition", "--builtin", "flat:2", "--beta", "0.1", "--bounds=0:1;0.5:0.5"], 2, "--bounds"),
+    (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1", "--polar", "0"],
+     2, "--polar"),
+    (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1", "--polar=-0.5"],
+     2, "--polar"),
+    (["mc", "--route", "covariant", "--builtin", "sphere:2", "--point=0.1,0", "--D", "7",
+      "--beta", "0.1", "--M", "8", "--samples", "16"], 2, "--D"),
+    (ECP_COV + ["--beta", "0.1", "--D", "3"], 2, "--D"),
+    (["ecp", "--route", "eta", "--builtin", "sphere:2", "--point=0.1,0", "--beta", "0.1",
+      "--D", "2"], 2, "--D"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -212,6 +223,30 @@ def test_bad_arguments_rejected(capsys, argv, code, needle):
         assert captured.out == "" and needle in captured.err
     else:
         assert json.loads(captured.out)["error"] == needle
+
+
+def test_non_positive_B_names_the_expansion_range(capsys):
+    code, out = run_cli(capsys, ECP_COV + ["--beta", "20"])
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "ValueError"
+    assert "beta" in doc["message"] and "order-beta expansion" in doc["message"]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    eta = ["ecp", "--route", "eta", "--builtin", "sphere:2", "--point=0.3,0.1", "--beta", "0.1"]
+    code, first = run_cli(capsys, eta)
+    assert code == 0 and json.loads(first)["include_fp"] is True
+    code, out = run_cli(capsys, eta + ["--no-fp"])
+    assert code == 0 and json.loads(out)["include_fp"] is False
+    code, out = run_cli(capsys, eta)
+    assert code == 0 and out == first
+    with pytest.raises(SystemExit) as exc:
+        cli.main(eta + ["--M", "0", "--D", "3"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, eta)
+    assert code == 0 and out == first
 
 
 # --- fuzz: random argument vectors end with exit 0, 1 or 2 and one JSON document

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from curvepath import cli
 from curvepath.ecp import (QuadratureGrid, boltzmann_covariant, boltzmann_eta,
                            boltzmann_sphere, partition_function, seeley_density,
                            sphere_area, sphere_route_partition)
@@ -241,3 +245,73 @@ def test_report_serializes():
     payload = rep.as_dict()
     text = json.dumps(payload)
     assert "B_coefficient" in json.loads(text)
+
+
+@pytest.mark.parametrize("chart,point", [("sphere:2", [0.3, 0.1]),
+                                         ("hyperbolic-ball:3", [0.25, 0.1, -0.2]),
+                                         ("conformal2d:2", [0.4, -0.3])])
+def test_B_coefficient_is_bit_stable_across_M(chart, point):
+    name, _, dim = chart.partition(":")
+    geom = point_geometry(builtin(name, int(dim)), point)
+    routes = {
+        "covariant": lambda M: boltzmann_covariant(geom, 0.1, M),
+        "eta": lambda M: boltzmann_eta(geom, 0.1, M),
+        "eta-no-fp": lambda M: boltzmann_eta(geom, 0.1, M, include_fp=False),
+        "sphere": lambda M: boltzmann_sphere(int(dim), 0.1, M),
+    }
+    for route, run in routes.items():
+        values = {run(M).B_coefficient for M in (1, 16, 64, 1024)}
+        assert len(values) == 1, route
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_routes.json").read_text())
+
+
+def _cli_stdout(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def _agrees(got, want, rel=2e-15):
+    return abs(got - want) <= rel * abs(want)
+
+
+@pytest.mark.parametrize("case", GOLDEN["ecp"], ids=lambda c: " ".join(c["argv"][1:5]))
+def test_routes_match_the_quadrature_era_outputs(case):
+    """Outputs recorded when the smooth cross integrals were 16-node
+    Gauss-Legendre sums: the exact rationals move only the last bits."""
+    doc = json.loads(_cli_stdout(case["argv"]))
+    assert _agrees(doc["B_coefficient"], case["B_coefficient"])
+    assert set(doc["pieces"]) == set(case["pieces"])
+    for name, want in case["pieces"].items():
+        got = doc["pieces"][name]["counter_poly"]
+        for key, value in want.items():
+            assert _agrees(got[key], value), (name, key)
+
+
+@pytest.mark.parametrize("case", GOLDEN["sweep"], ids=lambda c: c["argv"][2])
+def test_sweeps_match_the_quadrature_era_outputs(case):
+    rows = [line.split(",") for line in _cli_stdout(case["argv"]).splitlines()[1:]]
+    assert len(rows) == len(case["B_coefficient"])
+    for row, want in zip(rows, case["B_coefficient"]):
+        assert _agrees(float(row[-2]), want)
+        assert float(row[-1]) <= 1e-12
+
+
+def test_sharp_mode_series_is_unchanged():
+    case, = GOLDEN["modes"]
+    piece = json.loads(_cli_stdout(case["argv"]))["pieces"]["A_second_order_sharp_modes"]
+    assert piece["numeric_M_series"] == case["numeric_M_series"]
+    assert piece["limit"] == case["limit"]
+
+
+def test_non_positive_B_is_a_domain_failure():
+    geom = point_geometry(builtin("sphere", 2), [0.1, 0.0])
+    assert boltzmann_covariant(geom, 11.9, 16).B_value > 0
+    for route in (lambda: boltzmann_covariant(geom, 12.0, 16),
+                  lambda: boltzmann_eta(geom, 20.0, 16),
+                  lambda: boltzmann_sphere(2, 20.0, 16)):
+        with pytest.raises(ValueError, match="outside the range of the order-beta expansion"):
+            route()

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from curvepath import wick
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin
 from curvepath.propagator import CounterPolynomial, PeriodicPropagator
@@ -11,7 +13,7 @@ from curvepath.wick import (EngineError, RouteError, Vertex,
                             cross_integral_modes, cross_integral_table,
                             expect_first_order, expect_first_order_truncated,
                             expect_second_order_connected, pairings,
-                            richardson_limit, vertex_catalog)
+                            richardson_limit, smooth_coefficient, vertex_catalog)
 
 SPHERE2 = point_geometry(builtin("sphere", 2), [0.2, -0.3])
 FLAT2 = point_geometry(builtin("flat", 2), [0.0, 0.0])
@@ -301,3 +303,64 @@ def test_clean_channels_agree_between_schemes():
         sharp = cross_integral_modes(p, list(types), M=4096)
         table = cross_integral_table(beta, list(types)).value_at(4096)
         assert sharp == pytest.approx(table, rel=tol, abs=1e-10 * beta**2)
+
+
+# --- exact smooth integrals ---------------------------------------------------
+
+def _centered_coefficient(a, b):
+    """c(a, b) in the centred variable v = u - 1/2, where g = v^2/2 - 1/24 and
+    g' = v: a binomial sum of the moments of v over [-1/2, 1/2]."""
+    def moment(k):
+        return Fraction(0) if k % 2 else Fraction(2, k + 1) * Fraction(1, 2) ** (k + 1)
+    return sum(math.comb(a, j) * Fraction(1, 2) ** j * Fraction(-1, 24) ** (a - j)
+               * moment(2 * j + b) for j in range(a + 1))
+
+
+# every (a, b) the rule table reaches: at most four cross lines
+SMOOTH_ORDERS = [(a, b) for a in range(5) for b in range(5) if a + b <= 4]
+
+
+@pytest.mark.parametrize("a,b", SMOOTH_ORDERS)
+def test_smooth_coefficient_is_the_exact_rational(a, b):
+    numerator, denominator = smooth_coefficient(a, b)
+    assert math.gcd(numerator, denominator) == 1 and denominator > 0
+    assert Fraction(numerator, denominator) == _centered_coefficient(a, b)
+
+
+def test_integral_of_g_squared():
+    assert smooth_coefficient(2, 0) == (1, 720)
+    assert smooth_coefficient(1, 0) == (0, 1) and smooth_coefficient(0, 2) == (1, 12)
+    for beta in (0.1, 0.7, 3.0):
+        x = cross_integral_table(beta, [(0, 0), (0, 0)])
+        assert x.constant == pytest.approx(beta**3 / 720, rel=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.7, 3.0])
+def test_exact_integrals_match_gauss_legendre(beta):
+    """16 Gauss-Legendre nodes integrate every degree <= 31 exactly, so the
+    quadrature agrees with the rationals to rounding."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    x, w = 0.5 * beta * (x + 1.0), 0.5 * beta * w
+    G = x * x / (2 * beta) - x / 2 + beta / 12
+    Gd = x / beta - 0.5
+    for a, b in SMOOTH_ORDERS:
+        quadrature = float(np.sum(w * G**a * Gd**b))
+        numerator, denominator = smooth_coefficient(a, b)
+        exact = numerator / denominator * beta ** (a + 1)
+        scale = beta ** (a + 1) * 12.0**-a * 2.0**-b  # period times the integrand's maximum
+        assert abs(exact - quadrature) <= 1e-15 * max(abs(exact), scale), (a, b)
+
+
+def test_compiled_plan_is_built_once():
+    beta = 0.3
+    cubic = next(v for v in vertex_catalog(SPHERE2, beta, "eta") if v.label == "cubic-kinetic")
+    for M in (4, 8):
+        expect_second_order_connected(cubic, cubic, PeriodicPropagator(beta, M), SPHERE2)
+    info = wick._second_order_plan.cache_info()
+    expect_second_order_connected(cubic, cubic, PeriodicPropagator(beta, 16), SPHERE2)
+    after = wick._second_order_plan.cache_info()
+    assert after.hits == info.hits + 1 and after.misses == info.misses
+    # every live term has at least two cross lines and no mixed equal-time pair
+    for term in wick._second_order_plan(cubic.slots, cubic.slots):
+        assert len(term.cross) >= 2
+        assert all(t in ((0, 0), (1, 1)) for t in term.equal_time)
