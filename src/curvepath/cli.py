@@ -16,15 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ecp import (QuadratureGrid, boltzmann_covariant, boltzmann_eta,
-                  boltzmann_sphere, partition_function, seeley_density,
-                  sphere_route_partition)
-from .geometry import GeometryError, geometry_blocks, point_geometry
+from .ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
+                  sphere_geometry, sphere_route_partition)
+from .geometry import GeometryError, PointGeometry, geometry_blocks, point_geometry
 from .metrics import BUILTIN_NAMES, MetricError, builtin, parse_metric
-from .montecarlo import mc_boltzmann, mc_two_point, mc_vertex_expectation
+from .montecarlo import mc_boltzmann
 from .propagator import PeriodicPropagator
 from .verify import run_suite
-from .wick import EngineError, RouteError, vertex_catalog
+from .wick import EngineError, RouteError
 
 _FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError)
 
@@ -165,30 +164,23 @@ def cmd_propagator(args) -> int:
     return 0
 
 
-def _run_route(args):
+def _route_geometry(args) -> PointGeometry:
+    """The bundle a route runs on: the sphere origin in --D dimensions, or
+    the chart point."""
     if args.route == "sphere":
         if args.D is None:
             raise RouteError("--route sphere needs --D")
-        return boltzmann_sphere(args.D, args.beta, args.M)
-    spec = _resolve_metric(args)
-    geom = point_geometry(spec, _parse_point(args.point))
-    if args.route == "covariant":
-        return boltzmann_covariant(geom, args.beta, args.M)
-    if args.route == "eta":
-        return boltzmann_eta(geom, args.beta, args.M,
-                             include_fp=not args.no_fp,
-                             with_mode_series=args.mode_series)
-    raise RouteError(f"unknown route {args.route!r}")
+        return sphere_geometry(args.D)
+    return point_geometry(_resolve_metric(args), _parse_point(args.point))
 
 
 def cmd_ecp(args) -> int:
-    report = _run_route(args)
+    geom = _route_geometry(args)
+    report = boltzmann(args.route, geom, args.beta, args.M, include_fp=not args.no_fp,
+                       with_mode_series=args.mode_series)
     payload = {"schema": "curvepath/expansion-report-v1"}
     payload.update(report.as_dict())
     if args.seeley:
-        spec = _resolve_metric(args) if args.route != "sphere" else builtin("sphere", args.D)
-        point = _parse_point(args.point) if args.route != "sphere" else np.zeros(args.D)
-        geom = point_geometry(spec, point)
         payload["seeley_path_integral"] = seeley_density(geom, args.beta, "path_integral")
         payload["seeley_dewitt"] = seeley_density(geom, args.beta, "dewitt_seeley")
     _emit(payload, args)
@@ -198,6 +190,9 @@ def cmd_ecp(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _resolve_metric(args)
     routes = args.routes.split(",")
+    for route in routes:
+        if route not in ("covariant", "eta"):
+            raise RouteError(f"sweep supports covariant and eta routes, not {route!r}")
     points = [_parse_point(p) for p in args.points.split(";") if p.strip()]
     for q0 in points:
         if q0.shape != (spec.dim,):
@@ -209,12 +204,7 @@ def cmd_sweep(args) -> int:
             geom = block.row(k)
             coords = ",".join(repr(float(c)) for c in geom.q0)
             for route in routes:
-                if route == "covariant":
-                    rep = boltzmann_covariant(geom, args.beta, args.M)
-                elif route == "eta":
-                    rep = boltzmann_eta(geom, args.beta, args.M, include_fp=not args.no_fp)
-                else:
-                    raise RouteError(f"sweep supports covariant and eta routes, not {route!r}")
+                rep = boltzmann(route, geom, args.beta, args.M, include_fp=not args.no_fp)
                 lines.append(f"{coords},{args.beta!r},{route},"
                              f"{rep.B_coefficient!r},{rep.discrepancy!r}\n")
     sys.stdout.write("".join(lines))
@@ -222,12 +212,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    if args.route == "sphere":
-        D = args.D or 2
-        geom = point_geometry(builtin("sphere", D), np.zeros(D))
-    else:
-        spec = _resolve_metric(args)
-        geom = point_geometry(spec, _parse_point(args.point))
+    geom = _route_geometry(args)
     on_batch = None
     if args.csv:
         sys.stdout.write("n,mean,stderr\n")
@@ -356,6 +341,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# options that act on one route only, as (argparse dest, option, route)
+_ROUTE_OPTIONS = (("D", "--D", "sphere"), ("no_fp", "--no-fp", "eta"),
+                  ("mode_series", "--mode-series", "eta"))
+
+
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process, built on first use; parsing leaves it unchanged."""
@@ -365,8 +355,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    if getattr(args, "D", None) is not None and args.route != "sphere":
-        ap.error(f"--D applies to --route sphere only, not --route {args.route}")
+    routes = args.routes.split(",") if hasattr(args, "routes") else [getattr(args, "route", None)]
+    for dest, option, route in _ROUTE_OPTIONS:
+        others = [r for r in routes if r != route]
+        if getattr(args, dest, None) not in (None, False) and others:
+            ap.error(f"{option} applies to the {route} route only, not to {','.join(others)}")
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:

@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import PointGeometry, geometry_blocks, point_geometry
 from .metrics import MetricSpec, builtin
-from .propagator import PeriodicPropagator
-from .wick import (ExpectationValue, expect_first_order,
+from .propagator import CounterPolynomial, PeriodicPropagator
+from .wick import (ExpectationValue, RouteError, expect_first_order,
                    expect_second_order_connected, vertex_catalog)
 
 __all__ = [
-    "ExpansionReport", "boltzmann_covariant", "boltzmann_eta", "boltzmann_sphere",
-    "seeley_density", "QuadratureGrid", "partition_function", "sphere_area",
-    "sphere_route_partition",
+    "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
+    "QuadratureGrid", "partition_function", "sphere_area", "sphere_route_partition",
 ]
 
 
@@ -74,84 +74,52 @@ def _finalize(report: ExpansionReport, coeff: float) -> ExpansionReport:
     return report
 
 
-def boltzmann_covariant(geom: PointGeometry, beta: float, M: int) -> ExpansionReport:
-    """Geodesic-coordinate route: quartic curvature vertex, measure term,
-    and the zero-mode Faddeev-Popov term. First order suffices; the mode
-    counters cancel between the quartic and measure pieces at any M."""
-    p = PeriodicPropagator(beta, M)
-    vertices = vertex_catalog(geom, beta, "covariant")
-    report = ExpansionReport(route="covariant", q0=geom.q0.tolist(), beta=beta, M=M, R=geom.R)
-    names = {"quartic-curvature": "A_int4", "measure": "A_meas", "faddeev-popov": "A_FP"}
-    total = None
-    for v in vertices:
-        ev = expect_first_order(v, p, geom)
-        report.pieces[names[v.label]] = ev
-        total = ev.counter_poly if total is None else total + ev.counter_poly
-    return _finalize(report, total.finite_value() / beta)
+def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: bool = True,
+              with_mode_series: bool = False) -> ExpansionReport:
+    """B on one route, assembled from its vertex catalog.
 
-
-def boltzmann_eta(geom: PointGeometry, beta: float, M: int, include_fp: bool = True,
-                  with_mode_series: bool = False) -> ExpansionReport:
-    """Plain-displacement route with vanishing temporal average.
-
-    First order of the even vertices plus the connected square of the cubic
-    kinetic vertex. With the Faddeev-Popov term the counter algebra closes
-    on R/24 identically; without it the coefficient falls short by the
-    noncovariant trace g^{st} T_st / 24.
+    Even vertices enter at first order, summed per report piece in catalog
+    order. An odd vertex has no first-order value; it enters through its
+    connected square, B = 1 - <A> + 1/2 <A^2>, and with_mode_series attaches
+    the sharp-cutoff diagnostic of that square. include_fp=False drops the
+    Faddeev-Popov piece: on the eta route the coefficient then falls short of
+    R/24 by the noncovariant trace g^{st} T_st / 24.
     """
     p = PeriodicPropagator(beta, M)
-    vertices = vertex_catalog(geom, beta, "eta")
-    if not include_fp:
-        vertices = [v for v in vertices if v.label != "faddeev-popov"]
-    report = ExpansionReport(route="eta", q0=geom.q0.tolist(), beta=beta, M=M,
-                             R=geom.R, include_fp=include_fp)
-    names = {"cubic-kinetic": "A_cubic", "quartic-kinetic": "A_int4",
-             "measure": "A_meas", "faddeev-popov": "A_FP"}
-    first = None
-    cubic = None
+    vertices = [v for v in vertex_catalog(geom, beta, route) if include_fp or v.piece != "A_FP"]
+    report = ExpansionReport(route=route, q0=geom.q0.tolist(), beta=beta, M=M, R=geom.R,
+                             include_fp=include_fp)
+    sums: dict[str, CounterPolynomial] = {}
     for v in vertices:
-        if v.label == "cubic-kinetic":
-            cubic = v
-            continue
-        ev = expect_first_order(v, p, geom)
-        report.pieces[names[v.label]] = ev
-        first = ev.counter_poly if first is None else first + ev.counter_poly
-    second = expect_second_order_connected(cubic, cubic, p, geom, scheme="table")
-    half_second = second.counter_poly.scaled(0.5)
-    report.pieces["A_second_order"] = ExpectationValue(
-        counter_poly=half_second,
-        numeric_M_series=[(M, half_second.value_at(M))],
-        limit=half_second.finite_value() if half_second.is_finite else None)
-    if with_mode_series:
-        ms = [m for m in (16, 32, 64, 128, 256, 512, 1024) if m <= max(M, 16)]
-        diag = expect_second_order_connected(cubic, cubic, p, geom,
-                                             scheme="modes", m_series=ms)
-        diag.counter_poly = None
-        report.pieces["A_second_order_sharp_modes"] = ExpectationValue(
-            counter_poly=None,
-            numeric_M_series=[(m, 0.5 * v) for m, v in diag.numeric_M_series],
-            limit=0.5 * diag.limit if diag.limit is not None else None,
-            limit_error=0.5 * diag.limit_error)
-    total = first - half_second  # B = 1 - <A> + 1/2 <A^2>  =>  c1 = (<A> - 1/2<A^2>)/beta
+        if len(v.slots) % 2 == 0:
+            poly = expect_first_order(v, p, geom).counter_poly
+            sums[v.piece] = sums[v.piece] + poly if v.piece in sums else poly
+    for piece, poly in sums.items():
+        report.pieces[piece] = ExpectationValue.exact(poly, M)
+    total = functools.reduce(operator.add, sums.values())
+    odd = [v for v in vertices if len(v.slots) % 2]
+    if len(odd) > 1:
+        raise RouteError(f"route {route!r} has {len(odd)} odd vertices; at most one is squared")
+    for v in odd:
+        half_square = expect_second_order_connected(v, v, p, geom).counter_poly.scaled(0.5)
+        report.pieces[v.piece] = ExpectationValue.exact(half_square, M)
+        total = total - half_square
+        if with_mode_series:
+            ms = [m for m in (16, 32, 64, 128, 256, 512, 1024) if m <= max(M, 16)]
+            diag = expect_second_order_connected(v, v, p, geom, scheme="modes", m_series=ms)
+            report.pieces[v.piece + "_sharp_modes"] = ExpectationValue(
+                numeric_M_series=[(m, 0.5 * x) for m, x in diag.numeric_M_series],
+                limit=0.5 * diag.limit if diag.limit is not None else None,
+                limit_error=0.5 * diag.limit_error)
     return _finalize(report, total.finite_value() / beta)
 
 
-def boltzmann_sphere(D: int, beta: float, M: int) -> ExpansionReport:
-    """Homogeneous-sphere route at the origin of the embedding chart."""
+def sphere_geometry(D: int) -> PointGeometry:
+    """The unit D-sphere at the origin of its embedding chart, where the
+    sphere route runs."""
     if D < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {D}")
-    geom = point_geometry(builtin("sphere", D), np.zeros(D))
-    p = PeriodicPropagator(beta, M)
-    vertices = vertex_catalog(geom, beta, "sphere")
-    report = ExpansionReport(route="sphere", q0=[0.0] * D, beta=beta, M=M, R=geom.R)
-    by_label = {v.label: expect_first_order(v, p, geom) for v in vertices}
-    a_int = by_label["(q.qdot)^2"].counter_poly + by_label["jacobian"].counter_poly
-    report.pieces["A_int"] = ExpectationValue(
-        counter_poly=a_int, numeric_M_series=[(M, a_int.value_at(M))],
-        limit=a_int.finite_value())
-    report.pieces["A_FP"] = by_label["faddeev-popov"]
-    total = a_int + by_label["faddeev-popov"].counter_poly
-    return _finalize(report, total.finite_value() / beta)
+    return point_geometry(builtin("sphere", D), np.zeros(D))
 
 
 def seeley_density(geom: PointGeometry, beta: float,
@@ -254,5 +222,5 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
 
 def sphere_route_partition(D: int, beta: float, M: int) -> float:
     """Full-sphere partition function: area times the homogeneous B."""
-    report = boltzmann_sphere(D, beta, M)
+    report = boltzmann("sphere", sphere_geometry(D), beta, M)
     return sphere_area(D) * report.B_value * (2.0 * math.pi * beta) ** (-D / 2.0)

@@ -1,13 +1,14 @@
 """Chart definitions: metric files, the builtin catalog, jet evaluation.
 
-A MetricSpec is immutable after construction and all evaluation is pure,
-so specs can be shared freely across threads.
+A MetricSpec is immutable after construction (its params are a read-only
+view) and all evaluation is pure, so one spec can be shared by every caller.
 """
 from __future__ import annotations
 
 import functools
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ class MetricSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.dim < 1:
             raise MetricError(f"dimension must be positive, got {self.dim}")
         if len(self.coords) != self.dim:
@@ -67,7 +69,7 @@ class MetricSpec:
         q = np.asarray(q, dtype=float)
         if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
             raise MetricError(f"point has wrong dimension {q.shape}, expected ({self.dim},)")
-        if self.name in ("sphere", "sphere-stereographic-interior", "hyperbolic-ball"):
+        if self.name in ("sphere", "hyperbolic-ball"):
             points = q.reshape(-1, self.dim)
             outside = ~(np.sum(points * points, axis=-1) < 1.0)
             if outside.any():
@@ -162,20 +164,25 @@ def builtin(name: str, D: int, params: Mapping[str, float] | None = None) -> Met
     g_ij = 4 delta_ij / (1 + q^2)^2. hyperbolic-ball is the Poincare ball,
     g_ij = 4 delta_ij / (1 - q^2)^2. conformal2d is exp(2 sigma(q)) delta_ij
     with sigma = a q1 + b q2 + c q1 q2 + e (q1^2 + q2^2).
+
+    Specs are immutable, so each (name, D, params) is parsed and validated
+    once per process and the same spec is returned on every later call.
     """
-    params = dict(params or {})
-    if D < 1:
-        raise MetricError(f"dimension must be positive, got {D}")
-    components = _builtin_components(name, D)
-    if name == "conformal2d":
-        params = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1, **params}
-    return MetricSpec(name=name, dim=D, coords=_coords(D), components=components, params=params)
+    return _builtin_spec(name, D, tuple(sorted((params or {}).items())))
 
 
 @functools.lru_cache(maxsize=64)
+def _builtin_spec(name: str, D: int, params: tuple[tuple[str, float], ...]) -> MetricSpec:
+    if D < 1:
+        raise MetricError(f"dimension must be positive, got {D}")
+    components = _builtin_components(name, D)
+    defaults = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1} if name == "conformal2d" else {}
+    return MetricSpec(name=name, dim=D, coords=_coords(D), components=components,
+                      params={**defaults, **dict(params)})
+
+
 def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], ...]:
-    """Parsed components of a builtin chart. Parse trees are immutable, so
-    one parse serves every spec of the same name and dimension."""
+    """Parsed components of a builtin chart."""
     if name == "flat":
         comps = [[("1" if i == j else "0") for j in range(D)] for i in range(D)]
     elif name == "sphere":

@@ -137,16 +137,6 @@ class PeriodicPropagator:
         m = np.arange(1, self.M + 1)
         return float((2.0 / self.beta) * np.sum(1.0 / self.omega(m)**2))
 
-    def delta_modes(self, x):
-        """Truncated completeness sum, the Dirichlet kernel of order M."""
-        x = self._reduce(x)
-        s = np.sin(math.pi * x / self.beta)
-        num = np.sin((2 * self.M + 1) * math.pi * x / self.beta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = np.where(np.abs(s) < 1e-300, (2 * self.M + 1) / self.beta,
-                           num / (self.beta * s))
-        return float(val) if np.ndim(val) == 0 else val
-
     # the finite rule table ---------------------------------------------------
 
     def pair_counters(self) -> dict[tuple[int, int], CounterPolynomial]:

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .ecp import boltzmann_covariant, boltzmann_eta, boltzmann_sphere
+from .ecp import boltzmann, sphere_geometry
 from .geometry import divergence_identity_residual, point_geometry
 from .metrics import builtin, embedding_to_stereographic
 from .montecarlo import mc_two_point, mc_vertex_expectation
@@ -195,13 +195,13 @@ def suite_mc() -> list[Row]:
 def suite_routes() -> list[Row]:
     rows = []
     geom = point_geometry(builtin("sphere", 2), [0.3, 0.0])
-    cov = boltzmann_covariant(geom, 0.1, 64)
-    eta = boltzmann_eta(geom, 0.1, 64)
-    sph = boltzmann_sphere(2, 0.1, 64)
+    cov = boltzmann("covariant", geom, 0.1, 64)
+    eta = boltzmann("eta", geom, 0.1, 64)
+    sph = boltzmann("sphere", sphere_geometry(2), 0.1, 64)
     spread = max(abs(cov.B_coefficient - eta.B_coefficient),
                  abs(cov.B_coefficient - sph.B_coefficient))
     rows.append(_row("three routes agree on the sphere", spread < 1e-12, f"{spread:.2e}"))
-    nofp = boltzmann_eta(geom, 0.1, 64, include_fp=False)
+    nofp = boltzmann("eta", geom, 0.1, 64, include_fp=False)
     gT = float(np.einsum("st,st->", geom.g_inv, geom.T))
     defect = abs(nofp.noncovariant_defect - gT / 24)
     rows.append(_row("FP omission reproduces the closed-form defect", defect < 1e-12,

@@ -64,7 +64,8 @@ class Vertex:
 
     slots lists the derivative order (0 or 1) of each field; coeff has one
     tensor index per slot. The prefactor is const * beta**beta_power, times
-    the measure coincidence counter when measure_counter is set.
+    the measure coincidence counter when measure_counter is set. piece names
+    the entry of the route's report the vertex feeds.
     """
 
     label: str
@@ -73,6 +74,7 @@ class Vertex:
     prefactor_const: float = 1.0
     beta_power: int = 0
     measure_counter: bool = False
+    piece: str = ""
 
     def __post_init__(self):
         n = len(self.slots)
@@ -102,6 +104,13 @@ class ExpectationValue:
     numeric_M_series: list[tuple[int, float]] = field(default_factory=list)
     limit: float | None = None
     limit_error: float = 0.0
+
+    @classmethod
+    def exact(cls, counter_poly: CounterPolynomial, M: int) -> "ExpectationValue":
+        """An exact counter polynomial with its value at cutoff M and, when
+        the counters cancel, its limit."""
+        return cls(counter_poly=counter_poly, numeric_M_series=[(M, counter_poly.value_at(M))],
+                   limit=counter_poly.finite_value() if counter_poly.is_finite else None)
 
     def as_dict(self) -> dict:
         return {
@@ -212,10 +221,7 @@ def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) ->
             value = value * pair_value[t]
         total = total + value.scaled(term.contract((v.coeff,), geom.g_inv))
     total = (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
-    ev = ExpectationValue(counter_poly=total)
-    ev.numeric_M_series = [(p.M, total.value_at(p.M))]
-    ev.limit = total.finite_value() if total.is_finite else None
-    return ev
+    return ExpectationValue.exact(total, p.M)
 
 
 def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> float:
@@ -395,11 +401,7 @@ def expect_second_order_connected(
             except ValueError as exc:
                 raise EngineError(f"pairing outside the rule table: {exc}") from None
             total = total + value.scaled(term.contract(coeffs, geom.g_inv))
-        total = (total * pref).scaled(p.beta)
-        ev = ExpectationValue(counter_poly=total)
-        ev.numeric_M_series = [(p.M, total.value_at(p.M))]
-        ev.limit = total.finite_value() if total.is_finite else None
-        return ev
+        return ExpectationValue.exact((total * pref).scaled(p.beta), p.M)
 
     if scheme == "modes":
         ms = list(m_series) if m_series else [p.M // 4 or 1, p.M // 2 or 2, p.M]
@@ -424,14 +426,18 @@ def expect_second_order_connected(
 # --- route catalogs --------------------------------------------------------------
 
 def vertex_catalog(geom: PointGeometry, beta: float, route: str) -> list[Vertex]:
-    """The truncated vertex list each route needs at order beta."""
+    """The truncated vertex list each route needs at order beta, each vertex
+    with the report piece it feeds. Even vertices enter at first order; the
+    odd (cubic) one enters through its connected square, A_second_order."""
     D = geom.dim
     if route == "covariant":
         quartic = (1.0 / 6.0) * np.einsum("manb->abmn", geom.riemann_low)
         return [
-            Vertex("quartic-curvature", quartic, (0, 0, 1, 1)),
-            Vertex("measure", (1.0 / 6.0) * geom.Ricci, (0, 0), measure_counter=True),
-            Vertex("faddeev-popov", (1.0 / 3.0) * geom.Ricci, (0, 0), beta_power=-1),
+            Vertex("quartic-curvature", quartic, (0, 0, 1, 1), piece="A_int4"),
+            Vertex("measure", (1.0 / 6.0) * geom.Ricci, (0, 0), measure_counter=True,
+                   piece="A_meas"),
+            Vertex("faddeev-popov", (1.0 / 3.0) * geom.Ricci, (0, 0), beta_power=-1,
+                   piece="A_FP"),
         ]
     if route == "eta":
         cubic = 0.5 * geom.dg
@@ -439,10 +445,10 @@ def vertex_catalog(geom: PointGeometry, beta: float, route: str) -> list[Vertex]
         dG_trace = np.einsum("smtm->st", geom.dGamma)
         measure = -0.5 * 0.5 * (dG_trace + dG_trace.T)
         return [
-            Vertex("cubic-kinetic", cubic, (0, 1, 1)),
-            Vertex("quartic-kinetic", quartic, (0, 0, 1, 1)),
-            Vertex("measure", measure, (0, 0), measure_counter=True),
-            Vertex("faddeev-popov", 0.5 * geom.T, (0, 0), beta_power=-1),
+            Vertex("cubic-kinetic", cubic, (0, 1, 1), piece="A_second_order"),
+            Vertex("quartic-kinetic", quartic, (0, 0, 1, 1), piece="A_int4"),
+            Vertex("measure", measure, (0, 0), measure_counter=True, piece="A_meas"),
+            Vertex("faddeev-popov", 0.5 * geom.T, (0, 0), beta_power=-1, piece="A_FP"),
         ]
     if route == "sphere":
         if not (np.allclose(geom.q0, 0.0) and np.allclose(geom.g, np.eye(D))
@@ -451,9 +457,9 @@ def vertex_catalog(geom: PointGeometry, beta: float, route: str) -> list[Vertex]
         eye = np.eye(D)
         qqdot = 0.5 * np.einsum("ab,cd->abcd", eye, eye)
         return [
-            Vertex("(q.qdot)^2", qqdot, (0, 1, 0, 1)),
-            Vertex("jacobian", -0.5 * eye, (0, 0), measure_counter=True),
-            Vertex("faddeev-popov", 0.5 * D * eye, (0, 0), beta_power=-1),
+            Vertex("(q.qdot)^2", qqdot, (0, 1, 0, 1), piece="A_int"),
+            Vertex("jacobian", -0.5 * eye, (0, 0), measure_counter=True, piece="A_int"),
+            Vertex("faddeev-popov", 0.5 * D * eye, (0, 0), beta_power=-1, piece="A_FP"),
         ]
     raise RouteError(f"unknown route {route!r}")
 
@@ -489,7 +495,7 @@ def check_divergence_cancellation(route: str, geom: PointGeometry,
         })
         return report
 
-    cubic = next(v for v in vertices if v.label == "cubic-kinetic")
+    cubic = next(v for v in vertices if len(v.slots) % 2)
     second = expect_second_order_connected(cubic, cubic, p, geom).counter_poly.scaled(0.5)
     # coefficient of the coincidence delta in -<A> and +1/2 <A^2>
     d0_first = -beta * first.divergent_weight()

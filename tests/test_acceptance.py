@@ -9,8 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from curvepath.ecp import (boltzmann_covariant, boltzmann_eta, boltzmann_sphere,
-                           seeley_density)
+from curvepath.ecp import boltzmann, seeley_density, sphere_geometry
 from curvepath.geometry import divergence_identity_residual, point_geometry
 from curvepath.metrics import builtin, embedding_to_stereographic
 from curvepath.montecarlo import mc_boltzmann, mc_two_point
@@ -37,7 +36,7 @@ def test_criterion_1_covariant_two_loop_coefficient():
     cases.append(("hyperbolic-ball", 2, [0.2, -0.25]))
     for name, D, q0 in cases:
         geom = point_geometry(builtin(name, D), q0)
-        rep = boltzmann_covariant(geom, 0.1, 64)
+        rep = boltzmann("covariant", geom, 0.1, 64)
         scale = max(abs(geom.R / 24), 1.0)
         worst = max(worst, abs(rep.B_coefficient - geom.R / 24) / scale)
     elapsed = time.monotonic() - t0
@@ -66,12 +65,12 @@ def test_criterion_3_sphere_route():
     beta = 0.17
     worst = 0.0
     for D in range(1, 7):
-        rep = boltzmann_sphere(D, beta, 16)
+        rep = boltzmann("sphere", sphere_geometry(D), beta, 16)
         worst = max(worst,
                     abs(rep.pieces["A_int"].limit - (-D * beta / 24)),
                     abs(rep.pieces["A_FP"].limit - D * D * beta / 24),
                     abs(rep.B_value - (1 - D * (D - 1) * beta / 24)))
-    d1 = boltzmann_sphere(1, beta, 16).B_value
+    d1 = boltzmann("sphere", sphere_geometry(1), beta, 16).B_value
     announce(3, worst <= 1e-12 and d1 == 1.0,
              f"sphere pieces and B for D=1..6, max abs err {worst:.2e}, B(D=1) = {d1}")
 
@@ -82,8 +81,8 @@ def test_criterion_4_eta_route_covariance():
     fails = []
     for q0 in ([0.3, 0.0], [0.5, 0.2]):
         geom = point_geometry(builtin("sphere", 2), q0)
-        rep = boltzmann_eta(geom, 0.1, 1024)
-        cov = boltzmann_covariant(geom, 0.1, 1024)
+        rep = boltzmann("eta", geom, 0.1, 1024)
+        cov = boltzmann("covariant", geom, 0.1, 1024)
         worst = max(worst, abs(rep.B_coefficient / cov.B_coefficient - 1))
         cancel = check_divergence_cancellation("eta", geom, PeriodicPropagator(0.1, 1024))
         if not (cancel["cancels"] and cancel["first_matches_closed_form"]
@@ -98,7 +97,7 @@ def test_criterion_5_noncovariance_negative_test():
     worst = 0.0
     for q0 in ([0.3, 0.0], [0.5, 0.2]):
         geom = point_geometry(builtin("sphere", 2), q0)
-        rep = boltzmann_eta(geom, 0.1, 1024, include_fp=False)
+        rep = boltzmann("eta", geom, 0.1, 1024, include_fp=False)
         trT = float(np.einsum("st,st->", geom.g_inv, geom.T))
         worst = max(worst, abs(rep.noncovariant_defect / (trT / 24) - 1))
     announce(5, worst <= 1e-3,
@@ -159,9 +158,9 @@ def test_criterion_9_chart_independence():
     for _ in range(6):
         q = 0.5 * rng.uniform(-1, 1, size=2)
         u = embedding_to_stereographic(q)
-        a = boltzmann_covariant(point_geometry(builtin("sphere", 2), q), 0.1, 16)
-        b = boltzmann_covariant(
-            point_geometry(builtin("sphere-stereographic", 2), u), 0.1, 16)
+        a = boltzmann("covariant", point_geometry(builtin("sphere", 2), q), 0.1, 16)
+        b = boltzmann("covariant",
+                      point_geometry(builtin("sphere-stereographic", 2), u), 0.1, 16)
         worst = max(worst, abs(a.B_coefficient - b.B_coefficient))
     announce(9, worst <= 1e-8, f"embedding vs stereographic B_coefficient, max {worst:.2e}")
 

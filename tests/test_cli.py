@@ -113,6 +113,22 @@ def test_partition_subcommand(capsys):
     assert doc["Z"] == pytest.approx(6 / (2 * math.pi * 0.3), rel=1e-10)
 
 
+@pytest.mark.parametrize("argv,kind", [
+    (["partition", "--builtin", "flat:2", "--beta", "0.3", "--bounds", "0:2;0:3",
+      "--nodes", "8"], "box"),
+    (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1", "--polar", "0.5",
+      "--nodes", "8"], "polar"),
+    (["partition", "--builtin", "sphere:2", "--beta", "0.1", "--nodes", "8"], "sphere-polar"),
+    (["partition", "--sphere-D", "3", "--beta", "0.1"], "sphere-route"),
+])
+def test_partition_output_validates(capsys, argv, kind):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate(doc, load_schema("partition.v1.schema.json"))
+    assert doc["kind"] == kind
+
+
 def test_verify_subcommand(capsys):
     code, out = run_cli(capsys, ["verify", "routes"])
     assert code == 0
@@ -211,6 +227,18 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (ECP_COV + ["--beta", "0.1", "--D", "3"], 2, "--D"),
     (["ecp", "--route", "eta", "--builtin", "sphere:2", "--point=0.1,0", "--beta", "0.1",
       "--D", "2"], 2, "--D"),
+    (ECP_COV + ["--beta", "0.1", "--no-fp"], 2, "--no-fp"),
+    (ECP_COV + ["--beta", "0.1", "--mode-series"], 2, "--mode-series"),
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "0.1", "--no-fp"], 2, "--no-fp"),
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "0.1", "--mode-series"],
+     2, "--mode-series"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--routes", "covariant,eta",
+      "--beta", "0.1", "--no-fp"], 2, "--no-fp"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--beta", "0.1", "--no-fp"],
+     2, "--no-fp"),
+    # like ecp, the sphere route needs its dimension
+    (["mc", "--route", "sphere", "--beta", "0.1", "--M", "8", "--samples", "16"],
+     1, "RouteError"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:

@@ -7,25 +7,26 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvepath import cli
-from curvepath.ecp import (QuadratureGrid, boltzmann_covariant, boltzmann_eta,
-                           boltzmann_sphere, partition_function, seeley_density,
-                           sphere_area, sphere_route_partition)
+from curvepath import cli, ecp
+from curvepath.ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
+                           sphere_area, sphere_geometry, sphere_route_partition)
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin, embedding_to_stereographic, parse_metric
+from curvepath.propagator import PeriodicPropagator
+from curvepath.wick import RouteError, expect_first_order, vertex_catalog
 
 
 def test_covariant_flat_is_unity():
     geom = point_geometry(builtin("flat", 3), [0.5, -1.0, 2.0])
     for beta in (0.01, 0.1, 1.0):
-        rep = boltzmann_covariant(geom, beta, 16)
+        rep = boltzmann("covariant", geom, beta, 16)
         assert rep.B_coefficient == 0.0
         assert rep.B_value == 1.0
 
 
 def test_covariant_sphere_value():
     geom = point_geometry(builtin("sphere", 2), [0.0, 0.0])
-    rep = boltzmann_covariant(geom, 0.1, 64)
+    rep = boltzmann("covariant", geom, 0.1, 64)
     assert rep.B_coefficient == pytest.approx(1.0 / 12.0, rel=1e-13)
     assert rep.B_value == pytest.approx(1.0 - 2 * 0.1 / 24, rel=1e-13)
     assert rep.veff == pytest.approx(-math.log(rep.B_value) / 0.1, rel=1e-13)
@@ -36,14 +37,14 @@ def test_covariant_point_independent_on_sphere():
     rng = np.random.default_rng(19)
     for _ in range(10):
         q0 = 0.55 * rng.uniform(-1, 1, size=2)
-        rep = boltzmann_covariant(point_geometry(spec, q0), 0.2, 8)
+        rep = boltzmann("covariant", point_geometry(spec, q0), 0.2, 8)
         assert rep.B_coefficient == pytest.approx(1.0 / 12.0, abs=1e-9)
 
 
 def test_covariant_piece_values():
     geom = point_geometry(builtin("sphere", 3), [0.1, 0.2, -0.1])
     beta = 0.4
-    rep = boltzmann_covariant(geom, beta, 32)
+    rep = boltzmann("covariant", geom, beta, 32)
     a_int = (rep.pieces["A_int4"].counter_poly + rep.pieces["A_meas"].counter_poly)
     assert a_int.finite_value() == pytest.approx(geom.R * beta / 72, rel=1e-12)
     assert rep.pieces["A_FP"].limit == pytest.approx(geom.R * beta / 36, rel=1e-12)
@@ -51,7 +52,7 @@ def test_covariant_piece_values():
 
 def test_eta_route_matches_covariant():
     geom = point_geometry(builtin("sphere", 2), [0.3, 0.0])
-    rep = boltzmann_eta(geom, 0.1, 1024)
+    rep = boltzmann("eta", geom, 0.1, 1024)
     assert rep.B_coefficient == pytest.approx(geom.R / 24, rel=1e-12)
 
 
@@ -59,7 +60,7 @@ def test_eta_route_matches_covariant():
                                   "hyperbolic-ball", "conformal2d"])
 def test_eta_route_on_whole_catalog(name):
     geom = point_geometry(builtin(name, 2), [0.22, -0.31])
-    rep = boltzmann_eta(geom, 0.1, 32)
+    rep = boltzmann("eta", geom, 0.1, 32)
     assert rep.B_coefficient == pytest.approx(geom.R / 24, rel=1e-11, abs=1e-13)
 
 
@@ -71,8 +72,8 @@ def test_eta_route_on_user_metric_file():
               [None, f"1 + 0.25*{bump}"]],
     })
     geom = point_geometry(parse_metric(src), [0.4, -0.2])
-    rep = boltzmann_eta(geom, 0.2, 16)
-    cov = boltzmann_covariant(geom, 0.2, 16)
+    rep = boltzmann("eta", geom, 0.2, 16)
+    cov = boltzmann("covariant", geom, 0.2, 16)
     assert rep.B_coefficient == pytest.approx(geom.R / 24, rel=1e-11)
     assert cov.B_coefficient == pytest.approx(geom.R / 24, rel=1e-11)
 
@@ -80,7 +81,7 @@ def test_eta_route_on_user_metric_file():
 def test_eta_route_without_fp_defect():
     for q0 in ([0.3, 0.0], [0.5, 0.2]):
         geom = point_geometry(builtin("sphere", 2), q0)
-        rep = boltzmann_eta(geom, 0.1, 256, include_fp=False)
+        rep = boltzmann("eta", geom, 0.1, 256, include_fp=False)
         trT = float(np.einsum("st,st->", geom.g_inv, geom.T))
         assert rep.noncovariant_defect == pytest.approx(trT / 24, rel=1e-12)
 
@@ -89,8 +90,8 @@ def test_eta_reduces_to_covariant_in_geodesic_chart():
     # the embedding chart has vanishing Christoffels at the origin, so the
     # extra displacement-route vertices die and the two routes coincide
     geom = point_geometry(builtin("sphere", 2), [0.0, 0.0])
-    eta = boltzmann_eta(geom, 0.1, 32)
-    cov = boltzmann_covariant(geom, 0.1, 32)
+    eta = boltzmann("eta", geom, 0.1, 32)
+    cov = boltzmann("covariant", geom, 0.1, 32)
     assert eta.B_coefficient == pytest.approx(cov.B_coefficient, abs=1e-9)
     assert eta.pieces["A_second_order"].counter_poly.value_at(32) == pytest.approx(0.0,
                                                                                    abs=1e-15)
@@ -98,7 +99,7 @@ def test_eta_reduces_to_covariant_in_geodesic_chart():
 
 def test_eta_mode_series_attached():
     geom = point_geometry(builtin("sphere", 2), [0.3, 0.0])
-    rep = boltzmann_eta(geom, 0.1, 128, with_mode_series=True)
+    rep = boltzmann("eta", geom, 0.1, 128, with_mode_series=True)
     series = rep.pieces["A_second_order_sharp_modes"].numeric_M_series
     assert len(series) >= 3
     assert series[-1][0] == 128
@@ -107,7 +108,7 @@ def test_eta_mode_series_attached():
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
 def test_sphere_route_values(D):
     beta = 0.05
-    rep = boltzmann_sphere(D, beta, 16)
+    rep = boltzmann("sphere", sphere_geometry(D), beta, 16)
     assert rep.B_coefficient == pytest.approx(D * (D - 1) / 24.0, abs=1e-14)
     assert rep.B_value == pytest.approx(1 - D * (D - 1) * beta / 24.0, abs=1e-14)
     assert rep.pieces["A_int"].limit == pytest.approx(-D * beta / 24, abs=1e-14)
@@ -115,12 +116,12 @@ def test_sphere_route_values(D):
 
 
 def test_sphere_route_d3_value():
-    rep = boltzmann_sphere(3, 0.05, 8)
+    rep = boltzmann("sphere", sphere_geometry(3), 0.05, 8)
     assert rep.B_value == pytest.approx(0.9875, abs=1e-14)
 
 
 def test_sphere_d1_is_exactly_free():
-    rep = boltzmann_sphere(1, 0.3, 8)
+    rep = boltzmann("sphere", sphere_geometry(1), 0.3, 8)
     assert rep.B_value == 1.0
 
 
@@ -154,7 +155,7 @@ def test_seeley_bracket_difference_is_exactly_r_beta_over_8():
 def test_boltzmann_matches_density_bracket():
     geom = point_geometry(builtin("sphere", 2), [0.2, 0.1])
     beta = 0.1
-    rep = boltzmann_covariant(geom, beta, 16)
+    rep = boltzmann("covariant", geom, beta, 16)
     bracket = seeley_density(geom, beta, "path_integral") * (2 * math.pi * beta)
     assert rep.B_value == pytest.approx(bracket, rel=1e-12)
 
@@ -164,9 +165,9 @@ def test_chart_independence_of_coefficient():
     for _ in range(5):
         q = 0.5 * rng.uniform(-1, 1, size=2)
         u = embedding_to_stereographic(q)
-        c_emb = boltzmann_covariant(point_geometry(builtin("sphere", 2), q), 0.1, 8)
-        c_ste = boltzmann_covariant(
-            point_geometry(builtin("sphere-stereographic", 2), u), 0.1, 8)
+        c_emb = boltzmann("covariant", point_geometry(builtin("sphere", 2), q), 0.1, 8)
+        c_ste = boltzmann("covariant",
+                          point_geometry(builtin("sphere-stereographic", 2), u), 0.1, 8)
         assert c_emb.B_coefficient == pytest.approx(c_ste.B_coefficient, abs=1e-8)
 
 
@@ -241,7 +242,7 @@ def test_noncovariant_defect_integrates_to_zero():
 
 
 def test_report_serializes():
-    rep = boltzmann_eta(point_geometry(builtin("sphere", 2), [0.3, 0.0]), 0.1, 32)
+    rep = boltzmann("eta", point_geometry(builtin("sphere", 2), [0.3, 0.0]), 0.1, 32)
     payload = rep.as_dict()
     text = json.dumps(payload)
     assert "B_coefficient" in json.loads(text)
@@ -254,10 +255,10 @@ def test_B_coefficient_is_bit_stable_across_M(chart, point):
     name, _, dim = chart.partition(":")
     geom = point_geometry(builtin(name, int(dim)), point)
     routes = {
-        "covariant": lambda M: boltzmann_covariant(geom, 0.1, M),
-        "eta": lambda M: boltzmann_eta(geom, 0.1, M),
-        "eta-no-fp": lambda M: boltzmann_eta(geom, 0.1, M, include_fp=False),
-        "sphere": lambda M: boltzmann_sphere(int(dim), 0.1, M),
+        "covariant": lambda M: boltzmann("covariant", geom, 0.1, M),
+        "eta": lambda M: boltzmann("eta", geom, 0.1, M),
+        "eta-no-fp": lambda M: boltzmann("eta", geom, 0.1, M, include_fp=False),
+        "sphere": lambda M: boltzmann("sphere", sphere_geometry(int(dim)), 0.1, M),
     }
     for route, run in routes.items():
         values = {run(M).B_coefficient for M in (1, 16, 64, 1024)}
@@ -307,11 +308,57 @@ def test_sharp_mode_series_is_unchanged():
     assert piece["limit"] == case["limit"]
 
 
+@pytest.mark.parametrize("case", GOLDEN["exact"], ids=lambda c: " ".join(c["argv"]))
+def test_outputs_are_byte_identical_to_the_recorded_ones(case):
+    """ecp on the sphere route, --seeley on every route and mc at fixed
+    seeds, recorded before the routes shared one driver."""
+    assert _cli_stdout(case["argv"]) == case["stdout"]
+
+
+@pytest.mark.parametrize("route,chart,point", [
+    ("covariant", "hyperbolic-ball:3", [0.25, 0.1, -0.2]),
+    ("eta", "conformal2d:2", [0.4, -0.3]),
+    ("sphere", "sphere:3", [0.0, 0.0, 0.0]),
+])
+def test_report_pieces_come_from_the_catalog(route, chart, point):
+    name, _, dim = chart.partition(":")
+    geom = point_geometry(builtin(name, int(dim)), point)
+    catalog = vertex_catalog(geom, 0.1, route)
+    even = [v.piece for v in catalog if len(v.slots) % 2 == 0]
+    odd = [v.piece for v in catalog if len(v.slots) % 2]
+    want = list(dict.fromkeys(even)) + odd
+    assert list(boltzmann(route, geom, 0.1, 16).pieces) == want
+    no_fp = boltzmann(route, geom, 0.1, 16, include_fp=False)
+    assert list(no_fp.pieces) == [p for p in want if p != "A_FP"]
+    assert not no_fp.include_fp
+    series = boltzmann(route, geom, 0.1, 16, with_mode_series=True).pieces
+    assert list(series) == want + [p + "_sharp_modes" for p in odd]
+
+
+def test_pieces_shared_by_vertices_are_summed():
+    geom = sphere_geometry(2)
+    p = PeriodicPropagator(0.1, 16)
+    shared = [expect_first_order(v, p, geom).counter_poly
+              for v in vertex_catalog(geom, 0.1, "sphere") if v.piece == "A_int"]
+    assert len(shared) == 2
+    got = boltzmann("sphere", geom, 0.1, 16).pieces["A_int"].counter_poly
+    assert got.as_dict() == (shared[0] + shared[1]).as_dict()
+
+
+def test_driver_squares_at_most_one_odd_vertex(monkeypatch):
+    geom = point_geometry(builtin("sphere", 2), [0.3, 0.1])
+    twice = vertex_catalog(geom, 0.1, "eta")
+    twice = twice[:1] + twice
+    monkeypatch.setattr(ecp, "vertex_catalog", lambda *args: twice)
+    with pytest.raises(RouteError, match="odd vertices"):
+        boltzmann("eta", geom, 0.1, 16)
+
+
 def test_non_positive_B_is_a_domain_failure():
     geom = point_geometry(builtin("sphere", 2), [0.1, 0.0])
-    assert boltzmann_covariant(geom, 11.9, 16).B_value > 0
-    for route in (lambda: boltzmann_covariant(geom, 12.0, 16),
-                  lambda: boltzmann_eta(geom, 20.0, 16),
-                  lambda: boltzmann_sphere(2, 20.0, 16)):
+    assert boltzmann("covariant", geom, 11.9, 16).B_value > 0
+    for route in (lambda: boltzmann("covariant", geom, 12.0, 16),
+                  lambda: boltzmann("eta", geom, 20.0, 16),
+                  lambda: boltzmann("sphere", sphere_geometry(2), 20.0, 16)):
         with pytest.raises(ValueError, match="outside the range of the order-beta expansion"):
             route()

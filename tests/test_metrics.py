@@ -154,3 +154,30 @@ def test_spec_is_immutable():
     spec = builtin("flat", 2)
     with pytest.raises(Exception):
         spec.dim = 3
+
+
+def test_spec_params_are_read_only():
+    for spec in (builtin("conformal2d", 2, {"a": 0.1}),
+                 parse_metric(metric_file(1, ["q1"], [["a"]], params={"a": 2.0}))):
+        with pytest.raises(TypeError):
+            spec.params["a"] = 1.0
+    assert builtin("conformal2d", 2, {"a": 0.1}).params["a"] == 0.1
+
+
+def test_builtin_specs_are_validated_once_per_key(monkeypatch):
+    calls = []
+    validate = mx.MetricSpec.__post_init__
+
+    def counting(spec):
+        calls.append(spec.name)
+        validate(spec)
+
+    monkeypatch.setattr(mx.MetricSpec, "__post_init__", counting)
+    params = {"e": 0.0123, "a": -0.0456}
+    spec = builtin("conformal2d", 2, params)
+    assert calls == ["conformal2d"]
+    assert builtin("conformal2d", 2, dict(reversed(params.items()))) is spec
+    assert calls == ["conformal2d"]
+    assert spec.params == {"a": -0.0456, "b": -0.2, "c": 0.15, "e": 0.0123}
+    assert builtin("conformal2d", 2, {"e": 0.0124, "a": -0.0456}) is not spec
+    assert len(calls) == 2
