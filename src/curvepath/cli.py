@@ -25,6 +25,7 @@ from .propagator import PeriodicPropagator
 from .verify import run_suite
 from .wick import EngineError, RouteError
 
+_GRID_NODES = 32  # nodes per axis of a partition grid without --nodes
 _FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError)
 
 
@@ -200,13 +201,16 @@ def cmd_sweep(args) -> int:
     lines = [",".join(f"q{i + 1}" for i in range(spec.dim))
              + ",beta,route,B_coefficient,discrepancy\n"]
     for block in geometry_blocks(spec, np.reshape(points, (-1, spec.dim))):
-        for k in range(len(block.q0)):
-            geom = block.row(k)
-            coords = ",".join(repr(float(c)) for c in geom.q0)
-            for route in routes:
-                rep = boltzmann(route, geom, args.beta, args.M, include_fp=not args.no_fp)
-                lines.append(f"{coords},{args.beta!r},{route},"
-                             f"{rep.B_coefficient!r},{rep.discrepancy!r}\n")
+        # one batched call per route; the rows go out per point, then per route
+        columns = []
+        for route in routes:
+            rep = boltzmann(route, block, args.beta, args.M, include_fp=not args.no_fp)
+            columns.append((f",{args.beta!r},{route},", rep.B_coefficient.tolist(),
+                            rep.discrepancy.tolist()))
+        for k, q0 in enumerate(block.q0.tolist()):
+            coords = ",".join(map(repr, q0))
+            lines.extend(f"{coords}{middle}{coeff[k]!r},{disc[k]!r}\n"
+                         for middle, coeff, disc in columns)
     sys.stdout.write("".join(lines))
     return 0
 
@@ -236,6 +240,8 @@ def cmd_partition(args) -> int:
         _emit({"schema": "curvepath/partition-v1", "Z": z, "kind": "sphere-route"}, args)
         return 0
     spec = _resolve_metric(args)
+    if args.nodes is None:
+        args.nodes = _GRID_NODES  # resolved here, so the config echo shows it
     if args.polar is not None:
         grid = QuadratureGrid(kind="polar", rmax=args.polar, n=args.nodes)
     elif spec.name == "sphere" and spec.dim == 2:
@@ -332,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="closed-form sphere-route partition function")
     pa.add_argument("--bounds", type=_bounds, help="box bounds lo:hi;lo:hi;...")
     pa.add_argument("--polar", type=_positive(float), help="polar grid with this radial extent")
-    pa.add_argument("--nodes", type=_positive(int), default=32)
+    pa.add_argument("--nodes", type=_positive(int),
+                    help=f"grid nodes per axis (default {_GRID_NODES})")
     pa.set_defaults(func=cmd_partition)
 
     v = sub.add_parser("verify", help="run invariant suites")
@@ -341,9 +348,28 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# options that act on one route only, as (argparse dest, option, route)
-_ROUTE_OPTIONS = (("D", "--D", "sphere"), ("no_fp", "--no-fp", "eta"),
-                  ("mode_series", "--mode-series", "eta"))
+# Options that act on one kind of call of their subcommands only, as
+# (argparse dest, subcommands, the kinds of call they act on, those kinds in
+# words). A call's kinds are its routes, or for partition "--sphere-D" (the
+# sphere route's closed form) or "grid" (a quadrature); see _call_kinds.
+_OPTION_SCOPES = (
+    ("D", ("ecp", "mc"), {"sphere"}, "the sphere route"),
+    ("no_fp", ("ecp", "sweep"), {"eta"}, "the eta route"),
+    ("mode_series", ("ecp",), {"eta"}, "the eta route"),
+    *((dest, ("ecp", "mc"), {"covariant", "eta"}, "the covariant and eta routes")
+      for dest in ("builtin", "metric", "params", "point")),
+    *((dest, ("partition",), {"grid"}, "quadrature grids")
+      for dest in ("builtin", "metric", "params", "bounds", "polar", "nodes")),
+)
+
+
+def _call_kinds(args) -> list[str]:
+    """The kinds of call that _OPTION_SCOPES names, for a parsed call."""
+    if args.subcommand == "partition":
+        return ["--sphere-D" if args.sphere_D is not None else "grid"]
+    if args.subcommand == "sweep":
+        return args.routes.split(",")
+    return [args.route]
 
 
 @functools.lru_cache(maxsize=1)
@@ -355,11 +381,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = _parser()
     args = ap.parse_args(argv)
-    routes = args.routes.split(",") if hasattr(args, "routes") else [getattr(args, "route", None)]
-    for dest, option, route in _ROUTE_OPTIONS:
-        others = [r for r in routes if r != route]
-        if getattr(args, dest, None) not in (None, False) and others:
-            ap.error(f"{option} applies to the {route} route only, not to {','.join(others)}")
+    for dest, subcommands, kinds, scope in _OPTION_SCOPES:
+        if args.subcommand in subcommands and getattr(args, dest) not in (None, False):
+            others = [kind for kind in _call_kinds(args) if kind not in kinds]
+            if others:
+                ap.error(f"--{dest.replace('_', '-')} applies to {scope} only, "
+                         f"not to {','.join(others)}")
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:

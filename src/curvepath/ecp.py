@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import PointGeometry, geometry_blocks, point_geometry
 from .metrics import MetricSpec, builtin
-from .propagator import CounterPolynomial, PeriodicPropagator
+from .propagator import CounterPolynomial, PeriodicPropagator, _all
 from .wick import (ExpectationValue, RouteError, expect_first_order,
                    expect_second_order_connected, vertex_catalog)
 
@@ -29,8 +29,12 @@ __all__ = [
 
 @dataclass
 class ExpansionReport:
+    """B on one route at the points of a bundle. q0 has shape (*batch, D),
+    and R, the pieces' values and the B fields have the batch shape: () for
+    one point, (N,) for N points."""
+
     route: str
-    q0: list[float]
+    q0: np.ndarray | list[float]
     beta: float
     M: int
     R: float
@@ -42,6 +46,18 @@ class ExpansionReport:
     discrepancy: float = 0.0
     noncovariant_defect: float = 0.0
     include_fp: bool = True
+
+    def row(self, k) -> "ExpansionReport":
+        """The one-point report, with float fields and q0 a list, at index k
+        of the batch (k = () for a one-point report)."""
+        def at(x) -> float:
+            return float(np.asarray(x)[k])
+        return ExpansionReport(
+            route=self.route, q0=np.asarray(self.q0)[k].tolist(), beta=self.beta, M=self.M,
+            R=at(self.R), pieces={name: value.row(k) for name, value in self.pieces.items()},
+            B_coefficient=at(self.B_coefficient), B_value=at(self.B_value), veff=at(self.veff),
+            covariant_expected=at(self.covariant_expected), discrepancy=at(self.discrepancy),
+            noncovariant_defect=at(self.noncovariant_defect), include_fp=self.include_fp)
 
     def as_dict(self) -> dict:
         return {
@@ -61,13 +77,27 @@ class ExpansionReport:
         }
 
 
-def _finalize(report: ExpansionReport, coeff: float) -> ExpansionReport:
+def _require(ok, geom: PointGeometry, message) -> None:
+    """Raise ValueError(message(k) + the point) at the first point k, in input
+    order, where ok is false."""
+    if not _all(ok):
+        k = np.unravel_index(np.argmin(ok), np.shape(ok))
+        raise ValueError(f"{message(k)} at {geom.q0[k].tolist()}")
+
+
+def _finalize(report: ExpansionReport, total: CounterPolynomial,
+              geom: PointGeometry) -> ExpansionReport:
+    beta = report.beta
+    _require(total.is_finite, geom, lambda k: f"counter polynomial is divergent: {total.row(k)}")
+    coeff = total.finite_value() / beta
     report.B_coefficient = coeff
-    report.B_value = 1.0 - coeff * report.beta
-    if not report.B_value > 0:
-        raise ValueError(f"B = 1 - c1 beta = {report.B_value!r} <= 0: beta = {report.beta!r} "
-                         f"is outside the range of the order-beta expansion")
-    report.veff = -math.log(report.B_value) / report.beta
+    report.B_value = 1.0 - coeff * beta
+    _require(report.B_value > 0, geom,
+             lambda k: f"B = 1 - c1 beta = {float(np.asarray(report.B_value)[k])!r} <= 0: "
+                       f"beta = {beta!r} is outside the range of the order-beta expansion")
+    # math.log per point: NumPy's vectorised log differs from libm in the last bit
+    report.veff = np.reshape([-math.log(b) / beta for b in np.ravel(report.B_value).tolist()],
+                             np.shape(report.B_value))
     report.covariant_expected = report.R / 24.0
     report.discrepancy = abs(coeff - report.covariant_expected)
     report.noncovariant_defect = report.covariant_expected - coeff
@@ -76,18 +106,22 @@ def _finalize(report: ExpansionReport, coeff: float) -> ExpansionReport:
 
 def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: bool = True,
               with_mode_series: bool = False) -> ExpansionReport:
-    """B on one route, assembled from its vertex catalog.
+    """B on one route at every point of geom, assembled from its vertex catalog.
 
-    Even vertices enter at first order, summed per report piece in catalog
-    order. An odd vertex has no first-order value; it enters through its
-    connected square, B = 1 - <A> + 1/2 <A^2>, and with_mode_series attaches
-    the sharp-cutoff diagnostic of that square. include_fp=False drops the
-    Faddeev-Popov piece: on the eta route the coefficient then falls short of
-    R/24 by the noncovariant trace g^{st} T_st / 24.
+    A batched bundle of N points gives the batched report of all N from one
+    pass of the Wick engine; a one-point bundle, a batch of shape (), gives
+    its one-point report. A failure (divergent counters, or B <= 0) names
+    the first offending point. Even vertices enter at first order, summed
+    per report piece in catalog order. An odd vertex has no first-order
+    value; it enters through its connected square, B = 1 - <A> + 1/2 <A^2>,
+    and with_mode_series attaches the sharp-cutoff diagnostic of that
+    square. include_fp=False drops the Faddeev-Popov piece: on the eta route
+    the coefficient then falls short of R/24 by the noncovariant trace
+    g^{st} T_st / 24.
     """
     p = PeriodicPropagator(beta, M)
     vertices = [v for v in vertex_catalog(geom, beta, route) if include_fp or v.piece != "A_FP"]
-    report = ExpansionReport(route=route, q0=geom.q0.tolist(), beta=beta, M=M, R=geom.R,
+    report = ExpansionReport(route=route, q0=geom.q0, beta=beta, M=M, R=geom.R,
                              include_fp=include_fp)
     sums: dict[str, CounterPolynomial] = {}
     for v in vertices:
@@ -111,7 +145,8 @@ def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: 
                 numeric_M_series=[(m, 0.5 * x) for m, x in diag.numeric_M_series],
                 limit=0.5 * diag.limit if diag.limit is not None else None,
                 limit_error=0.5 * diag.limit_error)
-    return _finalize(report, total.finite_value() / beta)
+    report = _finalize(report, total, geom)
+    return report if geom.q0.ndim == 2 else report.row(())
 
 
 def sphere_geometry(D: int) -> PointGeometry:

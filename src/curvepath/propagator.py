@@ -28,9 +28,23 @@ import numpy as np
 __all__ = ["CounterPolynomial", "PeriodicPropagator"]
 
 
+def _all(flags) -> bool:
+    """True when a flag, or every flag of a batch, is set."""
+    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
+def _any(flags) -> bool:
+    """True when a flag, or any flag of a batch, is set."""
+    return bool(flags.any() if isinstance(flags, np.ndarray) else flags)
+
+
 @dataclass(frozen=True)
 class CounterPolynomial:
-    """constant + coeff_nprop * N_prop + coeff_nall * N_all."""
+    """constant + coeff_nprop * N_prop + coeff_nall * N_all.
+
+    The coefficients are floats, or arrays of shape (N,) holding one
+    polynomial per point of a batch; every operation acts point by point.
+    """
 
     constant: float = 0.0
     coeff_nprop: float = 0.0
@@ -51,32 +65,53 @@ class CounterPolynomial:
 
     def __mul__(self, other):
         if isinstance(other, CounterPolynomial):
-            if self.divergent_weight() != 0.0 and other.divergent_weight() != 0.0:
+            counters = (other.coeff_nprop != 0.0) | (other.coeff_nall != 0.0)
+            if not _any(counters):
+                return self.scaled(other.constant)
+            if _any((self.divergent_weight() != 0.0) & (other.divergent_weight() != 0.0)):
                 raise ValueError("product of two counter-carrying polynomials "
                                  "(degree > 1 in the counters) is outside the algebra")
-            if other.coeff_nprop == 0.0 and other.coeff_nall == 0.0:
-                return self.scaled(other.constant)
-            return other.scaled(self.constant)
+            if _all(counters):
+                return other.scaled(self.constant)
+            # a batch mixing both cases takes each point's product from its own case
+            left, right = self.scaled(other.constant), other.scaled(self.constant)
+            return CounterPolynomial(*(np.where(counters, b, a)
+                                       for a, b in zip(left.coefficients(), right.coefficients())))
         return self.scaled(float(other))
 
     __rmul__ = __mul__
+
+    def coefficients(self) -> tuple:
+        """(constant, coeff_nprop, coeff_nall)."""
+        return self.constant, self.coeff_nprop, self.coeff_nall
+
+    def row(self, k) -> "CounterPolynomial":
+        """The polynomial, with float coefficients, at index k of a batch; a
+        scalar coefficient holds for every point."""
+        return CounterPolynomial(*(float(c[k] if isinstance(c, np.ndarray) else c)
+                                   for c in self.coefficients()))
 
     def divergent_weight(self) -> float:
         """Slope of value_at(M) in 2M; zero means cutoff independent."""
         return self.coeff_nprop + self.coeff_nall
 
     @property
-    def is_finite(self) -> bool:
-        scale = max(abs(self.coeff_nprop), abs(self.coeff_nall), 1e-300)
-        return abs(self.divergent_weight()) <= 1e-12 * scale
+    def is_finite(self):
+        """Whether the counters cancel: a bool, or a bool array over a batch."""
+        # |weight| <= 1e-12 max(|coeff_nprop|, |coeff_nall|, 1e-300), bound by bound
+        weight = abs(self.divergent_weight())
+        return ((weight <= 1e-12 * abs(self.coeff_nprop)) | (weight <= 1e-12 * abs(self.coeff_nall))
+                | (weight <= 1e-12 * 1e-300))
 
     def value_at(self, M: int) -> float:
         return self.constant + self.coeff_nprop * (2 * M) + self.coeff_nall * (2 * M + 1)
 
     def finite_value(self) -> float:
         """Limit value when the divergent weights cancel (N_all - N_prop = 1)."""
-        if not self.is_finite:
-            raise ValueError(f"counter polynomial is divergent: {self}")
+        finite = self.is_finite
+        if not _all(finite):
+            k = np.unravel_index(np.argmin(finite), np.shape(finite))
+            raise ValueError(f"counter polynomial is divergent: {self.row(k)}")
         return self.constant + self.coeff_nall
 
     def as_dict(self) -> dict:

@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .geometry import PointGeometry
-from .propagator import CounterPolynomial, PeriodicPropagator
+from .propagator import CounterPolynomial, PeriodicPropagator, _all
 
 __all__ = [
     "Vertex", "ExpectationValue", "EngineError", "RouteError",
@@ -63,9 +63,10 @@ class Vertex:
     """One polynomial interaction term: prefactor * integral coeff * fields.
 
     slots lists the derivative order (0 or 1) of each field; coeff has one
-    tensor index per slot. The prefactor is const * beta**beta_power, times
-    the measure coincidence counter when measure_counter is set. piece names
-    the entry of the route's report the vertex feeds.
+    tensor index per slot, after an optional leading axis of N that holds one
+    tensor per point of a batch. The prefactor is const * beta**beta_power,
+    times the measure coincidence counter when measure_counter is set. piece
+    names the entry of the route's report the vertex feeds.
     """
 
     label: str
@@ -82,7 +83,7 @@ class Vertex:
             raise EngineError(f"vertex {self.label!r}: slot count must be 2..4, got {n}")
         if any(s not in (0, 1) for s in self.slots):
             raise EngineError(f"vertex {self.label!r}: derivative orders must be 0 or 1")
-        if self.coeff.ndim != n:
+        if self.coeff.ndim - n not in (0, 1):
             raise EngineError(f"vertex {self.label!r}: coeff rank {self.coeff.ndim} != slots {n}")
 
     def prefactor(self, beta: float) -> CounterPolynomial:
@@ -108,9 +109,20 @@ class ExpectationValue:
     @classmethod
     def exact(cls, counter_poly: CounterPolynomial, M: int) -> "ExpectationValue":
         """An exact counter polynomial with its value at cutoff M and, when
-        the counters cancel, its limit."""
+        the counters cancel (at every point of a batch), its limit."""
         return cls(counter_poly=counter_poly, numeric_M_series=[(M, counter_poly.value_at(M))],
-                   limit=counter_poly.finite_value() if counter_poly.is_finite else None)
+                   limit=counter_poly.finite_value() if _all(counter_poly.is_finite) else None)
+
+    def row(self, k) -> "ExpectationValue":
+        """The value, in floats, at index k of a batch (k = () for one point)."""
+        if self.counter_poly is not None:
+            (M, _), = self.numeric_M_series   # an exact value holds its one (M, value) pair
+            return ExpectationValue.exact(self.counter_poly.row(k), M)
+        def at(x) -> float:
+            return float(np.asarray(x)[k])
+        return ExpectationValue(numeric_M_series=[(m, at(v)) for m, v in self.numeric_M_series],
+                                limit=None if self.limit is None else at(self.limit),
+                                limit_error=at(self.limit_error))
 
     def as_dict(self) -> dict:
         return {
@@ -149,16 +161,22 @@ class _Term(NamedTuple):
     equal_time holds the derivative orders at the ends of each equal-time
     pair, cross the sorted orders of each cross line (second order only),
     spec the einsum that contracts the vertex coefficients with one inverse
-    metric per pair.
+    metric per pair, over any leading batch axes.
     """
 
     equal_time: tuple[tuple[int, int], ...]
     cross: tuple[tuple[int, int], ...]
     spec: str
 
-    def contract(self, coeffs: Sequence[np.ndarray], g_inv: np.ndarray) -> float:
+    def contract(self, coeffs: Sequence[np.ndarray], g_inv: np.ndarray) -> np.ndarray:
+        """The contraction at every point of the batch (a scalar for one point).
+
+        einsum's naive order multiplies the operands of each index tuple left
+        to right and sums the products in sequence, point by point, so every
+        point gets the bits of a one-point call.
+        """
         pairs = len(self.equal_time) + len(self.cross)
-        return float(np.einsum(self.spec, *coeffs, *(g_inv,) * pairs))
+        return np.einsum(self.spec, *coeffs, *(g_inv,) * pairs)
 
 
 def _einsum_spec(ranks: Sequence[int], pairing: Sequence[tuple[int, int]]) -> str:
@@ -169,7 +187,7 @@ def _einsum_spec(ranks: Sequence[int], pairing: Sequence[tuple[int, int]]) -> st
         terms.append(letters[start:start + rank])
         start += rank
     terms.extend(letters[i] + letters[j] for i, j in pairing)
-    return ",".join(terms) + "->"
+    return ",".join("..." + term for term in terms) + "->..."
 
 
 @functools.lru_cache(maxsize=None)
@@ -428,10 +446,12 @@ def expect_second_order_connected(
 def vertex_catalog(geom: PointGeometry, beta: float, route: str) -> list[Vertex]:
     """The truncated vertex list each route needs at order beta, each vertex
     with the report piece it feeds. Even vertices enter at first order; the
-    odd (cubic) one enters through its connected square, A_second_order."""
+    odd (cubic) one enters through its connected square, A_second_order.
+    On a batched bundle the coefficients carry its leading axis of N; the
+    sphere route's are the same at every point and carry none."""
     D = geom.dim
     if route == "covariant":
-        quartic = (1.0 / 6.0) * np.einsum("manb->abmn", geom.riemann_low)
+        quartic = (1.0 / 6.0) * np.einsum("...manb->...abmn", geom.riemann_low)
         return [
             Vertex("quartic-curvature", quartic, (0, 0, 1, 1), piece="A_int4"),
             Vertex("measure", (1.0 / 6.0) * geom.Ricci, (0, 0), measure_counter=True,
@@ -442,8 +462,8 @@ def vertex_catalog(geom: PointGeometry, beta: float, route: str) -> list[Vertex]
     if route == "eta":
         cubic = 0.5 * geom.dg
         quartic = 0.25 * geom.ddg
-        dG_trace = np.einsum("smtm->st", geom.dGamma)
-        measure = -0.5 * 0.5 * (dG_trace + dG_trace.T)
+        dG_trace = np.einsum("...smtm->...st", geom.dGamma)
+        measure = -0.5 * 0.5 * (dG_trace + np.swapaxes(dG_trace, -1, -2))
         return [
             Vertex("cubic-kinetic", cubic, (0, 1, 1), piece="A_second_order"),
             Vertex("quartic-kinetic", quartic, (0, 0, 1, 1), piece="A_int4"),

@@ -239,6 +239,24 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     # like ecp, the sphere route needs its dimension
     (["mc", "--route", "sphere", "--beta", "0.1", "--M", "8", "--samples", "16"],
      1, "RouteError"),
+    # the sphere route runs at the sphere's origin, not on a chart
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "0.1", "--builtin", "hyperbolic-ball:3"],
+     2, "--builtin"),
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "0.1", "--metric", "m.json"],
+     2, "--metric"),
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "0.1", "--params", "a=0.1"],
+     2, "--params"),
+    (["ecp", "--route", "sphere", "--D", "2", "--beta", "0.1", "--point=0.1,0"], 2, "--point"),
+    (MC_SPHERE + ["--beta", "0.1", "--samples", "16", "--builtin", "sphere:2"], 2, "--builtin"),
+    (MC_SPHERE + ["--beta", "0.1", "--samples", "16", "--metric", "m.json"], 2, "--metric"),
+    (MC_SPHERE + ["--beta", "0.1", "--samples", "16", "--params", "a=0.1"], 2, "--params"),
+    (MC_SPHERE + ["--beta", "0.1", "--samples", "16", "--point=0.1,0"], 2, "--point"),
+    # --sphere-D is a closed form, not a quadrature
+    (["partition", "--sphere-D", "2", "--beta", "0.1", "--builtin", "hyperbolic-ball:2"],
+     2, "--builtin"),
+    (["partition", "--sphere-D", "2", "--beta", "0.1", "--bounds=0:1;0:1"], 2, "--bounds"),
+    (["partition", "--sphere-D", "2", "--beta", "0.1", "--polar", "0.5"], 2, "--polar"),
+    (["partition", "--sphere-D", "2", "--beta", "0.1", "--nodes", "8"], 2, "--nodes"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -251,6 +269,18 @@ def test_bad_arguments_rejected(capsys, argv, code, needle):
         assert captured.out == "" and needle in captured.err
     else:
         assert json.loads(captured.out)["error"] == needle
+
+
+def test_sweep_failure_names_the_first_offending_point(capsys):
+    # with e = -0.1, R = 0.8 exp(-2 sigma): B = 1 - R beta / 24 <= 0 from the third point on
+    code, out = run_cli(capsys, ["sweep", "--builtin", "conformal2d:2", "--params", "e=-0.1",
+                                 "--points=0,0;1,0;-1,0;-1.2,0", "--routes", "covariant,eta",
+                                 "--beta", "24"])
+    assert code == 1
+    doc = json.loads(out)       # one document: no CSV row was written before it
+    assert doc["error"] == "ValueError"
+    assert "order-beta expansion" in doc["message"]
+    assert doc["message"].endswith(" at [-1.0, 0.0]")
 
 
 def test_non_positive_B_names_the_expansion_range(capsys):

@@ -10,7 +10,7 @@ import pytest
 from curvepath import cli, ecp
 from curvepath.ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
                            sphere_area, sphere_geometry, sphere_route_partition)
-from curvepath.geometry import point_geometry
+from curvepath.geometry import BLOCK_POINTS, geometry_blocks, point_geometry
 from curvepath.metrics import builtin, embedding_to_stereographic, parse_metric
 from curvepath.propagator import PeriodicPropagator
 from curvepath.wick import RouteError, expect_first_order, vertex_catalog
@@ -229,15 +229,15 @@ def test_noncovariant_defect_integrates_to_zero():
     x, w = np.polynomial.legendre.leggauss(60)
     nodes = 4.0 * x
     weights = 4.0 * w
-    total = 0.0
-    total_abs = 0.0
-    for i, qx in enumerate(nodes):
-        for j, qy in enumerate(nodes):
-            geom = point_geometry(spec, [qx, qy])
-            trT = float(np.einsum("st,st->", geom.g_inv, geom.T))
-            val = weights[i] * weights[j] * geom.sqrt_g * trT / 24
-            total += val
-            total_abs += abs(val)
+    # the 60 x 60 tensor-product nodes in C order, evaluated block by block
+    points = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+    vals = []
+    for geom in geometry_blocks(spec, points):
+        trT = np.einsum("...st,...st->...", geom.g_inv, geom.T)
+        vals.append(geom.sqrt_g * trT / 24)
+    vals = np.outer(weights, weights).reshape(-1) * np.concatenate(vals)
+    total = float(np.sum(vals))
+    total_abs = float(np.sum(np.abs(vals)))
     assert abs(total) <= 1e-6 * total_abs
 
 
@@ -362,3 +362,71 @@ def test_non_positive_B_is_a_domain_failure():
                   lambda: boltzmann("sphere", sphere_geometry(2), 20.0, 16)):
         with pytest.raises(ValueError, match="outside the range of the order-beta expansion"):
             route()
+
+
+# --- the batched engine: one call for a block of points ------------------------------
+
+_BATCH_CHARTS = ["flat:3", "sphere:2", "sphere:4", "sphere-stereographic:2",
+                 "hyperbolic-ball:3", "conformal2d:2"]
+
+
+@pytest.mark.parametrize("chart", _BATCH_CHARTS)
+@pytest.mark.parametrize("route,include_fp", [("covariant", True), ("eta", True),
+                                              ("eta", False)])
+def test_batched_boltzmann_equals_one_point_calls(chart, route, include_fp):
+    """Every row of a batched report, the sharp-mode diagnostic included, has
+    the bytes of the one-point call at that point."""
+    name, _, dim = chart.partition(":")
+    spec = builtin(name, int(dim))
+    points = np.random.default_rng(7).uniform(-0.4, 0.4, size=(5, int(dim)))
+    options = {"include_fp": include_fp, "with_mode_series": route == "eta"}
+    batch = boltzmann(route, point_geometry(spec, points), 0.1, 64, **options)
+    assert batch.B_coefficient.shape == (len(points),)
+    for k, q0 in enumerate(points):
+        one = boltzmann(route, point_geometry(spec, q0), 0.1, 64, **options)
+        assert json.dumps(batch.row(k).as_dict()) == json.dumps(one.as_dict())
+
+
+def test_batched_veff_takes_the_log_point_by_point():
+    """NumPy's vectorised log differs from libm in the last bit; veff keeps
+    math.log, so a batch gives the one-point bits."""
+    points = np.random.default_rng(3).uniform(-0.5, 0.5, size=(40, 2))
+    rep = boltzmann("eta", point_geometry(builtin("conformal2d", 2), points), 0.3, 16)
+    assert rep.veff.tolist() == [-math.log(b) / 0.3 for b in rep.B_value.tolist()]
+
+
+def test_batched_failures_name_the_first_offending_point(monkeypatch):
+    spec = builtin("conformal2d", 2, {"e": -0.1})   # R = 0.8 exp(-2 sigma) > 0
+    points = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [-1.2, 0.0]])
+    geom = point_geometry(spec, points)
+    beta = 24.0                                      # B <= 0 where R >= 1
+    assert (geom.R >= 1.0).tolist() == [False, False, True, True]
+    with pytest.raises(ValueError, match=r"order-beta expansion at \[-1\.0, 0\.0\]$"):
+        boltzmann("covariant", geom, beta, 16)
+    # without the measure vertex the counters no longer cancel at any point
+    catalog = [v for v in vertex_catalog(geom, 0.1, "covariant") if v.label != "measure"]
+    monkeypatch.setattr(ecp, "vertex_catalog", lambda *args: catalog)
+    with pytest.raises(ValueError, match=r"^counter polynomial is divergent: "
+                                         r"CounterPolynomial\(.*\) at \[0\.0, 0\.0\]$"):
+        boltzmann("covariant", geom, 0.1, 16)
+
+
+def test_sweep_across_a_block_boundary_matches_one_point_ecp_calls():
+    """A sweep of BLOCK_POINTS + 2 points runs two geometry blocks; each row
+    carries the repr of the float the one-point ecp call reports."""
+    points = np.random.default_rng(11).uniform(-0.4, 0.4, size=(BLOCK_POINTS + 2, 3))
+    chart = ["--builtin", "hyperbolic-ball:3"]
+    text = ";".join(",".join(map(repr, q.tolist())) for q in points)
+    out = _cli_stdout(["sweep", *chart, "--points=" + text, "--routes", "covariant,eta",
+                       "--beta", "0.1"])
+    assert "np." not in out
+    rows = out.splitlines()[1:]
+    assert len(rows) == 2 * len(points)
+    want = []
+    for q in points:
+        point = ",".join(map(repr, q.tolist()))
+        for route in ("covariant", "eta"):
+            doc = json.loads(_cli_stdout(["ecp", "--route", route, *chart, "--point=" + point,
+                                          "--beta", "0.1"]))
+            want.append(f"{point},0.1,{route},{doc['B_coefficient']!r},{doc['discrepancy']!r}")
+    assert rows == want

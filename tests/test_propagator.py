@@ -141,3 +141,18 @@ def test_counter_algebra_linearity(c1, p1, a1, c2, p2, a2, M, s):
                                                 rel=1e-12, abs=1e-12)
     assert x.scaled(s).value_at(M) == pytest.approx(s * x.value_at(M),
                                                     rel=1e-12, abs=1e-12)
+
+
+def test_batched_counter_polynomials_act_point_by_point():
+    a = CounterPolynomial(np.array([2.0, 3.0, -1.0]), np.zeros(3), np.zeros(3))
+    b = CounterPolynomial(np.array([5.0, 7.0, 0.5]), np.array([0.0, 1.0, 0.0]),
+                          np.array([0.0, 0.0, -2.0]))
+    for product in (a * b, b * a):          # a batch mixing counter-free and counter points
+        for k in range(3):
+            assert product.row(k) == a.row(k) * b.row(k)
+    assert b.is_finite.tolist() == [True, False, False]
+    with pytest.raises(ValueError, match=r"divergent: CounterPolynomial\(constant=7\.0, "
+                                         r"coeff_nprop=1\.0, coeff_nall=0\.0\)"):
+        b.finite_value()
+    with pytest.raises(ValueError, match="outside the algebra"):
+        b * b
