@@ -26,6 +26,7 @@ from .verify import run_suite
 from .wick import EngineError, RouteError
 
 _GRID_NODES = 32  # nodes per axis of a partition grid without --nodes
+_SPHERE_M = 16  # cutoff of partition --sphere-D without --M
 _FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError)
 
 
@@ -235,6 +236,8 @@ def cmd_mc(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    if args.M is None:
+        args.M = _SPHERE_M  # resolved here, so the config echo keeps showing it
     if args.sphere_D is not None:
         z = sphere_route_partition(args.sphere_D, args.beta, args.M)
         _emit({"schema": "curvepath/partition-v1", "Z": z, "kind": "sphere-route"}, args)
@@ -333,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("partition", help="configuration-space quadrature")
     add_metric_opts(pa, point_required=False)
     pa.add_argument("--beta", type=_positive(float), required=True)
-    pa.add_argument("--M", type=_positive(int), default=16)
+    pa.add_argument("--M", type=_positive(int),
+                    help=f"mode cutoff of --sphere-D (default {_SPHERE_M})")
     pa.add_argument("--sphere-D", type=_positive(int), dest="sphere_D",
                     help="closed-form sphere-route partition function")
     pa.add_argument("--bounds", type=_bounds, help="box bounds lo:hi;lo:hi;...")
@@ -360,6 +364,8 @@ _OPTION_SCOPES = (
       for dest in ("builtin", "metric", "params", "point")),
     *((dest, ("partition",), {"grid"}, "quadrature grids")
       for dest in ("builtin", "metric", "params", "bounds", "polar", "nodes")),
+    ("M", ("partition",), {"--sphere-D"}, "--sphere-D"),
+    ("point", ("partition", "sweep"), set(), "geometry, ecp and mc"),
 )
 
 

@@ -19,10 +19,22 @@ generator keyed by the user seed, and batch substreams are spawned
 deterministically, so a fixed seed gives bit-identical results regardless
 of batch size. Means and variances are merged batch by batch (Chan et al.),
 which keeps the variance accurate when the mean is large against the spread.
+
+The samples run as a pipeline on every CPU of the process's affinity mask.
+The main thread draws each substream's modes in order and cuts them into
+chunks of about 2 MB of field; pool threads transform each chunk to the grid
+and contract every vertex on it (NumPy releases the GIL in the FFT, matmul
+and einsum), and the per-sample actions are merged in substream order. Each
+sample's action is computed by the same operations whatever its chunk or
+thread, so the output is bit-identical at any worker count, and the fields
+are held one chunk per worker, never for a whole substream.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -139,16 +151,8 @@ def _mode_field(modes: np.ndarray, beta: float, derivative: bool) -> np.ndarray:
     return modes * (-1j * _omega(beta, modes.shape[-1])) if derivative else modes
 
 
-# Elements of one half spectrum block (1 MB): transforming a few samples at
-# a time keeps the spectra small, so a batch allocates no second copy of
-# its modes and the peak memory does not depend on how the heap is reused.
-_SPECTRUM_ELEMENTS = 1 << 16
-
-
-def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """Field values on the uniform grid tau_j = j beta / K, written to out
-    when it is given.
+def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool) -> np.ndarray:
+    """Field values on the uniform grid tau_j = j beta / K.
 
     xi(tau) = sum_{m>0} [xi_m e^{-i omega_m tau} + conj], realized through a
     half-spectrum inverse FFT; the derivative multiplies modes by -i omega_m.
@@ -156,38 +160,65 @@ def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
     nbatch, D, M = modes.shape
     if K < 2 * M + 2:
         raise ValueError("grid too coarse for the mode content")
-    if out is None:
-        out = np.empty((nbatch, D, K))
-    step = max(1, _SPECTRUM_ELEMENTS // (D * (M + 1)))
-    for lo in range(0, nbatch, step):
-        X = np.zeros((min(step, nbatch - lo), D, M + 1), dtype=complex)
-        np.conjugate(modes[lo:lo + step], out=X[:, :, 1:])
-        if derivative:
-            X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
-        np.fft.irfft(X, n=K, axis=2, norm="forward", out=out[lo:lo + step])
-    return out
+    X = np.zeros((nbatch, D, M + 1), dtype=complex)
+    np.conjugate(modes, out=X[:, :, 1:])
+    if derivative:
+        X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
+    return np.fft.irfft(X, n=K, axis=2, norm="forward")
 
 
-def _mode_batches(beta: float, M: int, D: int, n: int, seed: int):
-    """The sample stream: one batch of modes per Philox substream of the seed,
-    _block_size(D, M) samples each and the rest in the last."""
+# Bytes of field, q and qd together, per chunk of samples (2 MB). A chunk is
+# one pool task: its modes are transformed and every vertex is contracted on
+# them at once, so the fields of a whole substream are never held.
+_CHUNK_BYTES = 1 << 21
+
+
+def _workers() -> int:
+    """Pool threads for the sample stream: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _substreams(D: int, M: int, n: int, seed: int) -> list[tuple[np.random.Generator, int]]:
+    """The sample stream as (Philox substream of the seed, sample count)
+    pairs: _block_size(D, M) samples each and the rest in the last."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
     batch = _block_size(D, M)
-    return (_draw_modes(rng, beta, M, D, min(batch, n - k * batch))
-            for k, rng in enumerate(_rng_streams(seed, math.ceil(n / batch))))
+    sizes = [min(batch, n - lo) for lo in range(0, n, batch)]
+    return list(zip(_rng_streams(seed, len(sizes)), sizes))
 
 
-def _path_batches(beta: float, M: int, D: int, n: int, seed: int):
-    """(modes, q, qd) per substream, the fields on the exact grid. The next
-    batch overwrites q and qd, so only one batch of fields is held."""
-    batches = _mode_batches(beta, M, D, n, seed)
-    K = _grid_size(M)
-    q, qd = np.empty((2, min(n, _block_size(D, M)), D, K))
-    for modes in batches:
-        rows = len(modes)
-        yield (modes, _to_grid(modes, beta, K, False, out=q[:rows]),
-               _to_grid(modes, beta, K, True, out=qd[:rows]))
+def _in_order(batches, ntasks: int, consume, ahead: int = 1) -> None:
+    """Run the tasks of each batch and pass consume each batch's results,
+    concatenated, in batch order, so the bits never depend on the worker count.
+
+    batches yields one list of zero-argument tasks per substream, ntasks in
+    all; producing a list is the main thread's share of the work. With more
+    than one task and more than one CPU the tasks run on a thread pool, and
+    the main thread produces the next batch while at most ahead batches wait
+    to be consumed. A single task, or a single CPU, starts no thread.
+    """
+    workers = min(_workers(), ntasks)
+    if workers == 1:
+        for tasks in batches:
+            consume(np.concatenate([task() for task in tasks]))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = collections.deque()
+        for tasks in batches:
+            pending.append([pool.submit(task) for task in tasks])
+            if len(pending) > ahead:
+                consume(np.concatenate([f.result() for f in pending.popleft()]))
+        while pending:
+            consume(np.concatenate([f.result() for f in pending.popleft()]))
+    finally:
+        # after an error, queued tasks are dropped and running ones finish
+        pool.shutdown(cancel_futures=True)
 
 
 def sample_modes(beta: float, M: int, D: int, seed: int) -> PathSample:
@@ -223,12 +254,12 @@ def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, :, np.newaxis] * b[:, np.newaxis]).reshape(n, D * D, K)
 
 
-def _vertex_action(v: Vertex, geom: PointGeometry, modes: np.ndarray, q: np.ndarray,
+def _vertex_action(v: Vertex, coeff: np.ndarray, modes: np.ndarray, q: np.ndarray,
                    qd: np.ndarray, beta: float, M: int) -> np.ndarray:
-    """Per-sample action of one vertex: a quadratic one by Parseval from the
+    """Per-sample action of one vertex, with coeff its coefficient in the
+    orthonormal frame (_frame_coeff): a quadratic one by Parseval from the
     modes (nbatch, D, M), a cubic or quartic one from the grid fields
     (nbatch, D, K) as a factored contraction."""
-    coeff = _frame_coeff(v.coeff, geom)
     if len(v.slots) == 2:
         f, g = (_mode_field(modes, beta, s == 1) for s in v.slots)
         h = np.matmul(coeff, g)
@@ -257,6 +288,40 @@ def _vertex_action(v: Vertex, geom: PointGeometry, modes: np.ndarray, q: np.ndar
     return v.prefactor_truncated(beta, M) * integral
 
 
+def _chunk_action(terms, beta: float, M: int, modes: np.ndarray) -> np.ndarray:
+    """Summed per-sample action of terms, (vertex, frame coefficient) pairs,
+    on one chunk of modes, from fields on the exact grid."""
+    K = _grid_size(M)
+    q = _to_grid(modes, beta, K, False)
+    qd = _to_grid(modes, beta, K, True)
+    a = np.zeros(len(modes))
+    for v, coeff in terms:
+        a += _vertex_action(v, coeff, modes, q, qd, beta, M)
+    return a
+
+
+def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: int,
+             consume) -> None:
+    """Pass consume the summed per-sample action of the vertices on each
+    substream of the sample stream, in order.
+
+    The main thread draws each substream's modes and cuts them into chunks
+    of _CHUNK_BYTES of field; the pool transforms and contracts the chunks
+    of one substream while the next is drawn."""
+    terms = [(v, _frame_coeff(v.coeff, geom)) for v in vertices]
+    D = geom.dim
+    rows = max(1, _CHUNK_BYTES // (2 * D * _grid_size(M) * 8))
+    streams = _substreams(D, M, n, seed)
+
+    def chunks(rng, size):
+        modes = _draw_modes(rng, beta, M, D, size)
+        return [functools.partial(_chunk_action, terms, beta, M, modes[lo:lo + rows])
+                for lo in range(0, size, rows)]
+
+    _in_order((chunks(rng, size) for rng, size in streams),
+              sum(-(-size // rows) for _, size in streams), consume)
+
+
 def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
                           n: int, seed: int) -> McEstimate:
     """Unbiased estimate of the first-order expectation of one vertex.
@@ -265,8 +330,7 @@ def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
     differs from the counter-table limit by the O(1/M) coincidence tail.
     """
     acc = _Moments()
-    for modes, q, qd in _path_batches(beta, M, geom.dim, n, seed):
-        acc.add(_vertex_action(v, geom, modes, q, qd, beta, M))
+    _actions([v], geom, beta, M, n, seed, acc.add)
     return McEstimate(mean=float(acc.mean), stderr=float(acc.stderr()),
                       n_samples=acc.count, seed=seed)
 
@@ -283,17 +347,16 @@ def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
     The guard rejects runs whose action variance makes reweighting useless.
     on_batch(count, mean, stderr), when given, streams running partials.
     """
-    vertices = vertex_catalog(geom, beta, route)
     action = _Moments()
     weight = _Moments()
-    for modes, q, qd in _path_batches(beta, M, geom.dim, n, seed):
-        a = np.zeros(len(modes))
-        for v in vertices:
-            a += _vertex_action(v, geom, modes, q, qd, beta, M)
+
+    def merge(a):
         action.add(a)
         weight.add(np.exp(-a))
         if on_batch is not None:
             on_batch(action.count, 1.0 - float(action.mean), float(action.stderr()))
+
+    _actions(vertex_catalog(geom, beta, route), geom, beta, M, n, seed, merge)
     var_a = float(action.variance())
     if var_a >= variance_guard:
         raise ValueError(
@@ -315,7 +378,8 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     """Empirical <xi(tau) . xi(tau')>/D at probe pairs against the kernel.
 
     Probe times are rounded to the lattice tau_j = j beta / 8M, and the
-    fields there are summed directly from the modes."""
+    fields there are summed directly from the modes. Each substream, draw
+    included, is one pool task."""
     K = 8 * M
     p = PeriodicPropagator(beta, M)
     idx = np.array([(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
@@ -323,10 +387,17 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     # e^{-i omega_m tau_j} at each probe; the phase m j is reduced mod K first
     phase = np.outer(np.arange(1, M + 1), idx.ravel()) % K
     basis = np.exp(-2j * math.pi * phase / K)
+
+    def products(rng, size):
+        modes = _draw_modes(rng, beta, M, D, size)
+        q = 2.0 * np.matmul(modes, basis).real.reshape(size, D, len(idx), 2)
+        return (q[..., 0] * q[..., 1]).sum(axis=1) / D
+
     acc = _Moments()
-    for modes in _mode_batches(beta, M, D, n, seed):
-        q = 2.0 * np.matmul(modes, basis).real.reshape(len(modes), D, len(idx), 2)
-        acc.add((q[..., 0] * q[..., 1]).sum(axis=1) / D)
+    streams = _substreams(D, M, n, seed)
+    # one task per substream, so keep one per worker in flight
+    _in_order(([functools.partial(products, rng, size)] for rng, size in streams),
+              len(streams), acc.add, ahead=_workers() - 1)
     means, stderrs = acc.mean, acc.stderr()
     return [{"tau": t1, "taup": t2, "mean": float(means[k]), "stderr": float(stderrs[k]),
              "expected": p.green_modes((i1 - i2) * beta / K)}

@@ -120,6 +120,7 @@ def test_partition_subcommand(capsys):
       "--nodes", "8"], "polar"),
     (["partition", "--builtin", "sphere:2", "--beta", "0.1", "--nodes", "8"], "sphere-polar"),
     (["partition", "--sphere-D", "3", "--beta", "0.1"], "sphere-route"),
+    (["partition", "--sphere-D", "2", "--beta", "0.1", "--M", "8"], "sphere-route"),
 ])
 def test_partition_output_validates(capsys, argv, kind):
     code, out = run_cli(capsys, argv)
@@ -257,6 +258,15 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["partition", "--sphere-D", "2", "--beta", "0.1", "--bounds=0:1;0:1"], 2, "--bounds"),
     (["partition", "--sphere-D", "2", "--beta", "0.1", "--polar", "0.5"], 2, "--polar"),
     (["partition", "--sphere-D", "2", "--beta", "0.1", "--nodes", "8"], 2, "--nodes"),
+    # the cutoff feeds --sphere-D only, and no partition or sweep reads --point
+    (["partition", "--builtin", "flat:2", "--bounds=0:1;0:1", "--beta", "0.1", "--M", "1000",
+      "--nodes", "4"], 2, "--M"),
+    (["partition", "--builtin", "sphere:2", "--beta", "0.1", "--M", "8"], 2, "--M"),
+    (["partition", "--builtin", "flat:2", "--bounds=0:1;0:1", "--beta", "0.1", "--point=5,5",
+      "--nodes", "4"], 2, "--point"),
+    (["partition", "--sphere-D", "2", "--beta", "0.1", "--point=0.1,0"], 2, "--point"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--point=5,5", "--beta", "0.1"],
+     2, "--point"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:

@@ -1,10 +1,16 @@
+import concurrent.futures
 import json
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from curvepath import montecarlo
 from curvepath.cli import main
+from curvepath.ecp import sphere_geometry
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin
 from curvepath.montecarlo import (_Moments, _draw_modes, _frame_coeff, _grid_size,
@@ -93,7 +99,7 @@ def test_vertex_estimates_match_engine():
         q = _to_grid(modes, beta, K, derivative=False)
         qd = _to_grid(modes, beta, K, derivative=True)
         for k, v in enumerate(vertices):
-            vals = _vertex_action(v, geom, modes, q, qd, beta, M)
+            vals = _vertex_action(v, _frame_coeff(v.coeff, geom), modes, q, qd, beta, M)
             sums[k] += vals.sum()
             sums2[k] += (vals**2).sum()
         done += take
@@ -193,6 +199,7 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
     v = next(x for x in vertex_catalog(geom, beta, "sphere") if x.label == "(q.qdot)^2")
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     sd = np.sqrt(1.0 / (2 * beta * omega**2))
+    coeff = _frame_coeff(v.coeff, geom)
 
     def batch_means(seed, relabel=False, K=_grid_size(M)):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -206,7 +213,7 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
                 modes = _draw_modes(rng, beta, M, 2, bs)
             q = _to_grid(modes, beta, K, derivative=False)
             qd = _to_grid(modes, beta, K, derivative=True)
-            out.append(_vertex_action(v, geom, modes, q, qd, beta, M).mean())
+            out.append(_vertex_action(v, coeff, modes, q, qd, beta, M).mean())
         return np.array(out)
 
     base = batch_means(900)
@@ -272,14 +279,14 @@ def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
     vertices = vertex_catalog(geom, beta, route)
     assert {len(v.slots) for v in vertices} >= {2, 4}
     for v in vertices:
-        ref = _vertex_action(v, geom, modes, *fields[8 * M], beta, M)
-        new = _vertex_action(v, geom, modes, *fields[_grid_size(M)], beta, M)
+        coeff = _frame_coeff(v.coeff, geom)
+        ref = _vertex_action(v, coeff, modes, *fields[8 * M], beta, M)
+        new = _vertex_action(v, coeff, modes, *fields[_grid_size(M)], beta, M)
         scale = np.abs(ref).max()
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
         if len(v.slots) == 2:
             q, qd = fields[8 * M]
             f, g = (qd if s else q for s in v.slots)
-            coeff = _frame_coeff(v.coeff, geom)
             grid = np.einsum("nak,ab,nbk->n", f, coeff, g) * (beta / (8 * M))
             np.testing.assert_allclose(new, v.prefactor_truncated(beta, M) * grid,
                                        rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
@@ -292,7 +299,7 @@ def test_coarse_grid_is_rejected_for_a_quartic_vertex():
     K = 4 * M
     q, qd = _to_grid(modes, beta, K, False), _to_grid(modes, beta, K, True)
     with pytest.raises(ValueError, match="too coarse"):
-        _vertex_action(v, SPHERE0, modes, q, qd, beta, M)
+        _vertex_action(v, _frame_coeff(v.coeff, SPHERE0), modes, q, qd, beta, M)
 
 
 # Outputs of the earlier core (an 8M grid and a per-entry coefficient loop)
@@ -326,3 +333,97 @@ def test_two_point_reproduces_the_earlier_core():
         assert c["mean"] == pytest.approx(mean, rel=1e-12, abs=0)
         assert c["stderr"] == pytest.approx(stderr, rel=1e-12, abs=0)
         assert c["expected"] == expected
+
+
+def _mc_results():
+    """Every estimator on streams of several substreams and chunks, with the
+    running partials of mc_boltzmann."""
+    out = []
+    hyper = point_geometry(builtin("hyperbolic-ball", 3), [0.1, -0.2, 0.15])
+    sphere = point_geometry(builtin("sphere", 2), [0.3, 0.1])
+    for route, geom, n in (("sphere", SPHERE0, 20000), ("covariant", hyper, 10000),
+                           ("eta", sphere, 10000)):
+        partials = []
+        est = mc_boltzmann(route, geom, 0.02, 16, n, seed=9,
+                           on_batch=lambda *p: partials.append(p))
+        out.append((est.as_dict(), partials))
+    quartic = next(v for v in vertex_catalog(sphere, 0.1, "eta") if v.label == "quartic-kinetic")
+    out.append(mc_vertex_expectation(quartic, sphere, 0.1, 16, 10000, seed=5).as_dict())
+    out.append(mc_two_point(0.5, 16, 2, 20000, seed=21, pairs=[(0.1, 0.3), (0.2, 0.2)]))
+    return repr(out)
+
+
+def test_results_do_not_depend_on_the_worker_count(monkeypatch):
+    # frequent thread switches, so that a merge out of order would show
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+            results[workers] = _mc_results()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[1] == results[2] == results[3]
+
+
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        type(self).made += 1
+        super().__init__(*args, **kwargs)
+
+
+def test_work_of_one_chunk_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "made", 0)
+    # one chunk holds 910 samples at D = 2, M = 16; a substream holds 8192
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 900, seed=1)
+    mc_two_point(0.5, 16, 2, 8000, seed=1, pairs=[(0.1, 0.3)])
+    assert _CountingPool.made == 0
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 1000, seed=1)
+    mc_two_point(0.5, 16, 2, 9000, seed=1, pairs=[(0.1, 0.3)])
+    assert _CountingPool.made == 2
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_fields_are_held_one_chunk_at_a_time(monkeypatch, workers):
+    """Holding the fields of a whole 4096-sample substream at once instead
+    peaked at about 56 MB here."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    geom = sphere_geometry(2)
+    tracemalloc.start()
+    try:
+        mc_boltzmann("sphere", geom, 0.04, 64, 20480, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def test_errors_reach_the_caller_and_stop_the_pool(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    threads = threading.active_count()
+    calls = []
+    real = montecarlo._vertex_action
+
+    def failing(*args):
+        calls.append(1)
+        if len(calls) >= 5:  # workers append concurrently
+            raise RuntimeError("vertex failed in a worker")
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_vertex_action", failing)
+    with pytest.raises(RuntimeError, match="vertex failed in a worker"):
+        mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1)
+    assert threading.active_count() == threads
+    monkeypatch.setattr(montecarlo, "_vertex_action", real)
+
+    def stop(count, mean, stderr):
+        raise KeyError(f"stopped at {count}")
+
+    with pytest.raises(KeyError, match="stopped at 8192"):
+        mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1, on_batch=stop)
+    assert threading.active_count() == threads
