@@ -12,9 +12,9 @@ from .normal_coords import (NormalExpansion, normal_expansion, eta_of_xi, xi_of_
                             connection_Q, jacobian_trlog, measure_trlog,
                             normal_curvature_check)
 from .propagator import CounterPolynomial, PeriodicPropagator
-from .wick import (Vertex, ExpectationValue, vertex_catalog, expect_first_order,
-                   expect_second_order_connected, check_divergence_cancellation)
-from .ecp import (ExpansionReport, boltzmann, sphere_geometry, seeley_density,
+from .wick import (Vertex, vertex_catalog, expect_first_order, expect_second_order_connected,
+                   expand, check_divergence_cancellation)
+from .ecp import (ExpectationValue, ExpansionReport, boltzmann, sphere_geometry, seeley_density,
                   partition_function, QuadratureGrid, sphere_area, sphere_route_partition)
 from .montecarlo import (PathSample, McEstimate, sample_modes,
                          mc_vertex_expectation, mc_boltzmann, mc_two_point)
@@ -27,9 +27,9 @@ __all__ = [
     "NormalExpansion", "normal_expansion", "eta_of_xi", "xi_of_eta",
     "connection_Q", "jacobian_trlog", "measure_trlog", "normal_curvature_check",
     "CounterPolynomial", "PeriodicPropagator",
-    "Vertex", "ExpectationValue", "vertex_catalog", "expect_first_order",
-    "expect_second_order_connected", "check_divergence_cancellation",
-    "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
+    "Vertex", "vertex_catalog", "expect_first_order", "expect_second_order_connected",
+    "expand", "check_divergence_cancellation",
+    "ExpectationValue", "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
     "partition_function", "QuadratureGrid", "sphere_area", "sphere_route_partition",
     "PathSample", "McEstimate", "sample_modes", "mc_vertex_expectation",
     "mc_boltzmann", "mc_two_point",

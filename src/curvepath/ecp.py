@@ -18,13 +18,44 @@ import numpy as np
 from .geometry import PointGeometry, geometry_blocks, point_geometry
 from .metrics import MetricSpec, builtin
 from .propagator import CounterPolynomial, PeriodicPropagator, _all
-from .wick import (ExpectationValue, RouteError, expect_first_order,
-                   expect_second_order_connected, vertex_catalog)
+from .wick import expand, richardson_limit, second_order_mode_series, vertex_catalog
 
 __all__ = [
-    "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
+    "ExpectationValue", "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
     "QuadratureGrid", "partition_function", "sphere_area", "sphere_route_partition",
 ]
+
+
+@dataclass
+class ExpectationValue:
+    """One report piece: an exact counter polynomial, or the sharp-cutoff
+    diagnostic's (M, value) series with its Richardson limit."""
+
+    counter_poly: CounterPolynomial | None = None
+    numeric_M_series: list[tuple[int, float]] = field(default_factory=list)
+    limit: float | None = None
+    limit_error: float = 0.0
+
+    @classmethod
+    def exact(cls, counter_poly: CounterPolynomial, M: int) -> "ExpectationValue":
+        """An exact counter polynomial with its value at cutoff M and, when
+        the counters cancel (at every point of a batch), its limit."""
+        return cls(counter_poly=counter_poly, numeric_M_series=[(M, counter_poly.value_at(M))],
+                   limit=counter_poly.finite_value() if _all(counter_poly.is_finite) else None)
+
+    def row(self, k) -> "ExpectationValue":
+        """The value, in floats, at index k of a batch (k = () for one point)."""
+        if self.counter_poly is not None:
+            (M, _), = self.numeric_M_series   # an exact value holds its one (M, value) pair
+            return ExpectationValue.exact(self.counter_poly.row(k), M)
+        def at(x) -> float:
+            return float(np.asarray(x)[k])
+        return ExpectationValue(numeric_M_series=[(m, at(v)) for m, v in self.numeric_M_series],
+                                limit=None if self.limit is None else at(self.limit),
+                                limit_error=at(self.limit_error))
+
+    def as_dict(self) -> dict:
+        return dict(vars(self), counter_poly=self.counter_poly and self.counter_poly.as_dict())
 
 
 @dataclass
@@ -60,21 +91,9 @@ class ExpansionReport:
             noncovariant_defect=at(self.noncovariant_defect), include_fp=self.include_fp)
 
     def as_dict(self) -> dict:
-        return {
-            "route": self.route,
-            "q0": list(self.q0),
-            "beta": self.beta,
-            "M": self.M,
-            "R": self.R,
-            "pieces": {k: v.as_dict() for k, v in self.pieces.items()},
-            "B_coefficient": self.B_coefficient,
-            "B_value": self.B_value,
-            "veff": self.veff,
-            "covariant_expected": self.covariant_expected,
-            "discrepancy": self.discrepancy,
-            "noncovariant_defect": self.noncovariant_defect,
-            "include_fp": self.include_fp,
-        }
+        """The fields in order, each piece as a dict of its fields."""
+        return dict(vars(self), q0=list(self.q0),
+                    pieces={name: value.as_dict() for name, value in self.pieces.items()})
 
 
 def _require(ok, geom: PointGeometry, message) -> None:
@@ -111,40 +130,32 @@ def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: 
     A batched bundle of N points gives the batched report of all N from one
     pass of the Wick engine; a one-point bundle, a batch of shape (), gives
     its one-point report. A failure (divergent counters, or B <= 0) names
-    the first offending point. Even vertices enter at first order, summed
-    per report piece in catalog order. An odd vertex has no first-order
-    value; it enters through its connected square, B = 1 - <A> + 1/2 <A^2>,
-    and with_mode_series attaches the sharp-cutoff diagnostic of that
-    square. include_fp=False drops the Faddeev-Popov piece: on the eta route
-    the coefficient then falls short of R/24 by the noncovariant trace
+    the first offending point. The pieces are those of wick.expand: the
+    even vertices' first-order sums, then the odd vertex's half square, with
+    with_mode_series attaching the sharp-cutoff diagnostic of that square.
+    include_fp=False drops the Faddeev-Popov piece: on the eta route the
+    coefficient then falls short of R/24 by the noncovariant trace
     g^{st} T_st / 24.
     """
     p = PeriodicPropagator(beta, M)
     vertices = [v for v in vertex_catalog(geom, beta, route) if include_fp or v.piece != "A_FP"]
     report = ExpansionReport(route=route, q0=geom.q0, beta=beta, M=M, R=geom.R,
                              include_fp=include_fp)
-    sums: dict[str, CounterPolynomial] = {}
-    for v in vertices:
-        if len(v.slots) % 2 == 0:
-            poly = expect_first_order(v, p, geom).counter_poly
-            sums[v.piece] = sums[v.piece] + poly if v.piece in sums else poly
-    for piece, poly in sums.items():
+    first, second = expand(vertices, p, geom)
+    total = functools.reduce(operator.add, first.values())
+    for piece, poly in first.items():
         report.pieces[piece] = ExpectationValue.exact(poly, M)
-    total = functools.reduce(operator.add, sums.values())
-    odd = [v for v in vertices if len(v.slots) % 2]
-    if len(odd) > 1:
-        raise RouteError(f"route {route!r} has {len(odd)} odd vertices; at most one is squared")
-    for v in odd:
-        half_square = expect_second_order_connected(v, v, p, geom).counter_poly.scaled(0.5)
-        report.pieces[v.piece] = ExpectationValue.exact(half_square, M)
+    for piece, half_square in second.items():
+        report.pieces[piece] = ExpectationValue.exact(half_square, M)
         total = total - half_square
         if with_mode_series:
+            v = next(v for v in vertices if v.piece == piece)
             ms = [m for m in (16, 32, 64, 128, 256, 512, 1024) if m <= max(M, 16)]
-            diag = expect_second_order_connected(v, v, p, geom, scheme="modes", m_series=ms)
-            report.pieces[v.piece + "_sharp_modes"] = ExpectationValue(
-                numeric_M_series=[(m, 0.5 * x) for m, x in diag.numeric_M_series],
-                limit=0.5 * diag.limit if diag.limit is not None else None,
-                limit_error=0.5 * diag.limit_error)
+            series = second_order_mode_series(v, v, p, geom, ms)
+            limit, limit_error = richardson_limit(series)
+            report.pieces[piece + "_sharp_modes"] = ExpectationValue(
+                numeric_M_series=[(m, 0.5 * x) for m, x in series],
+                limit=0.5 * limit, limit_error=0.5 * limit_error)
     report = _finalize(report, total, geom)
     return report if geom.q0.ndim == 2 else report.row(())
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -17,7 +18,7 @@ from . import expressions as ex
 from .jets import Jet2
 
 __all__ = [
-    "MetricSpec", "MetricError", "DomainError", "parse_metric", "builtin",
+    "MetricSpec", "MetricError", "DomainError", "parse_metric", "finite_parameter", "builtin",
     "eval_metric_jet", "eval_metric_value", "BUILTIN_NAMES",
     "embedding_to_stereographic", "stereographic_to_embedding",
 ]
@@ -96,6 +97,17 @@ def _mirror_and_check(entries: list[list], dim: int) -> list[list[str]]:
     return grid
 
 
+def finite_parameter(name: str, value) -> float:
+    """A metric parameter as a float, or a MetricError naming it if not finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise MetricError(f"parameter {name!r} must be a finite number, got {value!r}")
+    return number
+
+
 def parse_metric(source: str) -> MetricSpec:
     """Parse a UTF-8 JSON metric file into a validated MetricSpec."""
     try:
@@ -117,7 +129,7 @@ def parse_metric(source: str) -> MetricSpec:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise MetricError("'params' must be an object of numbers")
-    params = {str(k): float(v) for k, v in params.items()}
+    params = {str(k): finite_parameter(str(k), v) for k, v in params.items()}
     g = doc["g"]
     if not isinstance(g, list) or len(g) != dim or any(
             not isinstance(row, list) or len(row) != dim for row in g):

@@ -53,7 +53,11 @@ class NormalExpansion:
 
 
 def normal_expansion(spec: MetricSpec, q0) -> NormalExpansion:
-    geom = point_geometry(spec, q0)
+    return _expansion(spec, point_geometry(spec, q0))
+
+
+def _expansion(spec: MetricSpec, geom: PointGeometry) -> NormalExpansion:
+    """The series coefficients at the point of the one-point bundle geom."""
     G = geom.Gamma                      # [m, s, t]
     gamma_st_m = np.einsum("mst->stm", G)
     eta_quad = -0.5 * gamma_st_m
@@ -72,40 +76,32 @@ def _apply_series(quad: np.ndarray, cub: np.ndarray, v: np.ndarray) -> np.ndarra
             + np.einsum("stkm,s,t,k->m", cub, v, v, v))
 
 
+def _series_jacobian(quad: np.ndarray, cub: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The exact derivative d/dv^n of component m of _apply_series(quad, cub, v)."""
+    J = np.eye(v.shape[0])
+    J += 2.0 * np.einsum("ntm,t->mn", quad, v)
+    J += np.einsum("ntkm,t,k->mn", cub, v, v)
+    J += np.einsum("tnkm,t,k->mn", cub, v, v)
+    J += np.einsum("tknm,t,k->mn", cub, v, v)
+    return J
+
+
 def eta_of_xi(exp: NormalExpansion, xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    return _apply_series(exp.eta_quad, exp.eta_cub, xi)
+    return _apply_series(exp.eta_quad, exp.eta_cub, np.asarray(xi, dtype=float))
 
 
 def xi_of_eta(exp: NormalExpansion, eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    return _apply_series(exp.xi_quad, exp.xi_cub, eta)
+    return _apply_series(exp.xi_quad, exp.xi_cub, np.asarray(eta, dtype=float))
 
 
 def deta_dxi(exp: NormalExpansion, xi) -> np.ndarray:
     """J^m_n = d eta^m / d xi^n of the truncated map (exact derivative)."""
-    xi = np.asarray(xi, dtype=float)
-    D = exp.dim
-    J = np.eye(D)
-    J += 2.0 * np.einsum("ntm,t->mn", exp.eta_quad, xi)
-    c = exp.eta_cub
-    J += np.einsum("ntkm,t,k->mn", c, xi, xi)
-    J += np.einsum("tnkm,t,k->mn", c, xi, xi)
-    J += np.einsum("tknm,t,k->mn", c, xi, xi)
-    return J
+    return _series_jacobian(exp.eta_quad, exp.eta_cub, np.asarray(xi, dtype=float))
 
 
 def dxi_deta(exp: NormalExpansion, eta) -> np.ndarray:
     """d xi^m / d eta^n of the truncated inverse map."""
-    eta = np.asarray(eta, dtype=float)
-    D = exp.dim
-    J = np.eye(D)
-    J += 2.0 * np.einsum("ntm,t->mn", exp.xi_quad, eta)
-    c = exp.xi_cub
-    J += np.einsum("ntkm,t,k->mn", c, eta, eta)
-    J += np.einsum("tnkm,t,k->mn", c, eta, eta)
-    J += np.einsum("tknm,t,k->mn", c, eta, eta)
-    return J
+    return _series_jacobian(exp.xi_quad, exp.xi_cub, np.asarray(eta, dtype=float))
 
 
 def deta_dxi_inverse_series(exp: NormalExpansion, xi) -> np.ndarray:
@@ -175,20 +171,22 @@ def measure_trlog_eta(exp: NormalExpansion, eta) -> float:
 
 
 def deta_dq0_fd(spec: MetricSpec, q0, xi, h: float | None = None) -> np.ndarray:
-    """d eta^m / d q0^n by central differences over the base point."""
+    """d eta^m / d q0^n by central differences over the base point.
+
+    The bundles at the 2 D base points q0 +- h e_n come from one batched
+    point_geometry call.
+    """
     q0 = np.asarray(q0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     D = q0.shape[0]
     if h is None:
         h = 1e-5 * max(1.0, float(np.max(np.abs(q0))))
-    out = np.empty((D, D))
-    for n in range(D):
-        e = np.zeros(D)
-        e[n] = h
-        ep = eta_of_xi(normal_expansion(spec, q0 + e), xi)
-        em = eta_of_xi(normal_expansion(spec, q0 - e), xi)
-        out[:, n] = (ep - em) / (2 * h)
-    return out
+    # rows ordered (n, sign): q0 + h e_0, q0 - h e_0, q0 + h e_1, ...
+    steps = (np.eye(D)[:, None, :] * np.array([h, -h])[:, None]).reshape(-1, D)
+    geom = point_geometry(spec, q0 + steps)
+    eta = np.array([eta_of_xi(_expansion(spec, geom.row(j)), xi)
+                    for j in range(2 * D)]).reshape(D, 2, D)
+    return ((eta[:, 0] - eta[:, 1]) / (2 * h)).T
 
 
 def qbar_matrix(exp: NormalExpansion, eta) -> np.ndarray:
@@ -227,19 +225,17 @@ def _chart_gamma(exp: NormalExpansion, xi: np.ndarray, geom_q: PointGeometry) ->
     return 0.5 * np.einsum("mn,nst->mst", ghat_inv, term)
 
 
-def _normal_chart_dgamma(spec: MetricSpec, q0, h: float = 1e-3) -> np.ndarray:
-    """d_k GammaHat^m_{ts}(0) of the constructed normal chart, by differences.
+def _normal_chart_dgamma(exp: NormalExpansion, h: float = 1e-3) -> np.ndarray:
+    """d_k GammaHat^m_{ts}(0) of the normal chart constructed by exp, by differences.
 
     The chart is the composition q = q0 + eta(q0, xi); only the outer
     derivative d_k is numerical. The bundles at the 4 D stencil points come
     from one batched point_geometry call.
     """
-    q0 = np.asarray(q0, dtype=float)
-    exp = normal_expansion(spec, q0)
-    D = q0.shape[0]
+    D = exp.dim
     # xi = a h e_k for a in (2, 1, -1, -2), rows ordered (a, k)
     xis = (np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (h * np.eye(D))).reshape(-1, D)
-    geom = point_geometry(spec, q0 + np.array([eta_of_xi(exp, xi) for xi in xis]))
+    geom = point_geometry(exp.spec, exp.geom.q0 + np.array([eta_of_xi(exp, xi) for xi in xis]))
     gp2, gp1, gm1, gm2 = np.array([_chart_gamma(exp, xi, geom.row(j))
                                    for j, xi in enumerate(xis)]).reshape(4, D, D, D, D)
     return (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * h)  # [k, m, t, s]
@@ -262,9 +258,8 @@ def normal_curvature_check(spec: MetricSpec, q0, h: float = 1e-3) -> float:
     Returns the max-norm residual of that relation in the chart constructed
     from the truncated geodesic map (finite-difference outer derivative).
     """
-    q0 = np.asarray(q0, dtype=float)
-    geom = point_geometry(spec, q0)
-    dgh = _normal_chart_dgamma(spec, q0, h=h)   # [k, m, t, s]
-    Rp = geom.Riemann                            # [s, t, k, m]
+    exp = normal_expansion(spec, q0)
+    dgh = _normal_chart_dgamma(exp, h=h)   # [k, m, t, s]
+    Rp = exp.geom.Riemann                   # [s, t, k, m]
     expected = -(1.0 / 3.0) * (np.einsum("tksm->kmts", Rp) + np.einsum("sktm->kmts", Rp))
     return float(np.max(np.abs(dgh - expected)))

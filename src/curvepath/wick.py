@@ -24,27 +24,31 @@ independence of the assembled Boltzmann factor:
 A sharp symmetric mode cutoff does NOT reproduce these two entries: the
 kink of G at coincidence has a logarithmically divergent moment against the
 squared Dirichlet kernel, so the truncated triple sum drifts like log M in
-the first channel and misses the finite part of the second. The sharp sums
-are kept available (scheme="modes") as a diagnostic; the rule table
-(scheme="table") is the default and is what the acceptance suite validates.
+the first channel and misses the finite part of the second. The engine uses
+the rule table only, and the acceptance suite validates it; the sharp sums
+stay available as a diagnostic (second_order_mode_series).
+
+expand assembles a route's vertex list into the order-beta expansion
+B = 1 - <A> + 1/2 <A^2>; every route and check reads it.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import PointGeometry
-from .propagator import CounterPolynomial, PeriodicPropagator, _all
+from .propagator import CounterPolynomial, PeriodicPropagator
 
 __all__ = [
-    "Vertex", "ExpectationValue", "EngineError", "RouteError",
+    "Vertex", "EngineError", "RouteError",
     "pairings", "vertex_catalog", "expect_first_order",
     "expect_first_order_truncated", "expect_second_order_connected",
-    "check_divergence_cancellation", "richardson_limit", "smooth_coefficient",
+    "second_order_mode_series", "expand", "check_divergence_cancellation",
+    "richardson_limit", "smooth_coefficient",
 ]
 
 _LETTERS = "abcdefgh"
@@ -97,40 +101,6 @@ class Vertex:
         if self.measure_counter:
             return base * (2 * M + 1) / beta
         return base
-
-
-@dataclass
-class ExpectationValue:
-    counter_poly: CounterPolynomial | None = None
-    numeric_M_series: list[tuple[int, float]] = field(default_factory=list)
-    limit: float | None = None
-    limit_error: float = 0.0
-
-    @classmethod
-    def exact(cls, counter_poly: CounterPolynomial, M: int) -> "ExpectationValue":
-        """An exact counter polynomial with its value at cutoff M and, when
-        the counters cancel (at every point of a batch), its limit."""
-        return cls(counter_poly=counter_poly, numeric_M_series=[(M, counter_poly.value_at(M))],
-                   limit=counter_poly.finite_value() if _all(counter_poly.is_finite) else None)
-
-    def row(self, k) -> "ExpectationValue":
-        """The value, in floats, at index k of a batch (k = () for one point)."""
-        if self.counter_poly is not None:
-            (M, _), = self.numeric_M_series   # an exact value holds its one (M, value) pair
-            return ExpectationValue.exact(self.counter_poly.row(k), M)
-        def at(x) -> float:
-            return float(np.asarray(x)[k])
-        return ExpectationValue(numeric_M_series=[(m, at(v)) for m, v in self.numeric_M_series],
-                                limit=None if self.limit is None else at(self.limit),
-                                limit_error=at(self.limit_error))
-
-    def as_dict(self) -> dict:
-        return {
-            "counter_poly": self.counter_poly.as_dict() if self.counter_poly else None,
-            "numeric_M_series": [[int(m), v] for m, v in self.numeric_M_series],
-            "limit": self.limit,
-            "limit_error": self.limit_error,
-        }
 
 
 def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -226,11 +196,11 @@ def _second_order_plan(slots1: tuple[int, ...], slots2: tuple[int, ...]) -> tupl
 
 # --- first order ---------------------------------------------------------------
 
-def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> ExpectationValue:
+def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> CounterPolynomial:
     """<integral of the vertex> under the free measure, as a counter polynomial."""
     n = len(v.slots)
     if n % 2 == 1:
-        return ExpectationValue(counter_poly=CounterPolynomial(), limit=0.0)
+        return CounterPolynomial()
     pair_value = p.pair_counters()
     total = CounterPolynomial()
     for term in _first_order_plan(tuple(v.slots)):
@@ -238,8 +208,7 @@ def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) ->
         for t in term.equal_time:
             value = value * pair_value[t]
         total = total + value.scaled(term.contract((v.coeff,), geom.g_inv))
-    total = (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
-    return ExpectationValue.exact(total, p.M)
+    return (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
 
 
 def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> float:
@@ -339,14 +308,12 @@ def cross_integral_table(beta: float, types: Sequence[tuple[int, int]]) -> Count
     raise EngineError("distribution product with %d G'' lines not in the rule table" % n11)
 
 
-def cross_integral_modes(p: PeriodicPropagator, types: Sequence[tuple[int, int]],
-                         M: int | None = None) -> float:
-    """Sharp-cutoff evaluation: Kronecker-constrained mode sum over the lines.
+def cross_integral_modes(p: PeriodicPropagator, types: Sequence[tuple[int, int]], M: int) -> float:
+    """Sharp-cutoff evaluation at cutoff M: Kronecker-constrained mode sum over the lines.
 
     Exact at finite M; see the module docstring for why this scheme fails to
     converge for the two tabled singular channels.
     """
-    M = p.M if M is None else M
     beta = p.beta
     K = len(types)
     if K == 1:
@@ -384,61 +351,79 @@ def richardson_limit(series: Sequence[tuple[int, float]]) -> tuple[float, float]
     return r2, abs(r2 - v2)
 
 
-def expect_second_order_connected(
-    v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom: PointGeometry,
-    scheme: str = "table", m_series: Sequence[int] | None = None,
-) -> ExpectationValue:
-    """Connected <A_1 A_2> over the free measure.
-
-    scheme="table": rule-table cross integrals, exact counter polynomial.
-    scheme="modes": sharp-cutoff Kronecker sums on a doubling M-series with
-    a two-step Richardson limit (diagnostic; see module docstring).
-    """
-    n1, n2 = len(v1.slots), len(v2.slots)
-    if (n1 + n2) % 2 == 1:
-        return ExpectationValue(counter_poly=CounterPolynomial(), limit=0.0)
-    if n1 + n2 > 8:
+def _second_order_prefactor(v1: Vertex, v2: Vertex, p: PeriodicPropagator) -> CounterPolynomial:
+    """The product of the two vertex prefactors, within the engine's limits."""
+    if len(v1.slots) + len(v2.slots) > 8:
         raise EngineError("second-order slot count limited to 8")
     if v1.measure_counter and v2.measure_counter:
         raise EngineError("two measure-counter prefactors exceed the counter algebra")
-    pref = v1.prefactor(p.beta) * v2.prefactor(p.beta)
+    return v1.prefactor(p.beta) * v2.prefactor(p.beta)
+
+
+def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
+                                  geom: PointGeometry) -> CounterPolynomial:
+    """Connected <A_1 A_2> over the free measure, from the rule-table cross
+    integrals, as an exact counter polynomial."""
+    if (len(v1.slots) + len(v2.slots)) % 2 == 1:
+        return CounterPolynomial()
+    pref = _second_order_prefactor(v1, v2, p)
+    eq_value = p.pair_counters()
+    total = CounterPolynomial()
+    for term in _second_order_plan(tuple(v1.slots), tuple(v2.slots)):
+        x = cross_integral_table(p.beta, term.cross)
+        if x.constant == 0.0 and x.divergent_weight() == 0.0:
+            continue
+        value = x
+        try:
+            for t in term.equal_time:
+                value = value * eq_value[t]
+        except ValueError as exc:
+            raise EngineError(f"pairing outside the rule table: {exc}") from None
+        total = total + value.scaled(term.contract((v1.coeff, v2.coeff), geom.g_inv))
+    return (total * pref).scaled(p.beta)
+
+
+def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom: PointGeometry,
+                             ms: Sequence[int]) -> list[tuple[int, float]]:
+    """Connected <A_1 A_2> from sharp-cutoff Kronecker sums, as (M, value)
+    pairs at each cutoff of ms (a diagnostic; see the module docstring).
+    richardson_limit extrapolates a doubling series."""
+    pref = _second_order_prefactor(v1, v2, p)
     plan = _second_order_plan(tuple(v1.slots), tuple(v2.slots))
     eq_value = p.pair_counters()
-    coeffs = (v1.coeff, v2.coeff)
+    contractions = [term.contract((v1.coeff, v2.coeff), geom.g_inv) for term in plan]
+    series = []
+    for M in ms:
+        val = 0.0
+        for term, contraction in zip(plan, contractions):
+            x = cross_integral_modes(p, term.cross, M=M)
+            for t in term.equal_time:
+                x *= eq_value[t].value_at(M)
+            val += x * contraction
+        val *= pref.value_at(M) * p.beta
+        series.append((M, val))
+    return series
 
-    if scheme == "table":
-        total = CounterPolynomial()
-        for term in plan:
-            x = cross_integral_table(p.beta, term.cross)
-            if x.constant == 0.0 and x.divergent_weight() == 0.0:
-                continue
-            value = x
-            try:
-                for t in term.equal_time:
-                    value = value * eq_value[t]
-            except ValueError as exc:
-                raise EngineError(f"pairing outside the rule table: {exc}") from None
-            total = total + value.scaled(term.contract(coeffs, geom.g_inv))
-        return ExpectationValue.exact((total * pref).scaled(p.beta), p.M)
 
-    if scheme == "modes":
-        ms = list(m_series) if m_series else [p.M // 4 or 1, p.M // 2 or 2, p.M]
-        contractions = [term.contract(coeffs, geom.g_inv) for term in plan]
-        series = []
-        for M in ms:
-            val = 0.0
-            for term, contraction in zip(plan, contractions):
-                x = cross_integral_modes(p, term.cross, M=M)
-                for t in term.equal_time:
-                    x *= eq_value[t].value_at(M)
-                val += x * contraction
-            val *= pref.value_at(M) * p.beta
-            series.append((M, val))
-        limit, err = richardson_limit(series)
-        return ExpectationValue(counter_poly=None, numeric_M_series=series,
-                                limit=limit, limit_error=err)
-
-    raise EngineError(f"unknown scheme {scheme!r}")
+def expand(vertices: Sequence[Vertex], p: PeriodicPropagator, geom: PointGeometry
+           ) -> tuple[dict[str, CounterPolynomial], dict[str, CounterPolynomial]]:
+    """The order-beta expansion B = 1 - <A> + 1/2 <A^2> of a vertex list, as
+    (first, second): counter polynomials keyed by the report piece each
+    vertex feeds. Even vertices enter at first order, summed per piece in
+    list order. An odd vertex has no first-order value; it enters through
+    half its connected square, and at most one may (the square of a sum
+    would need the cross terms).
+    """
+    odd = [v for v in vertices if len(v.slots) % 2]
+    if len(odd) > 1:
+        raise RouteError(f"{len(odd)} odd vertices; at most one is squared")
+    first: dict[str, CounterPolynomial] = {}
+    for v in vertices:
+        if len(v.slots) % 2 == 0:
+            poly = expect_first_order(v, p, geom)
+            first[v.piece] = first[v.piece] + poly if v.piece in first else poly
+    second = {v.piece: expect_second_order_connected(v, v, p, geom).scaled(0.5) for v in odd}
+    return first, second
 
 
 # --- route catalogs --------------------------------------------------------------
@@ -496,11 +481,8 @@ def check_divergence_cancellation(route: str, geom: PointGeometry,
     if route not in ("covariant", "eta"):
         raise RouteError(f"route must be covariant or eta, got {route!r}")
     beta = p.beta
-    vertices = vertex_catalog(geom, beta, route)
-    first = CounterPolynomial()
-    for v in vertices:
-        ev = expect_first_order(v, p, geom)
-        first = first + ev.counter_poly
+    pieces, half_square = expand(vertex_catalog(geom, beta, route), p, geom)
+    first = sum(pieces.values(), CounterPolynomial())
     report: dict = {"route": route, "beta": beta}
 
     if route == "covariant":
@@ -515,8 +497,7 @@ def check_divergence_cancellation(route: str, geom: PointGeometry,
         })
         return report
 
-    cubic = next(v for v in vertices if len(v.slots) % 2)
-    second = expect_second_order_connected(cubic, cubic, p, geom).counter_poly.scaled(0.5)
+    second, = half_square.values()
     # coefficient of the coincidence delta in -<A> and +1/2 <A^2>
     d0_first = -beta * first.divergent_weight()
     d0_second = beta * second.divergent_weight()

@@ -51,9 +51,9 @@ def test_criterion_2_piece_values_exact_at_every_M():
     for M in (1, 5, 50):
         p = PeriodicPropagator(beta, M)
         vs = {v.label: v for v in vertex_catalog(geom, beta, "covariant")}
-        a_int = (expect_first_order(vs["quartic-curvature"], p, geom).counter_poly
-                 + expect_first_order(vs["measure"], p, geom).counter_poly)
-        a_fp = expect_first_order(vs["faddeev-popov"], p, geom).counter_poly
+        a_int = (expect_first_order(vs["quartic-curvature"], p, geom)
+                 + expect_first_order(vs["measure"], p, geom))
+        a_fp = expect_first_order(vs["faddeev-popov"], p, geom)
         worst = max(worst,
                     abs(a_int.value_at(M) / (geom.R * beta / 72) - 1),
                     abs(a_fp.value_at(M) / (geom.R * beta / 36) - 1))

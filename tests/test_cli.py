@@ -267,6 +267,11 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["partition", "--sphere-D", "2", "--beta", "0.1", "--point=0.1,0"], 2, "--point"),
     (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--point=5,5", "--beta", "0.1"],
      2, "--point"),
+    # a non-finite chart parameter is rejected where it enters, like a non-finite point
+    (["ecp", "--route", "covariant", "--builtin", "conformal2d:2", "--params", "a=nan",
+      "--point=0.1,0.2", "--beta", "0.1"], 1, "MetricError"),
+    (["ecp", "--route", "covariant", "--builtin", "conformal2d:2", "--params", "a=inf",
+      "--point=0.1,0.2", "--beta", "0.1"], 1, "MetricError"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -279,6 +284,14 @@ def test_bad_arguments_rejected(capsys, argv, code, needle):
         assert captured.out == "" and needle in captured.err
     else:
         assert json.loads(captured.out)["error"] == needle
+
+
+def test_non_finite_parameter_is_named(capsys):
+    code, out = run_cli(capsys, ["sweep", "--builtin", "conformal2d:2", "--params", "e=0.1,a=nan",
+                                 "--points=0.1,0.2", "--beta", "0.1"])
+    assert code == 1
+    assert json.loads(out) == {"error": "MetricError",
+                               "message": "parameter 'a' must be a finite number, got 'nan'"}
 
 
 def test_sweep_failure_names_the_first_offending_point(capsys):

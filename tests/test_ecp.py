@@ -338,7 +338,7 @@ def test_report_pieces_come_from_the_catalog(route, chart, point):
 def test_pieces_shared_by_vertices_are_summed():
     geom = sphere_geometry(2)
     p = PeriodicPropagator(0.1, 16)
-    shared = [expect_first_order(v, p, geom).counter_poly
+    shared = [expect_first_order(v, p, geom)
               for v in vertex_catalog(geom, 0.1, "sphere") if v.piece == "A_int"]
     assert len(shared) == 2
     got = boltzmann("sphere", geom, 0.1, 16).pieces["A_int"].counter_poly

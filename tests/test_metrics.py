@@ -70,6 +70,12 @@ def test_params_are_usable():
     assert eval_metric_value(spec, [0.5])[0, 0] == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), None, "-inf", "x"])
+def test_non_finite_params_are_rejected_by_name(value):
+    with pytest.raises(MetricError, match="parameter 'a' must be a finite number"):
+        parse_metric(metric_file(1, ["q1"], [["1 + a*q1^2"]], params={"a": value}))
+
+
 def test_builtin_flat():
     spec = builtin("flat", 3)
     assert np.allclose(eval_metric_value(spec, [0.1, -2.0, 5.0]), np.eye(3))

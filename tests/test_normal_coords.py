@@ -225,6 +225,52 @@ def test_batched_stencil_matches_per_point_calls(name, D, q0, monkeypatch):
         return point_geometry(spec, q)
 
     monkeypatch.setattr(normal_coords, "point_geometry", counted)
-    assert np.array_equal(_normal_chart_dgamma(spec, q0, h=h), out)
+    assert np.array_equal(_normal_chart_dgamma(normal_expansion(spec, q0), h=h), out)
     # the base point for the expansion, then one batch for the 4 D stencil points
     assert calls == [(D,), (4 * D, D)]
+
+
+def _count_point_geometry(monkeypatch) -> list:
+    """Record the point shape of every point_geometry call in normal_coords."""
+    calls = []
+
+    def counted(spec, q):
+        calls.append(np.shape(q))
+        return point_geometry(spec, q)
+
+    monkeypatch.setattr(normal_coords, "point_geometry", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,D,q0", [("sphere", 2, [0.3, 0.1]),
+                                       ("hyperbolic-ball", 3, [0.25, 0.1, -0.2]),
+                                       ("conformal2d", 2, [0.4, -0.3]),
+                                       ("sphere", 4, [0.2, -0.1, 0.15, 0.05])])
+def test_batched_base_point_stencil_matches_per_point_expansions(name, D, q0):
+    """deta_dq0_fd equals, bit for bit, the central differences of separate
+    normal_expansion calls at q0 +- h e_n."""
+    spec = builtin(name, D)
+    xi = 0.05 * np.random.default_rng(D).normal(size=D)
+    for h in (None, 1e-4):
+        step = 1e-5 * max(1.0, float(np.max(np.abs(q0)))) if h is None else h
+        want = np.empty((D, D))
+        for n in range(D):
+            e = np.zeros(D)
+            e[n] = step
+            ep = eta_of_xi(normal_expansion(spec, np.asarray(q0) + e), xi)
+            em = eta_of_xi(normal_expansion(spec, np.asarray(q0) - e), xi)
+            want[:, n] = (ep - em) / (2 * step)
+        assert np.array_equal(deta_dq0_fd(spec, q0, xi, h=h), want)
+
+
+@pytest.mark.parametrize("name,D,q0", [("sphere", 2, [0.3, 0.1]),
+                                       ("hyperbolic-ball", 3, [0.25, 0.1, -0.2])])
+def test_normal_maps_batch_their_point_geometry_calls(name, D, q0, monkeypatch):
+    spec = builtin(name, D)
+    exp = normal_expansion(spec, q0)
+    calls = _count_point_geometry(monkeypatch)
+    qbar_matrix(exp, np.full(D, 0.02))
+    assert calls == [(2 * D, D)]            # one batch for the 2 D base points
+    calls.clear()
+    normal_curvature_check(spec, q0)
+    assert calls == [(D,), (4 * D, D)]      # the base point, then the chart stencil
