@@ -27,7 +27,9 @@ and contract every vertex on it (NumPy releases the GIL in the FFT, matmul
 and einsum), and the per-sample actions are merged in substream order. Each
 sample's action is computed by the same operations whatever its chunk or
 thread, so the output is bit-identical at any worker count, and the fields
-are held one chunk per worker, never for a whole substream.
+are held one chunk per worker, never for a whole substream. The main thread
+allocates every large array once per call and the chunks reuse them, so the
+memory a run holds does not depend on how its threads interleave.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import collections
 import functools
 import math
 import os
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,23 +139,22 @@ def _omega(beta: float, M: int) -> np.ndarray:
 
 
 def _draw_modes(rng: np.random.Generator, beta: float, M: int, D: int,
-                nbatch: int) -> np.ndarray:
+                nbatch: int, out=None, normals=None) -> np.ndarray:
+    """(nbatch, D, M) complex modes, in out and via the float normals when given."""
     sd = np.sqrt(1.0 / (2.0 * beta * _omega(beta, M)**2))
     # the same draws as rng.normal(0.0, sd), which scales one standard normal
     # per entry, without its slower per-entry broadcasting
-    modes = np.empty((nbatch, D, M), dtype=complex)
-    np.multiply(rng.standard_normal(size=(nbatch, D, M)), sd, out=modes.real)
-    np.multiply(rng.standard_normal(size=(nbatch, D, M)), sd, out=modes.imag)
+    modes = np.empty((nbatch, D, M), dtype=complex) if out is None else out
+    normals = np.empty((nbatch, D, M)) if normals is None else normals
+    for part in (modes.real, modes.imag):
+        np.multiply(rng.standard_normal(out=normals), sd, out=part)
     return modes
 
 
-def _mode_field(modes: np.ndarray, beta: float, derivative: bool) -> np.ndarray:
-    """Fourier coefficients of the field, or of its derivative (-i omega_m xi_m)."""
-    return modes * (-1j * _omega(beta, modes.shape[-1])) if derivative else modes
-
-
-def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool) -> np.ndarray:
-    """Field values on the uniform grid tau_j = j beta / K.
+def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
+             out=None, spectrum=None) -> np.ndarray:
+    """Field values on the uniform grid tau_j = j beta / K (in out, with the
+    half spectrum in spectrum, when given).
 
     xi(tau) = sum_{m>0} [xi_m e^{-i omega_m tau} + conj], realized through a
     half-spectrum inverse FFT; the derivative multiplies modes by -i omega_m.
@@ -160,11 +162,12 @@ def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool) -> np.nda
     nbatch, D, M = modes.shape
     if K < 2 * M + 2:
         raise ValueError("grid too coarse for the mode content")
-    X = np.zeros((nbatch, D, M + 1), dtype=complex)
+    X = np.empty((nbatch, D, M + 1), dtype=complex) if spectrum is None else spectrum
+    X[:, :, 0] = 0.0
     np.conjugate(modes, out=X[:, :, 1:])
     if derivative:
         X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
-    return np.fft.irfft(X, n=K, axis=2, norm="forward")
+    return np.fft.irfft(X, n=K, axis=2, norm="forward", out=out)
 
 
 # Bytes of field, q and qd together, per chunk of samples (2 MB). A chunk is
@@ -191,17 +194,17 @@ def _substreams(D: int, M: int, n: int, seed: int) -> list[tuple[np.random.Gener
     return list(zip(_rng_streams(seed, len(sizes)), sizes))
 
 
-def _in_order(batches, ntasks: int, consume, ahead: int = 1) -> None:
+def _in_order(batches, workers: int, consume, ahead: int = 1) -> None:
     """Run the tasks of each batch and pass consume each batch's results,
     concatenated, in batch order, so the bits never depend on the worker count.
 
-    batches yields one list of zero-argument tasks per substream, ntasks in
-    all; producing a list is the main thread's share of the work. With more
-    than one task and more than one CPU the tasks run on a thread pool, and
-    the main thread produces the next batch while at most ahead batches wait
-    to be consumed. A single task, or a single CPU, starts no thread.
+    batches yields one list of zero-argument tasks per substream; producing
+    a list is the main thread's share of the work. With more than one worker
+    the tasks run on a pool of that many threads, and the main thread
+    produces the next batch while at most ahead batches wait to be consumed:
+    batch j + ahead + 1 is produced only after batch j was consumed, so its
+    tasks have all returned. One worker starts no thread.
     """
-    workers = min(_workers(), ntasks)
     if workers == 1:
         for tasks in batches:
             consume(np.concatenate([task() for task in tasks]))
@@ -248,56 +251,81 @@ def _frame_coeff(coeff: np.ndarray, geom: PointGeometry) -> np.ndarray:
 _CONTRACT_ELEMENTS = 1 << 15
 
 
-def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pair products a^i b^j of two (n, D, K) fields as an (n, D^2, K) array."""
+class _Workspace:
+    """The arrays one chunk of up to rows samples is written to: half spectrum,
+    grid fields, a derivative mode field and a product with a quadratic
+    vertex's coefficient, and the pair products of one contraction block."""
+
+    def __init__(self, rows: int, D: int, M: int, K: int):
+        self.spectrum = np.empty((rows, D, M + 1), dtype=complex)
+        self.q = np.empty((rows, D, K))
+        self.qd = np.empty((rows, D, K))
+        self.modes = np.empty((2, rows, D, M), dtype=complex)
+        self.pairs = np.empty((3, max(1, _CONTRACT_ELEMENTS // (D * D * K)), D * D, K))
+
+
+def _pair(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Pair products a^i b^j of two (n, D, K) fields in the (n, D^2, K) out."""
     n, D, K = a.shape
-    return (a[:, :, np.newaxis] * b[:, np.newaxis]).reshape(n, D * D, K)
+    np.multiply(a[:, :, np.newaxis], b[:, np.newaxis], out=out.reshape(n, D, D, K))
+    return out
 
 
 def _vertex_action(v: Vertex, coeff: np.ndarray, modes: np.ndarray, q: np.ndarray,
-                   qd: np.ndarray, beta: float, M: int) -> np.ndarray:
+                   qd: np.ndarray, beta: float, M: int, ws=None) -> np.ndarray:
     """Per-sample action of one vertex, with coeff its coefficient in the
     orthonormal frame (_frame_coeff): a quadratic one by Parseval from the
     modes (nbatch, D, M), a cubic or quartic one from the grid fields
-    (nbatch, D, K) as a factored contraction."""
+    (nbatch, D, K) as a factored contraction, with temporaries in ws."""
+    n, D, K = q.shape
+    ws = ws or _Workspace(n, D, M, K)
     if len(v.slots) == 2:
-        f, g = (_mode_field(modes, beta, s == 1) for s in v.slots)
-        h = np.matmul(coeff, g)
+        # the derivative field -i omega_m xi_m, formed once
+        if 1 in v.slots:
+            derivative = np.multiply(modes, -1j * _omega(beta, M), out=ws.modes[0, :n])
+        f, g = (derivative if s == 1 else modes for s in v.slots)
+        h = np.matmul(coeff, g, out=ws.modes[1, :n])
         # sum_m Re(f_m conj h_m) as two real dot products
         integral = 2.0 * beta * (np.einsum("nam,nam->n", f.real, h.real)
                                  + np.einsum("nam,nam->n", f.imag, h.imag))
         return v.prefactor_truncated(beta, M) * integral
-    n, D, K = q.shape
     if K <= len(v.slots) * M:
         raise ValueError("grid too coarse for an exact vertex integral")
     fields = [qd if s == 1 else q for s in v.slots]
     matrix = coeff.reshape(D * D, -1)
     integral = np.empty(n)
-    step = max(1, _CONTRACT_ELEMENTS // (D * D * K))
+    step = len(ws.pairs[0])
     for lo in range(0, n, step):
         f = [x[lo:lo + step] for x in fields]
         rows = len(f[0])
-        left = _pair(f[0], f[1])
+        left = _pair(f[0], f[1], ws.pairs[0, :rows])
         if len(f) == 3:
             right = f[2]
         else:  # a repeated pair, as in (q.qdot)^2, is formed once
-            right = left if v.slots[2:] == v.slots[:2] else _pair(f[2], f[3])
+            right = left if v.slots[2:] == v.slots[:2] else _pair(f[2], f[3], ws.pairs[1, :rows])
+        product = np.matmul(matrix, right, out=ws.pairs[2, :rows])
         integral[lo:lo + rows] = np.einsum("ij,ij->i", left.reshape(rows, -1),
-                                           np.matmul(matrix, right).reshape(rows, -1))
+                                           product.reshape(rows, -1))
     integral *= beta / K
     return v.prefactor_truncated(beta, M) * integral
 
 
-def _chunk_action(terms, beta: float, M: int, modes: np.ndarray) -> np.ndarray:
+def _chunk_action(terms, beta: float, M: int, modes: np.ndarray, spaces) -> np.ndarray:
     """Summed per-sample action of terms, (vertex, frame coefficient) pairs,
-    on one chunk of modes, from fields on the exact grid."""
+    on one chunk of modes, from fields on the exact grid written to a
+    _Workspace borrowed from the queue spaces."""
+    n = len(modes)
     K = _grid_size(M)
-    q = _to_grid(modes, beta, K, False)
-    qd = _to_grid(modes, beta, K, True)
-    a = np.zeros(len(modes))
-    for v, coeff in terms:
-        a += _vertex_action(v, coeff, modes, q, qd, beta, M)
-    return a
+    ws = spaces.get()
+    try:
+        q = _to_grid(modes, beta, K, False, ws.q[:n], ws.spectrum[:n])
+        qd = _to_grid(modes, beta, K, True, ws.qd[:n], ws.spectrum[:n])
+        a = np.zeros(n)
+        for v, coeff in terms:
+            a += _vertex_action(v, coeff, modes, q, qd, beta, M, ws)
+        return a
+    finally:
+        spaces.put(ws)
 
 
 def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: int,
@@ -307,19 +335,29 @@ def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: i
 
     The main thread draws each substream's modes and cuts them into chunks
     of _CHUNK_BYTES of field; the pool transforms and contracts the chunks
-    of one substream while the next is drawn."""
+    of one substream while the next is drawn. The main thread allocates the
+    arrays once: two slots of modes, used in turn (a slot is redrawn after
+    its batch was consumed), and a _Workspace per worker that each task
+    borrows, so the memory held does not depend on thread timing."""
     terms = [(v, _frame_coeff(v.coeff, geom)) for v in vertices]
     D = geom.dim
-    rows = max(1, _CHUNK_BYTES // (2 * D * _grid_size(M) * 8))
+    K = _grid_size(M)
+    rows = max(1, _CHUNK_BYTES // (2 * D * K * 8))
     streams = _substreams(D, M, n, seed)
+    workers = min(_workers(), sum(-(-size // rows) for _, size in streams))
+    slots = np.empty((min(2, len(streams)), streams[0][1], D, M), dtype=complex)
+    normals = np.empty(slots.shape[1:])
+    spaces = queue.SimpleQueue()
+    for _ in range(workers):
+        spaces.put(_Workspace(rows, D, M, K))
 
-    def chunks(rng, size):
-        modes = _draw_modes(rng, beta, M, D, size)
-        return [functools.partial(_chunk_action, terms, beta, M, modes[lo:lo + rows])
+    def chunks(j, rng, size):
+        modes = _draw_modes(rng, beta, M, D, size, slots[j % len(slots), :size], normals[:size])
+        return [functools.partial(_chunk_action, terms, beta, M, modes[lo:lo + rows], spaces)
                 for lo in range(0, size, rows)]
 
-    _in_order((chunks(rng, size) for rng, size in streams),
-              sum(-(-size // rows) for _, size in streams), consume)
+    _in_order((chunks(j, rng, size) for j, (rng, size) in enumerate(streams)),
+              workers, consume, ahead=1)
 
 
 def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
@@ -397,7 +435,7 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     streams = _substreams(D, M, n, seed)
     # one task per substream, so keep one per worker in flight
     _in_order(([functools.partial(products, rng, size)] for rng, size in streams),
-              len(streams), acc.add, ahead=_workers() - 1)
+              min(_workers(), len(streams)), acc.add, ahead=_workers() - 1)
     means, stderrs = acc.mean, acc.stderr()
     return [{"tau": t1, "taup": t2, "mean": float(means[k]), "stderr": float(stderrs[k]),
              "expected": p.green_modes((i1 - i2) * beta / K)}

@@ -403,6 +403,23 @@ def test_fields_are_held_one_chunk_at_a_time(monkeypatch, workers):
     assert peak < 40 * 2**20
 
 
+def test_chunks_reuse_one_workspace_per_worker(monkeypatch):
+    """The arrays of fields are allocated once per call, so the memory held
+    does not depend on thread timing: all 95 chunks of five substreams are
+    computed in the two workers' workspaces."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    real = montecarlo._vertex_action
+    seen = set()
+
+    def spy(*args):
+        seen.add(id(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "_vertex_action", spy)
+    mc_boltzmann("sphere", sphere_geometry(2), 0.04, 64, 20480, 1)
+    assert len(seen) == 2
+
+
 def test_errors_reach_the_caller_and_stop_the_pool(monkeypatch):
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     threads = threading.active_count()
