@@ -19,7 +19,7 @@ from . import __version__
 from .ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
                   sphere_geometry, sphere_route_partition)
 from .geometry import GeometryError, PointGeometry, geometry_blocks, point_geometry
-from .metrics import BUILTIN_NAMES, MetricError, builtin, finite_parameter, parse_metric
+from .metrics import BUILTIN_NAMES, MetricError, builtin, parse_metric
 from .montecarlo import mc_boltzmann
 from .propagator import PeriodicPropagator
 from .verify import run_suite
@@ -94,7 +94,7 @@ def _parse_params(text: str | None) -> dict:
         key, sep, value = piece.partition("=")
         if not sep or not key:
             raise MetricError(f"cannot parse parameter assignment {piece!r}")
-        out[key.strip()] = finite_parameter(key.strip(), value)
+        out[key.strip()] = value     # MetricSpec converts it and rejects a non-finite one
     return out
 
 

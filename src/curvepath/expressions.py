@@ -224,7 +224,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
-            return Num(float(tok.text))
+            try:
+                return Num(float(tok.text))
+            except ValueError:      # a digit float() does not read, such as '²'
+                raise ParseError(f"invalid number {tok.text!r}", tok.line, tok.col) from None
         if tok.kind == "ident":
             self.next()
             if self.peek().kind == "lparen":

@@ -7,16 +7,11 @@ normal-coordinate expansion of the metric carries the quadratic coefficient
 
   Gamma[m, s, t]        Christoffel of the second kind, symmetric in (s, t)
   dGamma[k, m, s, t]    partial derivative by coordinate k of Gamma[m, s, t]
-  GammaCov[s, t, k, m]  covariant-style derivative used by the geodesic
-                        series: dGamma[k, m, s, t] - 2 Gamma[n, k, s] Gamma[m, n, t]
-                        (a bookkeeping object, not a tensor)
   Riemann[s, t, k, m]   mixed curvature tensor; in terms of the textbook
                         R^m_{n a b} = d_a Gamma[m, b, n] - d_b Gamma[m, a, n]
                         + Gamma[m, a, r] Gamma[r, b, n] - Gamma[m, b, r] Gamma[r, a, n]
                         it is Riemann[s, t, k, m] = R^m_{k s t}; antisymmetric
                         in its first index pair
-  riemann_low[m, a, n, b]  fully lowered arrangement entering the quartic
-                        kinetic vertex: equals R^std_{a m n b}
   Ricci[n, b]           R^m_{n m b}, symmetric; R = g^{nb} Ricci[n, b]
   T[s, t]               d_m Gamma[m, s, t] - 2 Gamma[m, s, k] Gamma[k, m, t]
                         + Gamma[m, k, m] Gamma[k, s, t], symmetric part
@@ -58,9 +53,7 @@ class PointGeometry:
     sqrt_g: float
     Gamma: np.ndarray       # [m, s, t]
     dGamma: np.ndarray      # [k, m, s, t]
-    GammaCov: np.ndarray    # [s, t, k, m]
     Riemann: np.ndarray     # [s, t, k, m]
-    riemann_low: np.ndarray  # [m, a, n, b]
     Ricci: np.ndarray
     R: float
     T: np.ndarray
@@ -117,9 +110,12 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
 
     try:
         chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        point = q0[np.argmin(np.linalg.eigvalsh(g)[:, 0])]  # error path only
-        raise GeometryError(f"metric not positive definite at {point.tolist()}") from None
+    except np.linalg.LinAlgError:  # error path only: name the first point that fails alone
+        for point, gk in zip(q0, g):
+            try:
+                np.linalg.cholesky(gk)
+            except np.linalg.LinAlgError:
+                raise GeometryError(f"metric not positive definite at {point.tolist()}") from None
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
     singular = np.min(diag, axis=-1) ** 2 <= 1e-12 * np.max(diag, axis=-1) ** 2
     if singular.any():
@@ -140,16 +136,11 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     dGamma = (0.5 * np.einsum("...kmn,...nst->...kmst", dg_inv, term)
               + 0.5 * np.einsum("...mn,...knst->...kmst", g_inv, dterm))
 
-    GammaCov = (np.einsum("...kmst->...stkm", dGamma)
-                - 2.0 * np.einsum("...nks,...mnt->...stkm", Gamma, Gamma))
-
     # textbook mixed Riemann R^m_{n a b}
     r_std = (np.einsum("...ambn->...mnab", dGamma) - np.einsum("...bman->...mnab", dGamma)
              + np.einsum("...mar,...rbn->...mnab", Gamma, Gamma)
              - np.einsum("...mbr,...ran->...mnab", Gamma, Gamma))
     Riemann = np.einsum("...mkst->...stkm", r_std)
-    r_std_low = np.einsum("...mi,...inab->...mnab", g, r_std)
-    riemann_low = np.einsum("...amnb->...manb", r_std_low)
     Ricci = np.einsum("...mnmb->...nb", r_std)
     Ricci = 0.5 * (Ricci + np.swapaxes(Ricci, -1, -2))
     R = np.einsum("...nb,...nb->...", g_inv, Ricci)
@@ -166,8 +157,7 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
 
     return PointGeometry(
         q0=q0, g=g, g_inv=g_inv, sqrt_g=sqrt_g, Gamma=Gamma, dGamma=dGamma,
-        GammaCov=GammaCov, Riemann=Riemann, riemann_low=riemann_low,
-        Ricci=Ricci, R=R, T=T, V=V, divV=divV, dg=dg, ddg=ddg)
+        Riemann=Riemann, Ricci=Ricci, R=R, T=T, V=V, divV=divV, dg=dg, ddg=ddg)
 
 
 def divergence_identity_residual(spec: MetricSpec, q0: Sequence[float], h: float = 1e-3) -> float:

@@ -36,7 +36,10 @@ class DomainError(MetricError):
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A chart: dimension, coordinate names, and symmetric component expressions."""
+    """A chart: dimension, coordinate names, and symmetric component expressions.
+
+    Every parameter is converted to a float on construction, and a
+    non-finite one is a MetricError that names it."""
 
     name: str
     dim: int
@@ -45,7 +48,8 @@ class MetricSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        params = {name: finite_parameter(name, value) for name, value in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(params))
         if self.dim < 1:
             raise MetricError(f"dimension must be positive, got {self.dim}")
         if len(self.coords) != self.dim:
@@ -120,6 +124,9 @@ def parse_metric(source: str) -> MetricSpec:
         if key not in doc:
             raise MetricError(f"metric file missing field {key!r}")
     name = str(doc.get("name", "user-metric"))
+    if name in BUILTIN_NAMES:
+        # the name selects the builtin's domain check and partition grid
+        raise MetricError(f"metric name {name!r} is reserved for a builtin chart")
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise MetricError(f"'dim' must be a positive integer, got {dim!r}")
@@ -129,7 +136,6 @@ def parse_metric(source: str) -> MetricSpec:
     params = doc.get("params", {}) or {}
     if not isinstance(params, dict):
         raise MetricError("'params' must be an object of numbers")
-    params = {str(k): finite_parameter(str(k), v) for k, v in params.items()}
     g = doc["g"]
     if not isinstance(g, list) or len(g) != dim or any(
             not isinstance(row, list) or len(row) != dim for row in g):

@@ -6,15 +6,17 @@ chart displacement eta reached by following the geodesic for unit time:
     eta^m = xi^m - (1/2) Gamma^m_{st} xi^s xi^t
                  - (1/6) (d_k Gamma^m_{st} - 2 Gamma^m_{nt} Gamma^n_{ks}) xi^k xi^s xi^t
 
-(Taylor series of the geodesic flow; only the fully symmetric part of each
-coefficient block survives the contraction, stored here cyclically
-symmetrized over the lower indices.) The inverse map carries the opposite
-signs with the shifted coefficients
+(Taylor series of the geodesic flow; the cubic block is a bookkeeping
+object, not a tensor. Only the fully symmetric part of each coefficient
+block survives the contraction, stored here cyclically symmetrized over the
+lower indices.) The inverse map carries the opposite signs with the shifted
+coefficients
 
     tilde(k s t -> m) = d_k Gamma^m_{st} + Gamma^n_{ks} Gamma^m_{nt}.
 
 Maps are cubic, trace-logs quadratic: exactly the orders the two-loop
-expansion consumes.
+expansion consumes. The series helpers take leading batch axes, so each
+finite-difference stencil is evaluated in one call.
 """
 from __future__ import annotations
 
@@ -34,8 +36,8 @@ __all__ = [
 
 
 def _cyclic_sym3(t: np.ndarray) -> np.ndarray:
-    """Average over cyclic permutations of the first three indices."""
-    return (t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)) / 3.0
+    """Average over cyclic permutations of the first three of the last four indices."""
+    return (t + np.moveaxis(t, -4, -2) + np.moveaxis(t, -2, -4)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,17 @@ def normal_expansion(spec: MetricSpec, q0) -> NormalExpansion:
 
 
 def _expansion(spec: MetricSpec, geom: PointGeometry) -> NormalExpansion:
-    """The series coefficients at the point of the one-point bundle geom."""
+    """The series coefficients at every point of the bundle geom, with its
+    leading batch axes."""
     G = geom.Gamma                      # [m, s, t]
-    gamma_st_m = np.einsum("mst->stm", G)
+    gamma_st_m = np.einsum("...mst->...stm", G)
+    dG = np.einsum("...kmst->...stkm", geom.dGamma)
+    GG = np.einsum("...nks,...mnt->...stkm", G, G)
     eta_quad = -0.5 * gamma_st_m
-    eta_cub = -(1.0 / 6.0) * _cyclic_sym3(geom.GammaCov)
+    # cubic block [s, t, k, m]: dGamma[k, m, s, t] - 2 Gamma[n, k, s] Gamma[m, n, t]
+    eta_cub = -(1.0 / 6.0) * _cyclic_sym3(dG - 2.0 * GG)
     # inverted-series coefficients: tilde Gamma_{st k}^m = d_k Gamma^m_{st} + Gamma^n_{ks} Gamma^m_{nt}
-    tilde = (np.einsum("kmst->stkm", geom.dGamma)
-             + np.einsum("nks,mnt->stkm", G, G))
+    tilde = dG + GG
     xi_quad = 0.5 * gamma_st_m
     xi_cub = (1.0 / 6.0) * _cyclic_sym3(tilde)
     return NormalExpansion(geom=geom, spec=spec, eta_quad=eta_quad, eta_cub=eta_cub,
@@ -72,17 +77,16 @@ def _expansion(spec: MetricSpec, geom: PointGeometry) -> NormalExpansion:
 
 
 def _apply_series(quad: np.ndarray, cub: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + np.einsum("stm,s,t->m", quad, v, v)
-            + np.einsum("stkm,s,t,k->m", cub, v, v, v))
+    return (v + np.einsum("...stm,...s,...t->...m", quad, v, v)
+            + np.einsum("...stkm,...s,...t,...k->...m", cub, v, v, v))
 
 
 def _series_jacobian(quad: np.ndarray, cub: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The exact derivative d/dv^n of component m of _apply_series(quad, cub, v)."""
-    J = np.eye(v.shape[0])
-    J += 2.0 * np.einsum("ntm,t->mn", quad, v)
-    J += np.einsum("ntkm,t,k->mn", cub, v, v)
-    J += np.einsum("tnkm,t,k->mn", cub, v, v)
-    J += np.einsum("tknm,t,k->mn", cub, v, v)
+    J = np.eye(v.shape[-1]) + 2.0 * np.einsum("...ntm,...t->...mn", quad, v)
+    J += np.einsum("...ntkm,...t,...k->...mn", cub, v, v)
+    J += np.einsum("...tnkm,...t,...k->...mn", cub, v, v)
+    J += np.einsum("...tknm,...t,...k->...mn", cub, v, v)
     return J
 
 
@@ -173,8 +177,8 @@ def measure_trlog_eta(exp: NormalExpansion, eta) -> float:
 def deta_dq0_fd(spec: MetricSpec, q0, xi, h: float | None = None) -> np.ndarray:
     """d eta^m / d q0^n by central differences over the base point.
 
-    The bundles at the 2 D base points q0 +- h e_n come from one batched
-    point_geometry call.
+    The bundles and series at the 2 D base points q0 +- h e_n are evaluated
+    as one batch.
     """
     q0 = np.asarray(q0, dtype=float)
     xi = np.asarray(xi, dtype=float)
@@ -183,9 +187,7 @@ def deta_dq0_fd(spec: MetricSpec, q0, xi, h: float | None = None) -> np.ndarray:
         h = 1e-5 * max(1.0, float(np.max(np.abs(q0))))
     # rows ordered (n, sign): q0 + h e_0, q0 - h e_0, q0 + h e_1, ...
     steps = (np.eye(D)[:, None, :] * np.array([h, -h])[:, None]).reshape(-1, D)
-    geom = point_geometry(spec, q0 + steps)
-    eta = np.array([eta_of_xi(_expansion(spec, geom.row(j)), xi)
-                    for j in range(2 * D)]).reshape(D, 2, D)
+    eta = eta_of_xi(_expansion(spec, point_geometry(spec, q0 + steps)), xi).reshape(D, 2, D)
     return ((eta[:, 0] - eta[:, 1]) / (2 * h)).T
 
 
@@ -206,23 +208,23 @@ def qbar_matrix(exp: NormalExpansion, eta) -> np.ndarray:
 
 def _chart_gamma(exp: NormalExpansion, xi: np.ndarray, geom_q: PointGeometry) -> np.ndarray:
     """Christoffels GammaHat^m_{st} of the normal chart at xi, from the bundle
-    geom_q at q0 + eta(xi).
+    geom_q at q0 + eta(xi); xi and geom_q may carry the same leading batch axes.
 
     The pullback metric at xi is ghat(xi) = g(q0 + eta) J^T . J with
     J = d eta / d xi, and its first derivatives are propagated analytically.
     """
     J = deta_dxi(exp, xi)
     # second derivative of the truncated map wrt xi: dJ[a, m, n] = d_a J^m_n
-    dJ = 2.0 * np.einsum("anm->amn", exp.eta_quad) + _dJ_cubic(exp.eta_cub, xi)
-    ghat = np.einsum("uv,um,vn->mn", geom_q.g, J, J)
+    dJ = 2.0 * np.einsum("...anm->...amn", exp.eta_quad) + _dJ_cubic(exp.eta_cub, xi)
+    ghat = np.einsum("...uv,...um,...vn->...mn", geom_q.g, J, J)
     # d_a ghat_mn = d_l g_uv J^l_a J^u_m J^v_n + g_uv (dJ^u_am J^v_n + J^u_m dJ^v_an)
-    dghat = (np.einsum("luv,la,um,vn->amn", geom_q.dg, J, J, J)
-             + np.einsum("uv,aum,vn->amn", geom_q.g, dJ, J)
-             + np.einsum("uv,um,avn->amn", geom_q.g, J, dJ))
+    dghat = (np.einsum("...luv,...la,...um,...vn->...amn", geom_q.dg, J, J, J)
+             + np.einsum("...uv,...aum,...vn->...amn", geom_q.g, dJ, J)
+             + np.einsum("...uv,...um,...avn->...amn", geom_q.g, J, dJ))
     ghat_inv = np.linalg.inv(ghat)
-    term = (np.einsum("snt->nst", dghat) + np.einsum("tns->nst", dghat)
-            - np.einsum("nst->nst", dghat))
-    return 0.5 * np.einsum("mn,nst->mst", ghat_inv, term)
+    term = (np.einsum("...snt->...nst", dghat) + np.einsum("...tns->...nst", dghat)
+            - np.einsum("...nst->...nst", dghat))
+    return 0.5 * np.einsum("...mn,...nst->...mst", ghat_inv, term)
 
 
 def _normal_chart_dgamma(exp: NormalExpansion, h: float = 1e-3) -> np.ndarray:
@@ -235,19 +237,17 @@ def _normal_chart_dgamma(exp: NormalExpansion, h: float = 1e-3) -> np.ndarray:
     D = exp.dim
     # xi = a h e_k for a in (2, 1, -1, -2), rows ordered (a, k)
     xis = (np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (h * np.eye(D))).reshape(-1, D)
-    geom = point_geometry(exp.spec, exp.geom.q0 + np.array([eta_of_xi(exp, xi) for xi in xis]))
-    gp2, gp1, gm1, gm2 = np.array([_chart_gamma(exp, xi, geom.row(j))
-                                   for j, xi in enumerate(xis)]).reshape(4, D, D, D, D)
+    geom = point_geometry(exp.spec, exp.geom.q0 + eta_of_xi(exp, xis))
+    gp2, gp1, gm1, gm2 = _chart_gamma(exp, xis, geom).reshape(4, D, D, D, D)
     return (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * h)  # [k, m, t, s]
 
 
 def _dJ_cubic(c3: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """d_a of the cubic block's contribution to d eta^m / d xi^n."""
-    s1 = np.einsum("ankm,k->anm", c3, xi) + np.einsum("aknm,k->anm", c3, xi)
-    s2 = np.einsum("nakm,k->anm", c3, xi) + np.einsum("knam,k->anm", c3, xi)
-    s3 = np.einsum("nkam,k->anm", c3, xi) + np.einsum("kanm,k->anm", c3, xi)
-    out = s1 + s2 + s3
-    return np.einsum("anm->amn", out)
+    s1 = np.einsum("...ankm,...k->...anm", c3, xi) + np.einsum("...aknm,...k->...anm", c3, xi)
+    s2 = np.einsum("...nakm,...k->...anm", c3, xi) + np.einsum("...knam,...k->...anm", c3, xi)
+    s3 = np.einsum("...nkam,...k->...anm", c3, xi) + np.einsum("...kanm,...k->...anm", c3, xi)
+    return np.einsum("...anm->...amn", s1 + s2 + s3)
 
 
 def normal_curvature_check(spec: MetricSpec, q0, h: float = 1e-3) -> float:

@@ -436,7 +436,11 @@ def vertex_catalog(geom: PointGeometry, beta: float, route: str) -> list[Vertex]
     sphere route's are the same at every point and carry none."""
     D = geom.dim
     if route == "covariant":
-        quartic = (1.0 / 6.0) * np.einsum("...manb->...abmn", geom.riemann_low)
+        # the quartic vertex carries low[m, a, n, b] = R_{a m n b}, lowered from
+        # the textbook R^m_{n a b} = Riemann[a, b, n, m] (see geometry)
+        r_std = np.einsum("...stkm->...mkst", geom.Riemann)
+        low = np.einsum("...amnb->...manb", np.einsum("...mi,...inab->...mnab", geom.g, r_std))
+        quartic = (1.0 / 6.0) * np.einsum("...manb->...abmn", low)
         return [
             Vertex("quartic-curvature", quartic, (0, 0, 1, 1), piece="A_int4"),
             Vertex("measure", (1.0 / 6.0) * geom.Ricci, (0, 0), measure_counter=True,

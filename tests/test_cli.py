@@ -294,6 +294,30 @@ def test_non_finite_parameter_is_named(capsys):
                                "message": "parameter 'a' must be a finite number, got 'nan'"}
 
 
+@pytest.mark.parametrize("argv", [["partition", "--beta", "0.1", "--nodes", "8"],
+                                  ["geometry", "--point=0.9,0.9"]])
+def test_metric_file_named_after_a_builtin_is_rejected(tmp_path, capsys, argv):
+    # a flat metric named "sphere" would get the sphere's polar grid and domain
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"name": "sphere", "dim": 2, "coords": ["q1", "q2"],
+                                "g": [["1", "0"], [None, "1"]]}))
+    code, out = run_cli(capsys, argv + ["--metric", str(path)])
+    assert code == 1
+    assert json.loads(out) == {"error": "MetricError", "message":
+                               "metric name 'sphere' is reserved for a builtin chart"}
+
+
+def test_sweep_names_the_first_non_positive_definite_point(tmp_path, capsys):
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"name": "diag", "dim": 2, "coords": ["q1", "q2"],
+                                "g": [["q1", "0"], [None, "1"]]}))
+    code, out = run_cli(capsys, ["sweep", "--metric", str(path),
+                                 "--points=0.5,0;-0.1,0;-0.5,0", "--beta", "0.1"])
+    assert code == 1
+    assert json.loads(out) == {"error": "GeometryError",
+                               "message": "metric not positive definite at [-0.1, 0.0]"}
+
+
 def test_sweep_failure_names_the_first_offending_point(capsys):
     # with e = -0.1, R = 0.8 exp(-2 sigma): B = 1 - R beta / 24 <= 0 from the third point on
     code, out = run_cli(capsys, ["sweep", "--builtin", "conformal2d:2", "--params", "e=-0.1",

@@ -311,7 +311,9 @@ def test_sharp_mode_series_is_unchanged():
 @pytest.mark.parametrize("case", GOLDEN["exact"], ids=lambda c: " ".join(c["argv"]))
 def test_outputs_are_byte_identical_to_the_recorded_ones(case):
     """ecp on the sphere route, --seeley on every route and mc at fixed
-    seeds, recorded before the routes shared one driver."""
+    seeds, recorded before the routes shared one driver; geometry on seven
+    charts and a sweep of BLOCK_POINTS + 2 points (two geometry blocks),
+    recorded before the geometry bundle lost its single-reader fields."""
     assert _cli_stdout(case["argv"]) == case["stdout"]
 
 

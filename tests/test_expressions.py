@@ -30,6 +30,13 @@ def test_parse_error_has_location():
     assert err.value.line == 2
 
 
+def test_digit_float_cannot_read_is_a_located_parse_error():
+    # '²' is a str.isdigit() character that float() rejects
+    with pytest.raises(ex.ParseError) as err:
+        ex.parse("1 + ²")
+    assert (err.value.line, err.value.col) == (1, 5)
+
+
 def test_unknown_function_rejected():
     with pytest.raises(ex.ParseError):
         ex.parse("foo(q1)")
@@ -86,7 +93,7 @@ def test_print_parse_round_trip(node):
     assert ex.parse(ex.to_string(node)) == node
 
 
-@given(st.text(alphabet="q12+-*/^(). abesinxo", max_size=40))
+@given(st.text(alphabet="q12+-*/^(). abesinxo²", max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_parser_is_total(text):
     # fuzzed input either parses or raises a located ParseError, never crashes

@@ -159,3 +159,9 @@ def test_batch_error_names_offending_point(spec, error, match):
     qs = np.array([[0.5, 0.2], [0.9, 0.9], [0.3, -0.1]])[:, :spec.dim]
     with pytest.raises(error, match=match):
         point_geometry(spec, qs)
+
+
+def test_non_positive_definite_error_names_the_first_point_in_input_order():
+    # g = q1 fails at -0.1 and at -0.5; the later point has the smaller eigenvalue
+    with pytest.raises(GeometryError, match=r"positive definite at \[-0\.1\]$"):
+        point_geometry(_chart("q1"), [[0.5], [-0.1], [-0.5]])

@@ -74,6 +74,16 @@ def test_params_are_usable():
 def test_non_finite_params_are_rejected_by_name(value):
     with pytest.raises(MetricError, match="parameter 'a' must be a finite number"):
         parse_metric(metric_file(1, ["q1"], [["1 + a*q1^2"]], params={"a": value}))
+    # library callers of the builtin catalog meet the same check
+    with pytest.raises(MetricError, match="parameter 'a' must be a finite number"):
+        builtin("conformal2d", 2, {"a": value})
+
+
+@pytest.mark.parametrize("name", mx.BUILTIN_NAMES)
+def test_metric_file_may_not_take_a_builtin_name(name):
+    # the name would select that builtin's domain check and partition grid
+    with pytest.raises(MetricError, match=f"metric name '{name}' is reserved"):
+        parse_metric(metric_file(2, ["q1", "q2"], [["1", "0"], [None, "1"]], name=name))
 
 
 def test_builtin_flat():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -274,3 +277,25 @@ def test_normal_maps_batch_their_point_geometry_calls(name, D, q0, monkeypatch):
     calls.clear()
     normal_curvature_check(spec, q0)
     assert calls == [(D,), (4 * D, D)]      # the base point, then the chart stencil
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_normal_coords.json").read_text())
+
+
+@pytest.mark.parametrize("chart", GOLDEN)
+def test_normal_coordinate_arrays_match_the_recorded_ones(chart):
+    """The series coefficients and the finite-difference objects keep the bits
+    recorded when each stencil point was evaluated one bundle at a time."""
+    case = GOLDEN[chart]
+    name, _, dim = chart.partition(":")
+    spec = builtin(name, int(dim))
+    q0 = case["q0"]
+    exp = normal_expansion(spec, q0)
+    got = {"eta_quad": exp.eta_quad, "eta_cub": exp.eta_cub, "xi_quad": exp.xi_quad,
+           "xi_cub": exp.xi_cub, "deta_dq0_fd": deta_dq0_fd(spec, q0, case["xi"]),
+           "qbar_matrix": qbar_matrix(exp, case["eta"]),
+           "_normal_chart_dgamma": _normal_chart_dgamma(exp),
+           "normal_curvature_check": normal_curvature_check(spec, q0)}
+    for key, value in got.items():
+        # compared as JSON text, so a flipped sign of zero fails too
+        assert json.dumps(np.asarray(value).tolist()) == json.dumps(case[key]), key
