@@ -14,8 +14,8 @@ from .normal_coords import (NormalExpansion, normal_expansion, eta_of_xi, xi_of_
 from .propagator import CounterPolynomial, PeriodicPropagator
 from .wick import (Vertex, vertex_catalog, expect_first_order, expect_second_order_connected,
                    expand, check_divergence_cancellation)
-from .ecp import (ExpectationValue, ExpansionReport, boltzmann, sphere_geometry, seeley_density,
-                  partition_function, QuadratureGrid, sphere_area, sphere_route_partition)
+from .ecp import (ExpansionReport, boltzmann, sphere_geometry, seeley_density, partition_function,
+                  QuadratureGrid, sphere_area, sphere_route_partition)
 from .montecarlo import (PathSample, McEstimate, sample_modes,
                          mc_vertex_expectation, mc_boltzmann, mc_two_point)
 
@@ -29,7 +29,7 @@ __all__ = [
     "CounterPolynomial", "PeriodicPropagator",
     "Vertex", "vertex_catalog", "expect_first_order", "expect_second_order_connected",
     "expand", "check_divergence_cancellation",
-    "ExpectationValue", "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
+    "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
     "partition_function", "QuadratureGrid", "sphere_area", "sphere_route_partition",
     "PathSample", "McEstimate", "sample_modes", "mc_vertex_expectation",
     "mc_boltzmann", "mc_two_point",

@@ -27,7 +27,8 @@ from .wick import EngineError, RouteError
 
 _GRID_NODES = 32  # nodes per axis of a partition grid without --nodes
 _SPHERE_M = 16  # cutoff of partition --sphere-D without --M
-_FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError)
+_FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError,
+                  MemoryError)
 
 
 def _positive(kind):
@@ -396,7 +397,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stdout)
+        # NumPy raises a private subclass of MemoryError; report the public name
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        json.dump({"error": name, "message": str(exc)}, sys.stdout)
         sys.stdout.write("\n")
         return 1
 

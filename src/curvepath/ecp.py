@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,62 +21,34 @@ from .propagator import CounterPolynomial, PeriodicPropagator, _all
 from .wick import expand, richardson_limit, second_order_mode_series, vertex_catalog
 
 __all__ = [
-    "ExpectationValue", "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
+    "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
     "QuadratureGrid", "partition_function", "sphere_area", "sphere_route_partition",
 ]
 
 
 @dataclass
-class ExpectationValue:
-    """One report piece: an exact counter polynomial, or the sharp-cutoff
-    diagnostic's (M, value) series with its Richardson limit."""
-
-    counter_poly: CounterPolynomial | None = None
-    numeric_M_series: list[tuple[int, float]] = field(default_factory=list)
-    limit: float | None = None
-    limit_error: float = 0.0
-
-    @classmethod
-    def exact(cls, counter_poly: CounterPolynomial, M: int) -> "ExpectationValue":
-        """An exact counter polynomial with its value at cutoff M and, when
-        the counters cancel (at every point of a batch), its limit."""
-        return cls(counter_poly=counter_poly, numeric_M_series=[(M, counter_poly.value_at(M))],
-                   limit=counter_poly.finite_value() if _all(counter_poly.is_finite) else None)
-
-    def row(self, k) -> "ExpectationValue":
-        """The value, in floats, at index k of a batch (k = () for one point)."""
-        if self.counter_poly is not None:
-            (M, _), = self.numeric_M_series   # an exact value holds its one (M, value) pair
-            return ExpectationValue.exact(self.counter_poly.row(k), M)
-        def at(x) -> float:
-            return float(np.asarray(x)[k])
-        return ExpectationValue(numeric_M_series=[(m, at(v)) for m, v in self.numeric_M_series],
-                                limit=None if self.limit is None else at(self.limit),
-                                limit_error=at(self.limit_error))
-
-    def as_dict(self) -> dict:
-        return dict(vars(self), counter_poly=self.counter_poly and self.counter_poly.as_dict())
-
-
-@dataclass
 class ExpansionReport:
     """B on one route at the points of a bundle. q0 has shape (*batch, D),
-    and R, the pieces' values and the B fields have the batch shape: () for
-    one point, (N,) for N points."""
+    and R, the pieces' coefficients and the B fields have the batch shape:
+    () for one point, (N,) for N points. pieces holds the counter polynomial
+    of each piece, as wick.expand returns it; sharp_modes maps a squared
+    piece to its sharp-cutoff diagnostic, ((M, value) series, Richardson
+    limit, limit error)."""
 
     route: str
     q0: np.ndarray | list[float]
     beta: float
     M: int
     R: float
-    pieces: dict[str, ExpectationValue] = field(default_factory=dict)
-    B_coefficient: float = 0.0
-    B_value: float = 1.0
-    veff: float = 0.0
-    covariant_expected: float = 0.0
-    discrepancy: float = 0.0
-    noncovariant_defect: float = 0.0
-    include_fp: bool = True
+    pieces: dict[str, CounterPolynomial]
+    B_coefficient: float
+    B_value: float
+    veff: float
+    covariant_expected: float
+    discrepancy: float
+    noncovariant_defect: float
+    include_fp: bool
+    sharp_modes: dict[str, tuple[list[tuple[int, float]], float, float]]
 
     def row(self, k) -> "ExpansionReport":
         """The one-point report, with float fields and q0 a list, at index k
@@ -85,15 +57,30 @@ class ExpansionReport:
             return float(np.asarray(x)[k])
         return ExpansionReport(
             route=self.route, q0=np.asarray(self.q0)[k].tolist(), beta=self.beta, M=self.M,
-            R=at(self.R), pieces={name: value.row(k) for name, value in self.pieces.items()},
+            R=at(self.R), pieces={name: poly.row(k) for name, poly in self.pieces.items()},
             B_coefficient=at(self.B_coefficient), B_value=at(self.B_value), veff=at(self.veff),
             covariant_expected=at(self.covariant_expected), discrepancy=at(self.discrepancy),
-            noncovariant_defect=at(self.noncovariant_defect), include_fp=self.include_fp)
+            noncovariant_defect=at(self.noncovariant_defect), include_fp=self.include_fp,
+            sharp_modes={name: ([(m, at(v)) for m, v in series], at(limit), at(error))
+                         for name, (series, limit, error) in self.sharp_modes.items()})
 
     def as_dict(self) -> dict:
-        """The fields in order, each piece as a dict of its fields."""
-        return dict(vars(self), q0=list(self.q0),
-                    pieces={name: value.as_dict() for name, value in self.pieces.items()})
+        """The fields in order, in the expansion-report-v1 layout: each piece
+        as its counter polynomial, its value at M and its limit (None unless
+        the counters cancel), each sharp-cutoff diagnostic right after its
+        piece."""
+        pieces = {}
+        for name, poly in self.pieces.items():
+            pieces[name] = {"counter_poly": poly.as_dict(),
+                            "numeric_M_series": [(self.M, poly.value_at(self.M))],
+                            "limit": poly.finite_value() if _all(poly.is_finite) else None,
+                            "limit_error": 0.0}
+            if name in self.sharp_modes:
+                series, limit, error = self.sharp_modes[name]
+                pieces[name + "_sharp_modes"] = {"counter_poly": None, "numeric_M_series": series,
+                                                 "limit": limit, "limit_error": error}
+        fields = dict(vars(self), q0=list(self.q0), pieces=pieces)
+        return {name: value for name, value in fields.items() if name != "sharp_modes"}
 
 
 def _require(ok, geom: PointGeometry, message) -> None:
@@ -102,25 +89,6 @@ def _require(ok, geom: PointGeometry, message) -> None:
     if not _all(ok):
         k = np.unravel_index(np.argmin(ok), np.shape(ok))
         raise ValueError(f"{message(k)} at {geom.q0[k].tolist()}")
-
-
-def _finalize(report: ExpansionReport, total: CounterPolynomial,
-              geom: PointGeometry) -> ExpansionReport:
-    beta = report.beta
-    _require(total.is_finite, geom, lambda k: f"counter polynomial is divergent: {total.row(k)}")
-    coeff = total.finite_value() / beta
-    report.B_coefficient = coeff
-    report.B_value = 1.0 - coeff * beta
-    _require(report.B_value > 0, geom,
-             lambda k: f"B = 1 - c1 beta = {float(np.asarray(report.B_value)[k])!r} <= 0: "
-                       f"beta = {beta!r} is outside the range of the order-beta expansion")
-    # math.log per point: NumPy's vectorised log differs from libm in the last bit
-    report.veff = np.reshape([-math.log(b) / beta for b in np.ravel(report.B_value).tolist()],
-                             np.shape(report.B_value))
-    report.covariant_expected = report.R / 24.0
-    report.discrepancy = abs(coeff - report.covariant_expected)
-    report.noncovariant_defect = report.covariant_expected - coeff
-    return report
 
 
 def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: bool = True,
@@ -139,24 +107,30 @@ def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: 
     """
     p = PeriodicPropagator(beta, M)
     vertices = [v for v in vertex_catalog(geom, beta, route) if include_fp or v.piece != "A_FP"]
-    report = ExpansionReport(route=route, q0=geom.q0, beta=beta, M=M, R=geom.R,
-                             include_fp=include_fp)
     first, second = expand(vertices, p, geom)
-    total = functools.reduce(operator.add, first.values())
-    for piece, poly in first.items():
-        report.pieces[piece] = ExpectationValue.exact(poly, M)
-    for piece, half_square in second.items():
-        report.pieces[piece] = ExpectationValue.exact(half_square, M)
-        total = total - half_square
-        if with_mode_series:
-            v = next(v for v in vertices if v.piece == piece)
-            ms = [m for m in (16, 32, 64, 128, 256, 512, 1024) if m <= max(M, 16)]
-            series = second_order_mode_series(v, v, p, geom, ms)
-            limit, limit_error = richardson_limit(series)
-            report.pieces[piece + "_sharp_modes"] = ExpectationValue(
-                numeric_M_series=[(m, 0.5 * x) for m, x in series],
-                limit=0.5 * limit, limit_error=0.5 * limit_error)
-    report = _finalize(report, total, geom)
+    total = functools.reduce(operator.sub, second.values(),
+                             functools.reduce(operator.add, first.values()))
+    ms = [m for m in (16, 32, 64, 128, 256, 512, 1024) if m <= max(M, 16)]
+    sharp_modes = {}
+    for v in [v for v in vertices if with_mode_series and v.piece in second]:
+        series = second_order_mode_series(v, v, p, geom, ms)
+        limit, limit_error = richardson_limit(series)
+        sharp_modes[v.piece] = ([(m, 0.5 * x) for m, x in series], 0.5 * limit, 0.5 * limit_error)
+    _require(total.is_finite, geom, lambda k: f"counter polynomial is divergent: {total.row(k)}")
+    coeff = (total.constant + total.coeff_nall) / beta   # total.finite_value(), checked above
+    B_value = 1.0 - coeff * beta
+    _require(B_value > 0, geom,
+             lambda k: f"B = 1 - c1 beta = {float(np.asarray(B_value)[k])!r} <= 0: "
+                       f"beta = {beta!r} is outside the range of the order-beta expansion")
+    # math.log per point: NumPy's vectorised log differs from libm in the last bit
+    veff = np.reshape([-math.log(b) / beta for b in np.ravel(B_value).tolist()],
+                      np.shape(B_value))
+    expected = geom.R / 24.0
+    report = ExpansionReport(
+        route=route, q0=geom.q0, beta=beta, M=M, R=geom.R, pieces=first | second,
+        B_coefficient=coeff, B_value=B_value, veff=veff, covariant_expected=expected,
+        discrepancy=abs(coeff - expected), noncovariant_defect=expected - coeff,
+        include_fp=include_fp, sharp_modes=sharp_modes)
     return report if geom.q0.ndim == 2 else report.row(())
 
 

@@ -394,9 +394,11 @@ def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom
     contractions = [term.contract((v1.coeff, v2.coeff), geom.g_inv) for term in plan]
     series = []
     for M in ms:
+        sums = {cross: cross_integral_modes(p, cross, M=M)
+                for cross in dict.fromkeys(term.cross for term in plan)}
         val = 0.0
         for term, contraction in zip(plan, contractions):
-            x = cross_integral_modes(p, term.cross, M=M)
+            x = sums[term.cross]
             for t in term.equal_time:
                 x *= eq_value[t].value_at(M)
             val += x * contraction

@@ -1,0 +1,20 @@
+import re
+from pathlib import Path
+
+import curvepath
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in curvepath.__all__ if not hasattr(curvepath, name)]
+    assert not missing
+
+
+def test_readme_library_example_uses_only_exported_names():
+    """The example is matched, not run: its mc_boltzmann draws 10^5 samples."""
+    section = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    used = set(re.findall(r"\bcp\.(\w+)", block))
+    assert "boltzmann" in used
+    assert used <= set(curvepath.__all__), sorted(used - set(curvepath.__all__))

@@ -1,8 +1,13 @@
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -404,3 +409,29 @@ def test_fuzzed_argv_ends_with_one_json_document(argv):
     assert code in (0, 1, 2), argv
     if code in (0, 1):
         json.loads(out.getvalue())
+
+
+def _cap_address_space():
+    """In the child: a 4 GiB address space, so a request of tens of GiB fails
+    at once whatever the memory of the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    # 4M + 1 = 2^32 - 3, so the grid size is found at once; the modes need 32 GiB
+    ["mc", "--route", "sphere", "--D", "2", "--beta", "0.1", "--M", "1073741823",
+     "--samples", "1"],
+    # 100000 Gauss-Legendre nodes need a 74.5 GiB companion matrix
+    ["partition", "--builtin", "flat:2", "--bounds=0:1;0:1", "--beta", "0.1",
+     "--nodes", "100000"],
+], ids=["mc", "partition"])
+def test_memory_error_is_one_json_error_document(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "curvepath.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=_cap_address_space)
+    assert done.returncode == 1, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["error"] == "MemoryError"
+    assert doc["message"].startswith("Unable to allocate")

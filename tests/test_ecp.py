@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvepath import cli, ecp
+from curvepath import cli, ecp, wick
 from curvepath.ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
                            sphere_area, sphere_geometry, sphere_route_partition)
 from curvepath.geometry import BLOCK_POINTS, geometry_blocks, point_geometry
 from curvepath.metrics import builtin, embedding_to_stereographic, parse_metric
 from curvepath.propagator import PeriodicPropagator
-from curvepath.wick import RouteError, expect_first_order, vertex_catalog
+from curvepath.wick import (RouteError, cross_integral_modes, expand, expect_first_order,
+                            vertex_catalog)
 
 
 def test_covariant_flat_is_unity():
@@ -45,9 +46,9 @@ def test_covariant_piece_values():
     geom = point_geometry(builtin("sphere", 3), [0.1, 0.2, -0.1])
     beta = 0.4
     rep = boltzmann("covariant", geom, beta, 32)
-    a_int = (rep.pieces["A_int4"].counter_poly + rep.pieces["A_meas"].counter_poly)
+    a_int = rep.pieces["A_int4"] + rep.pieces["A_meas"]
     assert a_int.finite_value() == pytest.approx(geom.R * beta / 72, rel=1e-12)
-    assert rep.pieces["A_FP"].limit == pytest.approx(geom.R * beta / 36, rel=1e-12)
+    assert rep.pieces["A_FP"].finite_value() == pytest.approx(geom.R * beta / 36, rel=1e-12)
 
 
 def test_eta_route_matches_covariant():
@@ -93,16 +94,45 @@ def test_eta_reduces_to_covariant_in_geodesic_chart():
     eta = boltzmann("eta", geom, 0.1, 32)
     cov = boltzmann("covariant", geom, 0.1, 32)
     assert eta.B_coefficient == pytest.approx(cov.B_coefficient, abs=1e-9)
-    assert eta.pieces["A_second_order"].counter_poly.value_at(32) == pytest.approx(0.0,
-                                                                                   abs=1e-15)
+    assert eta.pieces["A_second_order"].value_at(32) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_eta_mode_series_attached():
     geom = point_geometry(builtin("sphere", 2), [0.3, 0.0])
     rep = boltzmann("eta", geom, 0.1, 128, with_mode_series=True)
-    series = rep.pieces["A_second_order_sharp_modes"].numeric_M_series
+    series, _, _ = rep.sharp_modes["A_second_order"]
     assert len(series) >= 3
     assert series[-1][0] == 128
+
+
+def test_mode_series_sums_each_cross_signature_once_per_cutoff(monkeypatch):
+    """The eta cubic square has 6 plan terms but 2 cross-line signatures, so
+    the cutoffs 16, 32 and 64 take 6 sharp sums, not 18."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return cross_integral_modes(*args, **kwargs)
+
+    monkeypatch.setattr(wick, "cross_integral_modes", counting)
+    geom = point_geometry(builtin("sphere", 2), [0.3, 0.1])
+    boltzmann("eta", geom, 0.1, 64, with_mode_series=True)
+    assert len(calls) == 6 and len(set(calls)) == 2
+
+
+def test_batched_report_pieces_are_the_expansion_polynomials(monkeypatch):
+    returned = []
+
+    def recording(*args):
+        returned.append(expand(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(ecp, "expand", recording)
+    geom = point_geometry(builtin("conformal2d", 2), [[0.4, -0.3], [0.1, 0.2]])
+    rep = boltzmann("eta", geom, 0.1, 16)
+    (first, second), = returned
+    assert list(rep.pieces) == [*first, *second]
+    assert all(rep.pieces[name] is poly for name, poly in {**first, **second}.items())
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
@@ -111,8 +141,8 @@ def test_sphere_route_values(D):
     rep = boltzmann("sphere", sphere_geometry(D), beta, 16)
     assert rep.B_coefficient == pytest.approx(D * (D - 1) / 24.0, abs=1e-14)
     assert rep.B_value == pytest.approx(1 - D * (D - 1) * beta / 24.0, abs=1e-14)
-    assert rep.pieces["A_int"].limit == pytest.approx(-D * beta / 24, abs=1e-14)
-    assert rep.pieces["A_FP"].limit == pytest.approx(D * D * beta / 24, abs=1e-14)
+    assert rep.pieces["A_int"].finite_value() == pytest.approx(-D * beta / 24, abs=1e-14)
+    assert rep.pieces["A_FP"].finite_value() == pytest.approx(D * D * beta / 24, abs=1e-14)
 
 
 def test_sphere_route_d3_value():
@@ -313,7 +343,9 @@ def test_outputs_are_byte_identical_to_the_recorded_ones(case):
     """ecp on the sphere route, --seeley on every route and mc at fixed
     seeds, recorded before the routes shared one driver; geometry on seven
     charts and a sweep of BLOCK_POINTS + 2 points (two geometry blocks),
-    recorded before the geometry bundle lost its single-reader fields."""
+    recorded before the geometry bundle lost its single-reader fields; and
+    eta --mode-series at one and two cutoffs and covariant pieces without a
+    limit, recorded while each report piece was still a wrapper object."""
     assert _cli_stdout(case["argv"]) == case["stdout"]
 
 
@@ -333,8 +365,9 @@ def test_report_pieces_come_from_the_catalog(route, chart, point):
     no_fp = boltzmann(route, geom, 0.1, 16, include_fp=False)
     assert list(no_fp.pieces) == [p for p in want if p != "A_FP"]
     assert not no_fp.include_fp
-    series = boltzmann(route, geom, 0.1, 16, with_mode_series=True).pieces
-    assert list(series) == want + [p + "_sharp_modes" for p in odd]
+    series = boltzmann(route, geom, 0.1, 16, with_mode_series=True)
+    assert list(series.pieces) == want and list(series.sharp_modes) == odd
+    assert list(series.as_dict()["pieces"]) == want + [p + "_sharp_modes" for p in odd]
 
 
 def test_pieces_shared_by_vertices_are_summed():
@@ -343,7 +376,7 @@ def test_pieces_shared_by_vertices_are_summed():
     shared = [expect_first_order(v, p, geom)
               for v in vertex_catalog(geom, 0.1, "sphere") if v.piece == "A_int"]
     assert len(shared) == 2
-    got = boltzmann("sphere", geom, 0.1, 16).pieces["A_int"].counter_poly
+    got = boltzmann("sphere", geom, 0.1, 16).pieces["A_int"]
     assert got.as_dict() == (shared[0] + shared[1]).as_dict()
 
 
