@@ -248,8 +248,8 @@ def cmd_partition(args) -> int:
         args.nodes = _GRID_NODES  # resolved here, so the config echo shows it
     if args.polar is not None:
         grid = QuadratureGrid(kind="polar", rmax=args.polar, n=args.nodes)
-    elif spec.name == "sphere" and spec.dim == 2:
-        grid = QuadratureGrid(kind="sphere-polar", n=args.nodes)
+    elif spec.default_grid is not None:
+        grid = QuadratureGrid(kind=spec.default_grid, n=args.nodes)
     else:
         if args.bounds is None:
             sys.stderr.write("curvepath partition: error: a box grid needs --bounds lo:hi;...\n")

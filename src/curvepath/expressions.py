@@ -8,18 +8,26 @@ powers are written via sqrt composition.
 
 Parsing is total: any input either parses or raises ParseError with a
 line/column location, never an uncaught crash.
+
+Evaluation runs a compiled Program: straight-line code over the distinct
+subtrees of a list of expressions, so a repeated subtree is computed once. A
+MetricSpec compiles its components once, when it is constructed, and every
+evaluation of the spec runs that shared program; evaluate(node, env)
+compiles its one node.
 """
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 from .jets import JET_FUNCTIONS, Jet2
 
 __all__ = [
     "Expression", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "ParseError", "EvalError", "parse", "to_string", "evaluate", "free_identifiers",
+    "ParseError", "EvalError", "Program", "parse", "to_string", "compile_program", "evaluate",
 ]
 
 FUNCTION_NAMES = tuple(sorted(JET_FUNCTIONS))
@@ -39,7 +47,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    pass
+    root: int | None = None  # set by Program.run: the expression that failed
 
 
 @dataclass(frozen=True)
@@ -300,65 +308,103 @@ def to_string(node: Expression) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def free_identifiers(node: Expression) -> set[str]:
-    if isinstance(node, Num):
-        return set()
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_identifiers(node.arg)
-    if isinstance(node, BinOp):
-        return free_identifiers(node.left) | free_identifiers(node.right)
-    if isinstance(node, Pow):
-        return free_identifiers(node.base)
-    if isinstance(node, Call):
-        return free_identifiers(node.arg)
-    raise TypeError(f"not an expression node: {node!r}")
+# --- compilation and evaluation ---------------------------------------------
 
+@dataclass(frozen=True)
+class Program:
+    """Straight-line code over the distinct subtrees of a list of expressions.
 
-# --- evaluation ---------------------------------------------------------------
-
-def evaluate(node: Expression, env: Mapping[str, object]):
-    """Evaluate over floats or Jet2, depending on what env holds.
-
-    Literals stay plain floats; Jet2 arithmetic takes them as constants.
+    Instruction k sets slot k: ("num", value, None), ("var", name, None),
+    ("neg", slot, None), (op, slot, slot) for op in + - * /, ("^", slot,
+    exponent) or ("call", slot, function). Instructions keep the tree-walk
+    post-order of each subtree's first occurrence. roots[e] is the slot of
+    expression e; owners[k] is the first expression holding instruction k.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+
+    code: tuple[tuple[str, object, object], ...]
+    roots: tuple[int, ...]
+    owners: tuple[int, ...]
+
+    def run(self, env: Mapping[str, object]) -> list:
+        """Each expression's value over floats or Jet2, depending on what env
+        holds. Literals stay plain floats; Jet2 arithmetic takes them as
+        constants. No operation changes an operand, so a slot can feed many."""
+        values: list = []
+        for k, (op, a, b) in enumerate(self.code):
+            try:
+                values.append(_execute(op, a, b, values, env))
+            except EvalError as exc:
+                exc.root = self.owners[k]
+                raise
+        return [values[slot] for slot in self.roots]
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _execute(op: str, a, b, values: list, env: Mapping[str, object]):
+    if op == "num":
+        return a
+    if op == "var":
         try:
-            return env[node.name]
+            return env[a]
         except KeyError:
-            raise EvalError(f"unknown identifier {node.name!r}") from None
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
-    if isinstance(node, BinOp):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
+            raise EvalError(f"unknown identifier {a!r}") from None
+    if op == "neg":
+        return -values[a]
+    if op == "call":
+        arg = values[a]
         try:
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            if node.op == "*":
-                return left * right
-            return left / right
-        except ZeroDivisionError:
-            raise EvalError("division by zero during evaluation") from None
-    if isinstance(node, Pow):
-        base = evaluate(node.base, env)
+            return (JET_FUNCTIONS if isinstance(arg, Jet2) else _MATH_FUNCTIONS)[b](arg)
+        except (ValueError, OverflowError) as exc:
+            raise EvalError(str(exc)) from None
+    if op == "^":
         try:
-            return base ** node.exponent
+            return values[a] ** b
         except ZeroDivisionError:
             raise EvalError("division by zero during evaluation") from None
         except OverflowError:
             raise EvalError("overflow during evaluation") from None
-    if isinstance(node, Call):
-        arg = evaluate(node.arg, env)
-        try:
-            if isinstance(arg, Jet2):
-                return JET_FUNCTIONS[node.func](arg)
-            return _MATH_FUNCTIONS[node.func](arg)
-        except (ValueError, OverflowError) as exc:
-            raise EvalError(str(exc)) from None
-    raise TypeError(f"not an expression node: {node!r}")
+    try:
+        return _BINARY[op](values[a], values[b])
+    except ZeroDivisionError:
+        raise EvalError("division by zero during evaluation") from None
+
+
+def compile_program(nodes: Sequence[Expression]) -> Program:
+    """The program of nodes, one root each; equal subtrees share a slot."""
+    code: list[tuple[str, object, object]] = []
+    owners: list[int] = []
+    slots: dict[tuple, int] = {}
+
+    def visit(node: Expression, owner: int) -> int:
+        if isinstance(node, Num):
+            v = node.value
+            instruction = ("num", v, None)
+            # keyed by its bits, so that 0.0 and -0.0 are never merged
+            key = ("num", type(v), struct.pack("<d", v))
+        elif isinstance(node, Var):
+            key = instruction = ("var", node.name, None)
+        elif isinstance(node, Neg):
+            key = instruction = ("neg", visit(node.arg, owner), None)
+        elif isinstance(node, BinOp):
+            key = instruction = (node.op, visit(node.left, owner), visit(node.right, owner))
+        elif isinstance(node, Pow):
+            key = instruction = ("^", visit(node.base, owner), node.exponent)
+        elif isinstance(node, Call):
+            key = instruction = ("call", visit(node.arg, owner), node.func)
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        if key not in slots:
+            slots[key] = len(code)
+            code.append(instruction)
+            owners.append(owner)
+        return slots[key]
+
+    roots = tuple(visit(node, owner) for owner, node in enumerate(nodes))
+    return Program(tuple(code), roots, tuple(owners))
+
+
+def evaluate(node: Expression, env: Mapping[str, object]):
+    """One expression over floats or Jet2, by compiling and running it."""
+    return compile_program([node]).run(env)[0]

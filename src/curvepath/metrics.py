@@ -39,13 +39,19 @@ class MetricSpec:
     """A chart: dimension, coordinate names, and symmetric component expressions.
 
     Every parameter is converted to a float on construction, and a
-    non-finite one is a MetricError that names it."""
+    non-finite one is a MetricError that names it. The components are
+    compiled once, row by row, into one program (every evaluation runs it).
+    domain "unit-ball" admits only points with |q| < 1; default_grid names
+    the partition grid used when none is asked for."""
 
     name: str
     dim: int
     coords: tuple[str, ...]
     components: tuple[tuple[ex.Expression, ...], ...]  # D x D, symmetric
     params: Mapping[str, float] = field(default_factory=dict)
+    domain: str | None = None
+    default_grid: str | None = None
+    program: ex.Program = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         params = {name: finite_parameter(name, value) for name, value in self.params.items()}
@@ -56,17 +62,23 @@ class MetricSpec:
             raise MetricError(f"expected {self.dim} coordinate names, got {len(self.coords)}")
         if len(self.components) != self.dim or any(len(r) != self.dim for r in self.components):
             raise MetricError("component array must be D x D")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.components[i][j] != self.components[j][i]:
+        if self.domain not in (None, "unit-ball"):
+            raise MetricError(f"unknown domain {self.domain!r}")
+        D = self.dim
+        program = ex.compile_program([c for row in self.components for c in row])
+        object.__setattr__(self, "program", program)
+        for i in range(D):
+            for j in range(D):
+                if program.roots[i * D + j] != program.roots[j * D + i]:
                     raise MetricError(f"component array not symmetric at ({i}, {j})")
         allowed = set(self.coords) | set(self.params)
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                unknown = ex.free_identifiers(self.components[i][j]) - allowed
-                if unknown:
-                    raise MetricError(
-                        f"unknown identifier(s) {sorted(unknown)} in component ({i}, {j})")
+        unknown = [(owner, name) for (op, name, _), owner in zip(program.code, program.owners)
+                   if op == "var" and name not in allowed]
+        if unknown:  # the first component that has one, with all of its own
+            first = unknown[0][0]
+            names = sorted(name for owner, name in unknown if owner == first)
+            i, j = divmod(first, D)
+            raise MetricError(f"unknown identifier(s) {names} in component ({i}, {j})")
 
     def check_domain(self, q: Sequence[float]) -> np.ndarray:
         """q as a float array of shape (D,) or (N, D), every point inside the chart
@@ -74,7 +86,7 @@ class MetricSpec:
         q = np.asarray(q, dtype=float)
         if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
             raise MetricError(f"point has wrong dimension {q.shape}, expected ({self.dim},)")
-        if self.name in ("sphere", "hyperbolic-ball"):
+        if self.domain == "unit-ball":
             points = q.reshape(-1, self.dim)
             outside = ~(np.sum(points * points, axis=-1) < 1.0)
             if outside.any():
@@ -125,7 +137,7 @@ def parse_metric(source: str) -> MetricSpec:
             raise MetricError(f"metric file missing field {key!r}")
     name = str(doc.get("name", "user-metric"))
     if name in BUILTIN_NAMES:
-        # the name selects the builtin's domain check and partition grid
+        # outputs report the chart by name, so a file's chart may not pass for a builtin
         raise MetricError(f"metric name {name!r} is reserved for a builtin chart")
     dim = doc["dim"]
     if not isinstance(dim, int) or dim < 1:
@@ -196,7 +208,9 @@ def _builtin_spec(name: str, D: int, params: tuple[tuple[str, float], ...]) -> M
     components = _builtin_components(name, D)
     defaults = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1} if name == "conformal2d" else {}
     return MetricSpec(name=name, dim=D, coords=_coords(D), components=components,
-                      params={**defaults, **dict(params)})
+                      params={**defaults, **dict(params)},
+                      domain="unit-ball" if name in ("sphere", "hyperbolic-ball") else None,
+                      default_grid="sphere-polar" if (name, D) == ("sphere", 2) else None)
 
 
 def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], ...]:
@@ -227,28 +241,35 @@ def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], .
 
 # --- evaluation ---------------------------------------------------------------
 
+def _component_values(spec: MetricSpec, coordinates: dict, qv: np.ndarray) -> list:
+    """The spec's program at qv: one value per component, row by row."""
+    try:
+        return spec.program.run({**coordinates, **spec.params})
+    except ex.EvalError as exc:
+        i, j = divmod(exc.root, spec.dim)
+        raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
+
+
 def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
     """g_{mu nu}(q) with exact first and second partials.
 
     q has shape (D,) or (N, D); every jet carries the leading axes of q, so
-    each component is evaluated once for all points.
+    the program runs once for all points.
     """
     qv = spec.check_domain(q)
     D = spec.dim
-    env: dict[str, object] = {
-        name: Jet2.coordinate(qv[..., i], i, D) for i, name in enumerate(spec.coords)
-    }
-    env.update(spec.params)
+    env = {name: Jet2.coordinate(qv[..., i], i, D) for i, name in enumerate(spec.coords)}
+    try:
+        values = _component_values(spec, env, qv)
+    except MetricError:
+        if qv.ndim == 2:
+            for point in qv:  # error path only: name the offending point
+                eval_metric_jet(spec, point)
+        raise
     out: list[list[Jet2]] = [[None] * D for _ in range(D)]  # type: ignore
     for i in range(D):
         for j in range(i, D):
-            try:
-                jet = ex.evaluate(spec.components[i][j], env)
-            except ex.EvalError as exc:
-                if qv.ndim == 2:
-                    for point in qv:  # error path only: name the offending point
-                        eval_metric_jet(spec, point)
-                raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
+            jet = values[i * D + j]
             if not isinstance(jet, Jet2):
                 jet = Jet2.constant(np.full(qv.shape[:-1], jet), D)
             out[i][j] = out[j][i] = jet
@@ -258,16 +279,8 @@ def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
 def eval_metric_value(spec: MetricSpec, q: Sequence[float]) -> np.ndarray:
     """g_{mu nu}(q) values only."""
     qv = spec.check_domain(q)
-    env: dict[str, object] = {name: float(qv[i]) for i, name in enumerate(spec.coords)}
-    env.update({k: float(v) for k, v in spec.params.items()})
-    g = np.empty((spec.dim, spec.dim))
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            try:
-                g[i, j] = ex.evaluate(spec.components[i][j], env)
-            except ex.EvalError as exc:
-                raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
-    return g
+    env = {name: float(qv[i]) for i, name in enumerate(spec.coords)}
+    return np.array(_component_values(spec, env, qv), dtype=float).reshape(spec.dim, spec.dim)
 
 
 # --- chart correspondence for the unit sphere ---------------------------------

@@ -55,15 +55,14 @@ __all__ = [
 def _grid_size(M: int) -> int:
     """Points of the integration grid at cutoff M: the smallest K > 4M whose
     only prime factors are 2 and 3, exact for products of four fields."""
-    K = 4 * M + 1
-    while True:
-        rest = K
-        for p in (2, 3):
-            while rest % p == 0:
-                rest //= p
-        if rest == 1:
-            return K
-        K += 1
+    best, power3 = None, 1
+    while best is None or power3 < best:     # K = 2^a 3^b, smallest over b
+        K = power3
+        while K <= 4 * M:
+            K *= 2
+        best = K if best is None else min(best, K)
+        power3 *= 3
+    return best
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -101,3 +103,125 @@ def test_parser_is_total(text):
         ex.parse(text)
     except ex.ParseError as err:
         assert err.line >= 1 and err.col >= 1
+
+
+# --- property: the compiled program equals a tree walk, bit for bit -------------
+
+_MATH = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log, "sin": math.sin,
+         "cos": math.cos, "tan": math.tan, "sinh": math.sinh, "cosh": math.cosh}
+
+
+def walk(node, env):
+    """Reference: evaluate a tree recursively, as the package once did."""
+    if isinstance(node, ex.Num):
+        return node.value
+    if isinstance(node, ex.Var):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise ex.EvalError(f"unknown identifier {node.name!r}") from None
+    if isinstance(node, ex.Neg):
+        return -walk(node.arg, env)
+    if isinstance(node, ex.BinOp):
+        left, right = walk(node.left, env), walk(node.right, env)
+        try:
+            return {"+": lambda: left + right, "-": lambda: left - right,
+                    "*": lambda: left * right, "/": lambda: left / right}[node.op]()
+        except ZeroDivisionError:
+            raise ex.EvalError("division by zero during evaluation") from None
+    if isinstance(node, ex.Pow):
+        base = walk(node.base, env)
+        try:
+            return base ** node.exponent
+        except ZeroDivisionError:
+            raise ex.EvalError("division by zero during evaluation") from None
+        except OverflowError:
+            raise ex.EvalError("overflow during evaluation") from None
+    arg = walk(node.arg, env)
+    try:
+        if isinstance(arg, Jet2):
+            return getattr(arg, node.func)()
+        return _MATH[node.func](arg)
+    except (ValueError, OverflowError) as exc:
+        raise ex.EvalError(str(exc)) from None
+
+
+def outcome(fn):
+    """Bits of a float or Jet2 result, or the EvalError message."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            value = fn()
+        except ex.EvalError as exc:
+            return "EvalError", str(exc)
+    parts = (value.value, value.grad, value.hess) if isinstance(value, Jet2) else (value,)
+    return type(value).__name__, [np.asarray(p, dtype=float).tobytes() for p in parts]
+
+
+def shared_expressions_strategy():
+    """Random trees in which some operands are one subtree used twice."""
+    leaves = st.one_of(
+        st.floats(min_value=-9.5, max_value=9.5, allow_nan=False).map(ex.Num),
+        st.sampled_from(["q1", "q2", "alpha"]).map(ex.Var),
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children).map(
+                lambda t: ex.BinOp(t[0], t[1], t[2])),
+            st.tuples(st.sampled_from("+-*/"), children).map(
+                lambda t: ex.BinOp(t[0], t[1], ex.Neg(t[1]))),
+            st.tuples(st.sampled_from("+*"), children).map(
+                lambda t: ex.BinOp(t[0], t[1], t[1])),
+            children.map(ex.Neg),
+            st.tuples(children, st.integers(-3, 3)).map(lambda t: ex.Pow(t[0], t[1])),
+            st.tuples(st.sampled_from(ex.FUNCTION_NAMES), children).map(
+                lambda t: ex.Call(t[0], t[1])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+def environments(q1, q2, alpha):
+    """A float environment, a one-point Jet2 one and a three-point Jet2 one."""
+    batch = np.array([q1, q2, q1 * q2])
+    return ({"q1": q1, "q2": q2, "alpha": alpha},
+            {"q1": Jet2.coordinate(q1, 0, 2), "q2": Jet2.coordinate(q2, 1, 2), "alpha": alpha},
+            {"q1": Jet2.coordinate(batch, 0, 2), "q2": Jet2.coordinate(batch[::-1], 1, 2),
+             "alpha": alpha})
+
+
+coordinate = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+
+
+@given(st.lists(shared_expressions_strategy(), min_size=1, max_size=3),
+       coordinate, coordinate, coordinate)
+@settings(max_examples=200, deadline=None)
+def test_program_matches_the_tree_walk_bit_for_bit(nodes, q1, q2, alpha):
+    # the nodes share one program, and the first failing one names its root
+    nodes = nodes + [nodes[0]]
+    program = ex.compile_program(nodes)
+    for env in environments(q1, q2, alpha):
+        expected = [outcome(lambda node=node: walk(node, env)) for node in nodes]
+        assert [outcome(lambda node=node: ex.evaluate(node, env)) for node in nodes] == expected
+        failing = [k for k, (kind, _) in enumerate(expected) if kind == "EvalError"]
+        try:
+            with np.errstate(all="ignore"):
+                values = program.run(env)
+        except ex.EvalError as exc:
+            assert failing and exc.root == failing[0]
+            assert ("EvalError", str(exc)) == expected[failing[0]]
+        else:
+            assert not failing and [outcome(lambda v=v: v) for v in values] == expected
+
+
+FAILING = ["1 / (q1 - q1)", "alpha / (q2 - q2) + q1", "sqrt(-exp(q1))", "log(q1 - q1)",
+           "sqrt(q1) * log(q2)", "q1 + (q2 - q2)^-2", "sin(q1) / (sin(q1) - sin(q1))"]
+
+
+@pytest.mark.parametrize("source", FAILING)
+def test_failures_give_the_tree_walk_message(source):
+    node = ex.parse(source)
+    for env in environments(-0.5, 0.25, 1.5):
+        expected = outcome(lambda: walk(node, env))
+        assert expected[0] == "EvalError" and outcome(lambda: ex.evaluate(node, env)) == expected

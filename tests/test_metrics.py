@@ -1,9 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import re
+
+from curvepath import expressions as ex
 from curvepath import metrics as mx
+from curvepath.geometry import point_geometry
 from curvepath.metrics import (DomainError, MetricError, builtin,
                                embedding_to_stereographic, eval_metric_jet,
                                eval_metric_value, parse_metric,
@@ -81,7 +86,7 @@ def test_non_finite_params_are_rejected_by_name(value):
 
 @pytest.mark.parametrize("name", mx.BUILTIN_NAMES)
 def test_metric_file_may_not_take_a_builtin_name(name):
-    # the name would select that builtin's domain check and partition grid
+    # outputs report the chart by name, so a file's chart may not pass for a builtin
     with pytest.raises(MetricError, match=f"metric name '{name}' is reserved"):
         parse_metric(metric_file(2, ["q1", "q2"], [["1", "0"], [None, "1"]], name=name))
 
@@ -108,6 +113,56 @@ def test_sphere_domain_error():
     spec = builtin("sphere", 2)
     with pytest.raises(DomainError):
         eval_metric_jet(spec, [0.9, 0.9])
+
+
+def flat_components(D):
+    return tuple(tuple(ex.Num(1.0 if i == j else 0.0) for j in range(D)) for i in range(D))
+
+
+def test_domain_and_default_grid_come_from_the_spec_not_its_name():
+    # a library chart may take a builtin's name; it keeps its own (whole) domain
+    spec = mx.MetricSpec(name="sphere", dim=2, coords=("q1", "q2"), components=flat_components(2))
+    assert (spec.domain, spec.default_grid) == (None, None)
+    assert np.array_equal(eval_metric_value(spec, [0.9, 0.9]), np.eye(2))
+    assert point_geometry(spec, [0.9, 0.9]).R == 0.0
+    for name in ("sphere", "hyperbolic-ball"):
+        message = f"point [0.9, 0.9] outside domain of chart '{name}'"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            eval_metric_jet(builtin(name, 2), [0.9, 0.9])
+        assert builtin(name, 3).domain == "unit-ball"
+    assert builtin("sphere", 2).default_grid == "sphere-polar"
+    assert [builtin(n, 2).default_grid for n in ("sphere-stereographic", "hyperbolic-ball")] \
+        == [None, None] and builtin("sphere", 3).default_grid is None
+    with pytest.raises(MetricError, match="unknown domain 'torus'"):
+        mx.MetricSpec(name="t", dim=1, coords=("q1",), components=flat_components(1),
+                      domain="torus")
+
+
+def count_operations(node):
+    """Non-leaf nodes a tree walk visits."""
+    children = [getattr(node, f) for f in ("arg", "left", "right", "base") if hasattr(node, f)]
+    return (len(children) > 0) + sum(count_operations(c) for c in children)
+
+
+def test_compiled_program_shares_repeated_subtrees():
+    sphere = builtin("sphere", 4)
+    upper = [sphere.components[i][j] for i in range(4) for j in range(i, 4)]
+    operations = [op for op, _, _ in sphere.program.code if op not in ("num", "var")]
+    assert sum(map(count_operations, upper)) == 104 and len(operations) == 28
+    ball = builtin("hyperbolic-ball", 3).program
+    assert ball.roots[0] == ball.roots[4] == ball.roots[8]
+    # -0.0 == 0.0, but the literals have different bits and keep separate slots
+    q1 = ex.Var("q1")
+    g11 = ex.BinOp("+", ex.Num(1.0), ex.BinOp("*", ex.Num(0.0), q1))
+    g22 = ex.BinOp("+", ex.Num(1.0), ex.BinOp("*", ex.Num(-0.0), q1))
+    spec = mx.MetricSpec(name="zeros", dim=2, coords=("q1", "q2"),
+                         components=((g11, ex.Num(-0.0)), (ex.Num(-0.0), g22)))
+    literals = [a for op, a, _ in spec.program.code if op == "num" and a == 0.0]
+    assert [math.copysign(1.0, a) for a in literals] == [1.0, -1.0]
+    jets = eval_metric_jet(spec, [0.5, 0.25])
+    assert np.signbit(jets[0][0].grad).tolist() == [False, False]
+    assert np.signbit(jets[1][1].grad).tolist() == [True, True]
+    assert np.signbit(eval_metric_value(spec, [0.5, 0.25])[0, 1])
 
 
 def test_sphere_d1_jets():

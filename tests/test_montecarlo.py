@@ -240,6 +240,25 @@ def test_exact_grid_is_the_smallest_2_3_smooth_size_above_4M():
         assert not any(smooth(k) for k in range(4 * M + 1, K))
 
 
+def _grid_size_by_steps(M):
+    """The former search: step K up from 4M + 1 to the first 2-3-smooth size."""
+    K = 4 * M + 1
+    while True:
+        rest = K
+        for p in (2, 3):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return K
+        K += 1
+
+
+def test_grid_size_enumerates_the_smooth_sizes_it_used_to_step_through():
+    assert all(_grid_size(M) == _grid_size_by_steps(M) for M in range(1, 5001))
+    # the stepping search needs 76863487 steps here, the enumeration a few dozen
+    assert _grid_size(10**9) == 4076863488 == 2**24 * 3**5
+
+
 def test_moments_keep_their_digits_at_a_large_mean():
     rng = np.random.default_rng(4)
     x = 1e8 + rng.normal(size=10000)
