@@ -16,8 +16,7 @@ from .wick import (Vertex, vertex_catalog, expect_first_order, expect_second_ord
                    expand, check_divergence_cancellation)
 from .ecp import (ExpansionReport, boltzmann, sphere_geometry, seeley_density, partition_function,
                   QuadratureGrid, sphere_area, sphere_route_partition)
-from .montecarlo import (PathSample, McEstimate, sample_modes,
-                         mc_vertex_expectation, mc_boltzmann, mc_two_point)
+from .montecarlo import McEstimate, mc_vertex_expectation, mc_boltzmann, mc_two_point
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "expand", "check_divergence_cancellation",
     "ExpansionReport", "boltzmann", "sphere_geometry", "seeley_density",
     "partition_function", "QuadratureGrid", "sphere_area", "sphere_route_partition",
-    "PathSample", "McEstimate", "sample_modes", "mc_vertex_expectation",
-    "mc_boltzmann", "mc_two_point",
+    "McEstimate", "mc_vertex_expectation", "mc_boltzmann", "mc_two_point",
     "__version__",
 ]

@@ -21,8 +21,8 @@ from .ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
 from .geometry import GeometryError, PointGeometry, geometry_blocks, point_geometry
 from .metrics import BUILTIN_NAMES, MetricError, builtin, parse_metric
 from .montecarlo import mc_boltzmann
-from .propagator import PeriodicPropagator
-from .verify import run_suite
+from .propagator import CounterPolynomial, PeriodicPropagator
+from .verify import SUITES, run_suite
 from .wick import EngineError, RouteError
 
 _GRID_NODES = 32  # nodes per axis of a partition grid without --nodes
@@ -150,7 +150,7 @@ def cmd_geometry(args) -> int:
 
 def cmd_propagator(args) -> int:
     p = PeriodicPropagator(args.beta, args.M)
-    table = p.equal_time_table()
+    pairs = p.pair_counters()
     _emit({
         "schema": "curvepath/propagator-v1",
         "beta": args.beta,
@@ -159,10 +159,11 @@ def cmd_propagator(args) -> int:
         "taup": args.taup,
         "green_closed": p.green_closed(args.tau, args.taup),
         "green_modes": p.green_modes(args.tau, args.taup),
-        "green0": table["green0"].as_dict(),
-        "green0_truncated": table["green0_truncated"],
-        "ddgreen0": table["ddgreen0"].as_dict(),
-        "delta_measure0": table["delta_measure0"].as_dict(),
+        "green0": pairs[(0, 0)].as_dict(),
+        "green0_truncated": p.green0_truncated(),
+        "ddgreen0": pairs[(1, 1)].as_dict(),
+        # the measure's coincidence delta counts all N_all = 2M + 1 eigenmodes
+        "delta_measure0": CounterPolynomial(coeff_nall=1.0 / p.beta).as_dict(),
     }, args)
     return 0
 
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=cmd_partition)
 
     v = sub.add_parser("verify", help="run invariant suites")
-    v.add_argument("suite", nargs="?", default="all")
+    v.add_argument("suite", nargs="?", default="all", choices=("all", *SUITES))
     v.set_defaults(func=cmd_verify)
     return ap
 

@@ -107,6 +107,11 @@ def geometry_blocks(spec: MetricSpec, points: np.ndarray) -> Iterator[PointGeome
 def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     """The bundle at every row of q0, shape (N, D)."""
     g, dg, ddg = _jet_arrays(spec, q0)
+    if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
+        # error path only: name the first point with a non-finite entry
+        k = next(k for k in range(len(q0))
+                 if not all(np.isfinite(a[k]).all() for a in (g, dg, ddg)))
+        raise GeometryError(f"metric or its derivatives not finite at {q0[k].tolist()}")
 
     try:
         chol = np.linalg.cholesky(g)

@@ -19,7 +19,7 @@ from .jets import Jet2
 
 __all__ = [
     "MetricSpec", "MetricError", "DomainError", "parse_metric", "finite_parameter", "builtin",
-    "eval_metric_jet", "eval_metric_value", "BUILTIN_NAMES",
+    "eval_metric_jet", "BUILTIN_NAMES",
     "embedding_to_stereographic", "stereographic_to_embedding",
 ]
 
@@ -79,6 +79,12 @@ class MetricSpec:
             names = sorted(name for owner, name in unknown if owner == first)
             i, j = divmod(first, D)
             raise MetricError(f"unknown identifier(s) {names} in component ({i}, {j})")
+
+    def __hash__(self) -> int:
+        # the fields == compares, with params as sorted items (a mapping is
+        # unhashable); the program follows from the components
+        return hash((self.name, self.dim, self.coords, self.components,
+                     tuple(sorted(self.params.items())), self.domain, self.default_grid))
 
     def check_domain(self, q: Sequence[float]) -> np.ndarray:
         """q as a float array of shape (D,) or (N, D), every point inside the chart
@@ -241,15 +247,6 @@ def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], .
 
 # --- evaluation ---------------------------------------------------------------
 
-def _component_values(spec: MetricSpec, coordinates: dict, qv: np.ndarray) -> list:
-    """The spec's program at qv: one value per component, row by row."""
-    try:
-        return spec.program.run({**coordinates, **spec.params})
-    except ex.EvalError as exc:
-        i, j = divmod(exc.root, spec.dim)
-        raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
-
-
 def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
     """g_{mu nu}(q) with exact first and second partials.
 
@@ -260,12 +257,13 @@ def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
     D = spec.dim
     env = {name: Jet2.coordinate(qv[..., i], i, D) for i, name in enumerate(spec.coords)}
     try:
-        values = _component_values(spec, env, qv)
-    except MetricError:
+        values = spec.program.run({**env, **spec.params})
+    except ex.EvalError as exc:
         if qv.ndim == 2:
             for point in qv:  # error path only: name the offending point
                 eval_metric_jet(spec, point)
-        raise
+        i, j = divmod(exc.root, D)
+        raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
     out: list[list[Jet2]] = [[None] * D for _ in range(D)]  # type: ignore
     for i in range(D):
         for j in range(i, D):
@@ -274,13 +272,6 @@ def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
                 jet = Jet2.constant(np.full(qv.shape[:-1], jet), D)
             out[i][j] = out[j][i] = jet
     return out
-
-
-def eval_metric_value(spec: MetricSpec, q: Sequence[float]) -> np.ndarray:
-    """g_{mu nu}(q) values only."""
-    qv = spec.check_domain(q)
-    env = {name: float(qv[i]) for i, name in enumerate(spec.coords)}
-    return np.array(_component_values(spec, env, qv), dtype=float).reshape(spec.dim, spec.dim)
 
 
 # --- chart correspondence for the unit sphere ---------------------------------

@@ -46,10 +46,7 @@ from .geometry import PointGeometry
 from .propagator import PeriodicPropagator
 from .wick import Vertex, vertex_catalog
 
-__all__ = [
-    "PathSample", "McEstimate", "sample_modes", "mc_vertex_expectation",
-    "mc_boltzmann", "mc_two_point",
-]
+__all__ = ["McEstimate", "mc_vertex_expectation", "mc_boltzmann", "mc_two_point"]
 
 
 def _grid_size(M: int) -> int:
@@ -63,18 +60,6 @@ def _grid_size(M: int) -> int:
         best = K if best is None else min(best, K)
         power3 *= 3
     return best
-
-
-@dataclass(frozen=True)
-class PathSample:
-    beta: float
-    M: int
-    D: int
-    modes: np.ndarray  # complex, shape (D, M), positive frequencies
-
-    def grid_values(self, K: int | None = None, derivative: bool = False) -> np.ndarray:
-        K = K or _grid_size(self.M)
-        return _to_grid(self.modes[np.newaxis], self.beta, K, derivative)[0]
 
 
 @dataclass
@@ -221,14 +206,6 @@ def _in_order(batches, workers: int, consume, ahead: int = 1) -> None:
     finally:
         # after an error, queued tasks are dropped and running ones finish
         pool.shutdown(cancel_futures=True)
-
-
-def sample_modes(beta: float, M: int, D: int, seed: int) -> PathSample:
-    """One reproducible path sample (the batched internals reuse the draw)."""
-    if M < 1:
-        raise ValueError("mode cutoff must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    return PathSample(beta=beta, M=M, D=D, modes=_draw_modes(rng, beta, M, D, 1)[0])
 
 
 def _frame_coeff(coeff: np.ndarray, geom: PointGeometry) -> np.ndarray:

@@ -29,8 +29,7 @@ from .metrics import MetricSpec
 
 __all__ = [
     "NormalExpansion", "normal_expansion", "eta_of_xi", "xi_of_eta",
-    "deta_dxi", "dxi_deta", "deta_dxi_inverse_series", "connection_Q",
-    "jacobian_trlog", "measure_trlog", "measure_trlog_eta",
+    "deta_dxi", "connection_Q", "jacobian_trlog", "measure_trlog",
     "normal_curvature_check", "qbar_matrix", "deta_dq0_fd",
 ]
 
@@ -81,15 +80,6 @@ def _apply_series(quad: np.ndarray, cub: np.ndarray, v: np.ndarray) -> np.ndarra
             + np.einsum("...stkm,...s,...t,...k->...m", cub, v, v, v))
 
 
-def _series_jacobian(quad: np.ndarray, cub: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The exact derivative d/dv^n of component m of _apply_series(quad, cub, v)."""
-    J = np.eye(v.shape[-1]) + 2.0 * np.einsum("...ntm,...t->...mn", quad, v)
-    J += np.einsum("...ntkm,...t,...k->...mn", cub, v, v)
-    J += np.einsum("...tnkm,...t,...k->...mn", cub, v, v)
-    J += np.einsum("...tknm,...t,...k->...mn", cub, v, v)
-    return J
-
-
 def eta_of_xi(exp: NormalExpansion, xi) -> np.ndarray:
     return _apply_series(exp.eta_quad, exp.eta_cub, np.asarray(xi, dtype=float))
 
@@ -100,30 +90,13 @@ def xi_of_eta(exp: NormalExpansion, eta) -> np.ndarray:
 
 def deta_dxi(exp: NormalExpansion, xi) -> np.ndarray:
     """J^m_n = d eta^m / d xi^n of the truncated map (exact derivative)."""
-    return _series_jacobian(exp.eta_quad, exp.eta_cub, np.asarray(xi, dtype=float))
-
-
-def dxi_deta(exp: NormalExpansion, eta) -> np.ndarray:
-    """d xi^m / d eta^n of the truncated inverse map."""
-    return _series_jacobian(exp.xi_quad, exp.xi_cub, np.asarray(eta, dtype=float))
-
-
-def deta_dxi_inverse_series(exp: NormalExpansion, xi) -> np.ndarray:
-    """Quadratic inverse series of d eta/d xi:
-
-    delta + Gamma^m_{ns} xi^s
-          + 1/3 (d_s Gamma^m_{nt} + 1/2 d_n Gamma^m_{st}
-                 + Gamma^k_{tn} Gamma^m_{ks} - Gamma^k_{ts} Gamma^m_{kn}) xi^s xi^t
-    """
     xi = np.asarray(xi, dtype=float)
-    geom = exp.geom
-    G, dG = geom.Gamma, geom.dGamma
-    D = exp.dim
-    out = np.eye(D) + np.einsum("mns,s->mn", G, xi)
-    quad = (np.einsum("smnt->mnst", dG) + 0.5 * np.einsum("nmst->mnst", dG)
-            + np.einsum("ktn,mks->mnst", G, G) - np.einsum("kts,mkn->mnst", G, G))
-    out += (1.0 / 3.0) * np.einsum("mnst,s,t->mn", quad, xi, xi)
-    return out
+    quad, cub = exp.eta_quad, exp.eta_cub
+    J = np.eye(xi.shape[-1]) + 2.0 * np.einsum("...ntm,...t->...mn", quad, xi)
+    J += np.einsum("...ntkm,...t,...k->...mn", cub, xi, xi)
+    J += np.einsum("...tnkm,...t,...k->...mn", cub, xi, xi)
+    J += np.einsum("...tknm,...t,...k->...mn", cub, xi, xi)
+    return J
 
 
 def connection_Q(exp: NormalExpansion, xi) -> np.ndarray:
@@ -163,15 +136,6 @@ def measure_trlog(exp: NormalExpansion, xi) -> float:
     lin = np.einsum("mms,s->", G, xi)
     quad = np.einsum("smtm->st", dG) - np.einsum("mnm,nst->st", G, G)
     return float(lin + 0.5 * np.einsum("st,s,t->", quad, xi, xi))
-
-
-def measure_trlog_eta(exp: NormalExpansion, eta) -> float:
-    """Same measure expansion in the plain displacement variable."""
-    eta = np.asarray(eta, dtype=float)
-    G, dG = exp.geom.Gamma, exp.geom.dGamma
-    lin = np.einsum("mms,s->", G, eta)
-    quad = np.einsum("smtm->st", dG)
-    return float(lin + 0.5 * np.einsum("st,s,t->", quad, eta, eta))
 
 
 def deta_dq0_fd(spec: MetricSpec, q0, xi, h: float | None = None) -> np.ndarray:

@@ -145,18 +145,6 @@ class PeriodicPropagator:
         val = x * x / (2.0 * self.beta) - x / 2.0 + self.beta / 12.0
         return float(val) if np.ndim(val) == 0 else val
 
-    def dgreen_closed(self, tau, taup=0.0):
-        """d/dtau of the closed form; 0 at coincidence (principal value)."""
-        x = self._reduce(np.asarray(tau) - np.asarray(taup))
-        val = np.where(x == 0.0, 0.0, x / self.beta - 0.5)
-        return float(val) if np.ndim(val) == 0 else val
-
-    def ddgreen_smooth(self, tau, taup=0.0):
-        """d/dtau d/dtaup of the closed form away from coincidence: -1/beta."""
-        x = self._reduce(np.asarray(tau) - np.asarray(taup))
-        val = np.full_like(np.asarray(x, dtype=float), -1.0 / self.beta)
-        return float(val) if np.ndim(val) == 0 else val
-
     # mode sums -------------------------------------------------------------
 
     def green_modes(self, tau, taup=0.0):
@@ -184,19 +172,6 @@ class PeriodicPropagator:
             (0, 1): mixed,
             (1, 0): mixed,
             (1, 1): CounterPolynomial(coeff_nprop=1.0 / self.beta),
-        }
-
-    def equal_time_table(self) -> dict:
-        """The coincidence values by name, with the measure delta and the
-        truncated companion of green0 (for Monte Carlo comparisons at
-        matching cutoff)."""
-        pairs = self.pair_counters()
-        return {
-            "green0": pairs[(0, 0)],
-            "green0_truncated": self.green0_truncated(),
-            "dgreen0": pairs[(0, 1)],
-            "ddgreen0": pairs[(1, 1)],
-            "delta_measure0": CounterPolynomial(coeff_nall=1.0 / self.beta),
         }
 
     def ode_residual(self, tau_grid: Sequence[float]) -> float:

@@ -10,6 +10,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -277,6 +278,7 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
       "--point=0.1,0.2", "--beta", "0.1"], 1, "MetricError"),
     (["ecp", "--route", "covariant", "--builtin", "conformal2d:2", "--params", "a=inf",
       "--point=0.1,0.2", "--beta", "0.1"], 1, "MetricError"),
+    (["verify", "bogus"], 2, "invalid choice: 'bogus'"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -310,6 +312,40 @@ def test_metric_file_named_after_a_builtin_is_rejected(tmp_path, capsys, argv):
     assert code == 1
     assert json.loads(out) == {"error": "MetricError", "message":
                                "metric name 'sphere' is reserved for a builtin chart"}
+
+
+def test_non_finite_metric_is_rejected_where_it_arises(tmp_path, capsys):
+    # exp(800 x) overflows at x = 1; 0 * inf is nan in g and in its derivatives
+    chart = []
+    for name, g11 in (("nan", "1 + 0*exp(800*x)"), ("inf", "exp(800*x)")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "dim": 2, "coords": ["x", "y"],
+                                    "g": [[g11, "0"], [None, "1"]]}))
+        chart.append(["--metric", str(path)])
+    cases = [
+        ["ecp", "--route", "eta", *chart[0], "--point=1,0", "--beta", "0.1"],
+        ["sweep", *chart[0], "--points=0,0;1,0;1,1", "--routes", "eta", "--beta", "0.1"],
+        ["geometry", *chart[0], "--point=1,0"],
+        ["mc", "--route", "covariant", *chart[0], "--point=1,0", "--beta", "0.1", "--M", "4",
+         "--samples", "16"],
+        ["geometry", *chart[1], "--point=1,0"],
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        for argv in cases:
+            code, out = run_cli(capsys, argv)
+            assert code == 1 and json.loads(out) == {
+                "error": "GeometryError",
+                "message": "metric or its derivatives not finite at [1.0, 0.0]"}, argv
+        # the first node in input order with x near 1, the last of the four in x
+        code, out = run_cli(capsys, ["partition", *chart[0], "--bounds=0:1;0:1", "--nodes", "4",
+                                     "--beta", "0.1"])
+    doc = json.loads(out)
+    assert code == 1 and doc["error"] == "GeometryError"
+    prefix = "metric or its derivatives not finite at "
+    assert doc["message"].startswith(prefix)
+    nodes = (np.polynomial.legendre.leggauss(4)[0] + 1) / 2
+    assert json.loads(doc["message"][len(prefix):]) == pytest.approx([nodes[-1], nodes[0]])
 
 
 def test_sweep_names_the_first_non_positive_definite_point(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -11,13 +12,17 @@ from curvepath import metrics as mx
 from curvepath.geometry import point_geometry
 from curvepath.metrics import (DomainError, MetricError, builtin,
                                embedding_to_stereographic, eval_metric_jet,
-                               eval_metric_value, parse_metric,
-                               stereographic_to_embedding)
+                               parse_metric, stereographic_to_embedding)
 
 
 def metric_file(dim, coords, g, name="test", params=None):
     return json.dumps({"name": name, "dim": dim, "coords": coords,
                        "params": params or {}, "g": g})
+
+
+def metric_values(spec, q):
+    """g(q) as a D x D array: the values of the metric's jets at one point."""
+    return np.array([[jet.value for jet in row] for row in eval_metric_jet(spec, q)])
 
 
 def test_flat_line_metric():
@@ -56,7 +61,7 @@ def test_explicit_asymmetry_rejected():
 def test_upper_triangle_mirrored():
     g = [["1", "q1*q2"], [None, "1"]]
     spec = parse_metric(metric_file(2, ["q1", "q2"], g))
-    gv = eval_metric_value(spec, [0.2, 0.5])
+    gv = metric_values(spec, [0.2, 0.5])
     assert gv[1, 0] == gv[0, 1] == pytest.approx(0.1)
 
 
@@ -72,7 +77,7 @@ def test_dimension_mismatch_rejected():
 
 def test_params_are_usable():
     spec = parse_metric(metric_file(1, ["q1"], [["1 + a*q1^2"]], params={"a": 2.0}))
-    assert eval_metric_value(spec, [0.5])[0, 0] == pytest.approx(1.5)
+    assert metric_values(spec, [0.5])[0, 0] == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), None, "-inf", "x"])
@@ -93,13 +98,13 @@ def test_metric_file_may_not_take_a_builtin_name(name):
 
 def test_builtin_flat():
     spec = builtin("flat", 3)
-    assert np.allclose(eval_metric_value(spec, [0.1, -2.0, 5.0]), np.eye(3))
+    assert np.allclose(metric_values(spec, [0.1, -2.0, 5.0]), np.eye(3))
 
 
 def test_builtin_sphere_values():
     spec = builtin("sphere", 2)
-    assert np.allclose(eval_metric_value(spec, [0.0, 0.0]), np.eye(2))
-    g = eval_metric_value(spec, [0.6, 0.0])
+    assert np.allclose(metric_values(spec, [0.0, 0.0]), np.eye(2))
+    g = metric_values(spec, [0.6, 0.0])
     assert g[0, 0] == pytest.approx(1.5625, rel=1e-14)
     assert np.linalg.det(g) == pytest.approx(1.5625, rel=1e-13)  # 1/(1 - 0.36)
 
@@ -123,7 +128,7 @@ def test_domain_and_default_grid_come_from_the_spec_not_its_name():
     # a library chart may take a builtin's name; it keeps its own (whole) domain
     spec = mx.MetricSpec(name="sphere", dim=2, coords=("q1", "q2"), components=flat_components(2))
     assert (spec.domain, spec.default_grid) == (None, None)
-    assert np.array_equal(eval_metric_value(spec, [0.9, 0.9]), np.eye(2))
+    assert np.array_equal(metric_values(spec, [0.9, 0.9]), np.eye(2))
     assert point_geometry(spec, [0.9, 0.9]).R == 0.0
     for name in ("sphere", "hyperbolic-ball"):
         message = f"point [0.9, 0.9] outside domain of chart '{name}'"
@@ -162,7 +167,7 @@ def test_compiled_program_shares_repeated_subtrees():
     jets = eval_metric_jet(spec, [0.5, 0.25])
     assert np.signbit(jets[0][0].grad).tolist() == [False, False]
     assert np.signbit(jets[1][1].grad).tolist() == [True, True]
-    assert np.signbit(eval_metric_value(spec, [0.5, 0.25])[0, 1])
+    assert np.signbit(metric_values(spec, [0.5, 0.25])[0, 1])
 
 
 def test_sphere_d1_jets():
@@ -191,7 +196,7 @@ def test_jets_match_finite_differences(name, D):
         for i in range(D):
             for j in range(D):
                 def comp(x, i=i, j=j):
-                    return eval_metric_value(spec, x)[i, j]
+                    return metric_values(spec, x)[i, j]
                 for k in range(D):
                     fd = fd4(comp, q, k, 1e-3)
                     assert jets[i][j].grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
@@ -207,7 +212,7 @@ def test_random_expression_metric_jets_match_fd():
         for i in range(2):
             for j in range(2):
                 def comp(x, i=i, j=j):
-                    return eval_metric_value(spec, x)[i, j]
+                    return metric_values(spec, x)[i, j]
                 for k in range(2):
                     fd = fd4(comp, q, k, 1e-3)
                     assert jets[i][j].grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
@@ -233,6 +238,24 @@ def test_spec_params_are_read_only():
         with pytest.raises(TypeError):
             spec.params["a"] = 1.0
     assert builtin("conformal2d", 2, {"a": 0.1}).params["a"] == 0.1
+
+
+def test_equal_specs_hash_equally_and_key_caches():
+    spec = builtin("conformal2d", 2, {"a": 0.1})
+    # the same chart built again, with its parameters in another order
+    twin = mx.MetricSpec(name=spec.name, dim=2, coords=spec.coords, components=spec.components,
+                         params=dict(reversed(spec.params.items())), domain=spec.domain,
+                         default_grid=spec.default_grid)
+    assert twin == spec and twin is not spec and hash(twin) == hash(spec)
+    assert {spec: "chart"}[twin] == "chart"
+    calls = []
+
+    @functools.lru_cache(maxsize=None)
+    def dimension(chart):
+        calls.append(chart)
+        return chart.dim
+
+    assert dimension(spec) == dimension(twin) == 2 and calls == [spec]
 
 
 def test_builtin_specs_are_validated_once_per_key(monkeypatch):

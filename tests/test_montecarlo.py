@@ -14,48 +14,55 @@ from curvepath.ecp import sphere_geometry
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin
 from curvepath.montecarlo import (_Moments, _draw_modes, _frame_coeff, _grid_size,
-                                  _to_grid, _vertex_action, mc_boltzmann,
-                                  mc_two_point, mc_vertex_expectation, sample_modes)
+                                  _substreams, _to_grid, _vertex_action, mc_boltzmann,
+                                  mc_two_point, mc_vertex_expectation)
 from curvepath.propagator import PeriodicPropagator
 from curvepath.wick import expect_first_order_truncated, vertex_catalog
 
 SPHERE0 = point_geometry(builtin("sphere", 2), [0.0, 0.0])
 
 
+def first_sample(beta, M, D, seed):
+    """The modes, shape (D, M), of the first sample the stream of seed draws."""
+    [(rng, _)] = _substreams(D, M, 1, seed)
+    return _draw_modes(rng, beta, M, D, 1)[0]
+
+
 def test_sample_is_reproducible():
-    a = sample_modes(0.5, 8, 2, seed=123)
-    b = sample_modes(0.5, 8, 2, seed=123)
-    assert np.array_equal(a.modes, b.modes)
-    c = sample_modes(0.5, 8, 2, seed=124)
-    assert not np.array_equal(a.modes, c.modes)
+    a = first_sample(0.5, 8, 2, seed=123)
+    b = first_sample(0.5, 8, 2, seed=123)
+    assert np.array_equal(a, b)
+    c = first_sample(0.5, 8, 2, seed=124)
+    assert not np.array_equal(a, c)
 
 
 def test_path_periodicity_and_zero_mean():
-    s = sample_modes(0.9, 6, 2, seed=5)
-    grid = s.grid_values()
+    beta, M = 0.9, 6
+    modes = first_sample(beta, M, 2, seed=5)
+    grid = _to_grid(modes[np.newaxis], beta, _grid_size(M), False)[0]
     # uniform grid of a trigonometric polynomial with no constant term
     assert abs(grid.sum(axis=1)).max() < 1e-12
     # tau = 0 equals tau = beta by periodic reconstruction
-    direct0 = 2 * np.sum(s.modes.real, axis=1)
+    direct0 = 2 * np.sum(modes.real, axis=1)
     assert np.allclose(grid[:, 0], direct0, atol=1e-13)
 
 
 def test_grid_values_match_direct_sum():
     beta, M = 0.7, 5
-    s = sample_modes(beta, M, 1, seed=9)
+    modes = first_sample(beta, M, 1, seed=9)[0]
     K = 8 * M
-    grid = s.grid_values(K)
+    grid = _to_grid(modes[np.newaxis, np.newaxis], beta, K, False)[0, 0]
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     tgrid = beta * np.arange(K) / K
-    direct = sum(2 * (s.modes[0, m].real * np.cos(omega[m] * tgrid)
-                      + s.modes[0, m].imag * np.sin(omega[m] * tgrid))
+    direct = sum(2 * (modes[m].real * np.cos(omega[m] * tgrid)
+                      + modes[m].imag * np.sin(omega[m] * tgrid))
                  for m in range(M))
-    assert np.allclose(grid[0], direct, atol=1e-12)
-    deriv = s.grid_values(K, derivative=True)
-    direct_d = sum(2 * omega[m] * (-s.modes[0, m].real * np.sin(omega[m] * tgrid)
-                                   + s.modes[0, m].imag * np.cos(omega[m] * tgrid))
+    assert np.allclose(grid, direct, atol=1e-12)
+    deriv = _to_grid(modes[np.newaxis, np.newaxis], beta, K, True)[0, 0]
+    direct_d = sum(2 * omega[m] * (-modes[m].real * np.sin(omega[m] * tgrid)
+                                   + modes[m].imag * np.cos(omega[m] * tgrid))
                    for m in range(M))
-    assert np.allclose(deriv[0], direct_d, atol=1e-10)
+    assert np.allclose(deriv, direct_d, atol=1e-10)
 
 
 def test_mode_variances():

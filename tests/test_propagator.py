@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curvepath.cli import main
 from curvepath.propagator import CounterPolynomial, PeriodicPropagator
 
 
@@ -51,29 +53,18 @@ def test_mode_sum_tail_bound():
     assert abs(p.green_modes(x) - p.green_closed(x)) <= 3 / (2 * math.pi**2 * M)
 
 
-def test_equal_time_table_counters():
+def test_equal_time_table_counters(capsys):
     beta, M = 0.8, 5
-    table = PeriodicPropagator(beta, M).equal_time_table()
-    assert table["dgreen0"].value_at(M) == 0.0
-    assert table["ddgreen0"].value_at(M) == pytest.approx(10 / beta, rel=1e-14)
-    assert table["delta_measure0"].value_at(M) == pytest.approx(11 / beta, rel=1e-14)
-    assert table["green0"].value_at(M) == pytest.approx(beta / 12, rel=1e-15)
-    assert table["green0_truncated"] < beta / 12
-
-
-def test_derivative_jump_is_unit():
-    beta = 0.44
-    p = PeriodicPropagator(beta, 3)
-    eps = 1e-9
-    jump = p.dgreen_closed(eps) - p.dgreen_closed(-eps)
-    assert jump == pytest.approx(-1.0, abs=1e-6)
-    assert p.dgreen_closed(0.0) == 0.0
-
-
-def test_smooth_second_derivative():
-    beta = 0.52
-    p = PeriodicPropagator(beta, 3)
-    assert p.ddgreen_smooth(0.21) == pytest.approx(-1 / beta, rel=1e-15)
+    p = PeriodicPropagator(beta, M)
+    pairs = p.pair_counters()
+    assert pairs[(0, 1)].value_at(M) == 0.0
+    assert pairs[(1, 1)].value_at(M) == pytest.approx(10 / beta, rel=1e-14)
+    assert pairs[(0, 0)].value_at(M) == pytest.approx(beta / 12, rel=1e-15)
+    assert p.green0_truncated() < beta / 12
+    # the measure delta counts all N_all = 2M + 1 eigenmodes
+    assert main(["propagator", "--beta", repr(beta), "--M", str(M)]) == 0
+    delta = CounterPolynomial(**json.loads(capsys.readouterr().out)["delta_measure0"])
+    assert delta.value_at(M) == pytest.approx(11 / beta, rel=1e-14)
 
 
 def test_ode_residual_small():

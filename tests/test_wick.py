@@ -101,6 +101,25 @@ def test_eta_catalog_vertex_coefficients():
     assert vs["measure"].measure_counter
 
 
+@pytest.mark.parametrize("name,q0", [("sphere:2", [0.3, 0.1]),
+                                     ("hyperbolic-ball:3", [0.25, 0.1, -0.2]),
+                                     ("conformal2d:2", [0.2, -0.1])])
+def test_eta_measure_vertex_is_the_hessian_of_log_sqrt_g(name, q0):
+    # Gamma^m_{tm} = d_t log sqrt(g), so the measure vertex is -1/2 d_s d_t log sqrt(g);
+    # the Hessian is the product of two 4th-order first-derivative stencils,
+    # with every stencil point in one bundle; at h = 1e-3 they agree to 2e-10
+    chart, D = name.split(":")
+    D, h = int(D), 1e-3
+    spec = builtin(chart, D)
+    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * h)
+    step = h * np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * np.eye(D)  # [a, s, :]
+    points = np.asarray(q0) + step[:, :, None, None] + step[None, None]  # [a, s, b, t, :]
+    log_sqrt_g = np.log(point_geometry(spec, points.reshape(-1, D)).sqrt_g)
+    hessian = np.einsum("a,b,asbt->st", weights, weights, log_sqrt_g.reshape(4, D, 4, D))
+    vs = {v.label: v for v in vertex_catalog(point_geometry(spec, q0), 0.2, "eta")}
+    assert np.allclose(vs["measure"].coeff, -0.5 * hessian, rtol=0.0, atol=1e-8)
+
+
 def test_covariant_catalog_vertex_coefficients():
     beta = 0.2
     geom = point_geometry(builtin("sphere", 2), [0.0, 0.0])
