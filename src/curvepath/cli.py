@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -29,6 +30,8 @@ _GRID_NODES = 32  # nodes per axis of a partition grid without --nodes
 _SPHERE_M = 16  # cutoff of partition --sphere-D without --M
 _FAILURE_TYPES = (MetricError, GeometryError, EngineError, RouteError, ValueError, OSError,
                   MemoryError)
+_COORDINATE_OPTIONS = ("--point", "--points", "--bounds")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")  # argparse takes "-0.3,0" for an option
 
 
 def _positive(kind):
@@ -380,6 +383,18 @@ def _call_kinds(args) -> list[str]:
     return [args.route]
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with "--point -0.3,0" (and --points, --bounds) written as
+    "--point=-0.3,0", so the value is not read as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _COORDINATE_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The parser of this process, built on first use; parsing leaves it unchanged."""
@@ -388,7 +403,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ap = _parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     for dest, subcommands, kinds, scope in _OPTION_SCOPES:
         if args.subcommand in subcommands and getattr(args, dest) not in (None, False):
             others = [kind for kind in _call_kinds(args) if kind not in kinds]

@@ -257,7 +257,9 @@ def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
     D = spec.dim
     env = {name: Jet2.coordinate(qv[..., i], i, D) for i, name in enumerate(spec.coords)}
     try:
-        values = spec.program.run({**env, **spec.params})
+        # an overflow surfaces as a non-finite value, which geometry rejects with its point
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = spec.program.run({**env, **spec.params})
     except ex.EvalError as exc:
         if qv.ndim == 2:
             for point in qv:  # error path only: name the offending point

@@ -1,21 +1,23 @@
 """Gaussian expectation values of polynomial vertices over periodic,
 zero-mode-free fluctuations.
 
-First order: a single time integral; every Wick pair maps to an entry of
-the equal-time rule table (coincidence propagator beta/12, vanishing mixed
-derivative, mode counters for the double derivative and for the measure
-delta), so the result is an exact counter polynomial at any cutoff.
+Every expectation walks one plan, compiled once per list of slot groups (one
+vertex, or two for the connected second order): the live Wick pairings, each
+split into equal-time pairs and cross lines, with its einsum spec. One sum
+multiplies, per pairing, the cross-line value, the equal-time pair values
+and the contraction. It is fed the rule table, which gives an exact counter
+polynomial at any cutoff, or the values at one cutoff M.
 
-Second order (connected): the double time integral reduces by periodicity
-to one integral over the time difference of a product of propagator lines.
-Lines are classified by the derivative orders they join. Products that stay
-locally integrable are integrated in closed form: the lines are polynomials
-on the open circle, so each integral is an exact rational times a power of
-beta. The live pairings of each slot signature, with their einsum specs, are
-compiled once per process; evaluating a vertex walks that plan. Products
-containing the delta-like line d_tau d_tau' G alongside other singular
-factors are genuinely ambiguous as distributions; they are assigned the
-values forced by the defining equation of the kernel together with route
+First order has no cross lines; its equal-time pairs take the coincidence
+propagator beta/12, the vanishing mixed derivative and a mode counter for
+the double derivative (the measure delta counts all modes). At second order
+the double time integral reduces by periodicity to one integral over the
+time difference of a product of cross lines, classified by the derivative
+orders they join. Locally integrable products are polynomials on the open
+circle, so each integral is an exact rational times a power of beta.
+Products containing the delta-like line d_tau d_tau' G alongside other
+singular factors are genuinely ambiguous as distributions; they are assigned
+the values forced by the defining equation of the kernel together with route
 independence of the assembled Boltzmann factor:
 
     integral G (G'')^2          -> N_all/12 - 1/24      (counter polynomial)
@@ -68,15 +70,14 @@ class Vertex:
 
     slots lists the derivative order (0 or 1) of each field; coeff has one
     tensor index per slot, after an optional leading axis of N that holds one
-    tensor per point of a batch. The prefactor is const * beta**beta_power,
-    times the measure coincidence counter when measure_counter is set. piece
-    names the entry of the route's report the vertex feeds.
+    tensor per point of a batch. The prefactor is beta**beta_power, times the
+    measure coincidence counter when measure_counter is set. piece names the
+    entry of the route's report the vertex feeds.
     """
 
     label: str
     coeff: np.ndarray
     slots: tuple[int, ...]
-    prefactor_const: float = 1.0
     beta_power: int = 0
     measure_counter: bool = False
     piece: str = ""
@@ -91,13 +92,13 @@ class Vertex:
             raise EngineError(f"vertex {self.label!r}: coeff rank {self.coeff.ndim} != slots {n}")
 
     def prefactor(self, beta: float) -> CounterPolynomial:
-        base = self.prefactor_const * beta**self.beta_power
+        base = beta**self.beta_power
         if self.measure_counter:
             return CounterPolynomial(coeff_nall=base / beta)
         return CounterPolynomial(constant=base)
 
     def prefactor_truncated(self, beta: float, M: int) -> float:
-        base = self.prefactor_const * beta**self.beta_power
+        base = beta**self.beta_power
         if self.measure_counter:
             return base * (2 * M + 1) / beta
         return base
@@ -149,65 +150,61 @@ class _Term(NamedTuple):
         return np.einsum(self.spec, *coeffs, *(g_inv,) * pairs)
 
 
-def _einsum_spec(ranks: Sequence[int], pairing: Sequence[tuple[int, int]]) -> str:
-    letters = _LETTERS[:sum(ranks)]
-    terms = []
-    start = 0
-    for rank in ranks:
-        terms.append(letters[start:start + rank])
-        start += rank
-    terms.extend(letters[i] + letters[j] for i, j in pairing)
-    return ",".join("..." + term for term in terms) + "->..."
-
-
 @functools.lru_cache(maxsize=None)
-def _first_order_plan(slots: tuple[int, ...]) -> tuple[_Term, ...]:
-    """Pairings of one vertex whose equal-time pairs all survive: a pair
-    joining a field to a velocity has the vanishing coincidence value dgreen0."""
-    terms = []
-    for pairing in pairings(len(slots)):
-        types = tuple((slots[i], slots[j]) for i, j in pairing)
-        if any(t in ((0, 1), (1, 0)) for t in types):
-            continue
-        terms.append(_Term(types, (), _einsum_spec((len(slots),), pairing)))
-    return tuple(terms)
-
-
-@functools.lru_cache(maxsize=None)
-def _second_order_plan(slots1: tuple[int, ...], slots2: tuple[int, ...]) -> tuple[_Term, ...]:
-    """Connected pairings of two vertices with at least two cross lines and
-    no mixed equal-time pair (disconnected pieces are removed by the
-    cumulant, a single cross line integrates to zero, and the mixed
-    coincidence value vanishes)."""
-    n1 = len(slots1)
-    slots = slots1 + slots2
+def _plan(*slot_groups: tuple[int, ...]) -> tuple[_Term, ...]:
+    """The live pairings of one vertex or two: no equal-time pair joins a
+    field to a velocity (that coincidence value vanishes), and two vertices
+    share at least two cross lines (the cumulant removes disconnected pieces,
+    and a single cross line integrates to zero)."""
+    n1 = len(slot_groups[0])
+    slots = sum(slot_groups, ())
+    operands = ",".join("..." + _LETTERS[s:s + len(g)] for s, g in zip((0, n1), slot_groups))
     terms = []
     for pairing in pairings(len(slots)):
         cross = [(i, j) for i, j in pairing if i < n1 <= j]
-        if len(cross) < 2:
+        if len(slot_groups) == 2 and len(cross) < 2:
             continue
         internal = tuple((slots[i], slots[j]) for i, j in pairing if not i < n1 <= j)
         if any(t in ((0, 1), (1, 0)) for t in internal):
             continue
         types = tuple(sorted((slots[i], slots[j]) for i, j in cross))
-        terms.append(_Term(internal, types, _einsum_spec((n1, len(slots2)), pairing)))
+        lines = "".join(f",...{_LETTERS[i]}{_LETTERS[j]}" for i, j in pairing)
+        terms.append(_Term(internal, types, operands + lines + "->..."))
     return tuple(terms)
+
+
+def _plan_sum(plan: Sequence[_Term], contract, pair_value: dict,
+              cross_value=lambda cross: CounterPolynomial(constant=1.0)) -> CounterPolynomial:
+    """Sum over the plan of cross_value(cross lines) x equal-time pair values x
+    contract(term), in plan order. The values are counter polynomials,
+    constant ones at a single cutoff; each cross signature is evaluated once
+    (first order has none), and a term whose cross value is zero is skipped
+    uncontracted."""
+    crosses: dict = {}
+    total = CounterPolynomial()
+    for term in plan:
+        value = crosses.get(term.cross)
+        if value is None:
+            value = crosses[term.cross] = cross_value(term.cross)
+        if value.constant == 0.0 and value.divergent_weight() == 0.0:
+            continue
+        try:
+            for t in term.equal_time:
+                value = value * pair_value[t]
+        except ValueError as exc:
+            raise EngineError(f"pairing outside the rule table: {exc}") from None
+        total = total + value.scaled(contract(term))
+    return total
 
 
 # --- first order ---------------------------------------------------------------
 
 def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> CounterPolynomial:
     """<integral of the vertex> under the free measure, as a counter polynomial."""
-    n = len(v.slots)
-    if n % 2 == 1:
+    if len(v.slots) % 2 == 1:
         return CounterPolynomial()
-    pair_value = p.pair_counters()
-    total = CounterPolynomial()
-    for term in _first_order_plan(tuple(v.slots)):
-        value = CounterPolynomial(constant=1.0)
-        for t in term.equal_time:
-            value = value * pair_value[t]
-        total = total + value.scaled(term.contract((v.coeff,), geom.g_inv))
+    total = _plan_sum(_plan(tuple(v.slots)), lambda term: term.contract((v.coeff,), geom.g_inv),
+                      p.pair_counters())
     return (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
 
 
@@ -218,17 +215,13 @@ def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGe
     to; it differs from the counter-table value by the O(1/M) tail of the
     equal-time propagator.
     """
-    n = len(v.slots)
-    if n % 2 == 1:
+    if len(v.slots) % 2 == 1:
         return 0.0
-    pair_value = {(0, 0): p.green0_truncated(), (1, 1): 2 * p.M / p.beta}
-    total = 0.0
-    for term in _first_order_plan(tuple(v.slots)):
-        value = 1.0
-        for t in term.equal_time:
-            value *= pair_value[t]
-        total += value * term.contract((v.coeff,), geom.g_inv)
-    return total * v.prefactor_truncated(p.beta, p.M) * p.beta
+    pair_value = {(0, 0): CounterPolynomial(constant=p.green0_truncated()),
+                  (1, 1): CounterPolynomial(constant=2 * p.M / p.beta)}
+    total = _plan_sum(_plan(tuple(v.slots)), lambda term: term.contract((v.coeff,), geom.g_inv),
+                      pair_value)
+    return total.constant * v.prefactor_truncated(p.beta, p.M) * p.beta
 
 
 # --- second order: cross-line integrals ----------------------------------------
@@ -367,19 +360,9 @@ def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
     if (len(v1.slots) + len(v2.slots)) % 2 == 1:
         return CounterPolynomial()
     pref = _second_order_prefactor(v1, v2, p)
-    eq_value = p.pair_counters()
-    total = CounterPolynomial()
-    for term in _second_order_plan(tuple(v1.slots), tuple(v2.slots)):
-        x = cross_integral_table(p.beta, term.cross)
-        if x.constant == 0.0 and x.divergent_weight() == 0.0:
-            continue
-        value = x
-        try:
-            for t in term.equal_time:
-                value = value * eq_value[t]
-        except ValueError as exc:
-            raise EngineError(f"pairing outside the rule table: {exc}") from None
-        total = total + value.scaled(term.contract((v1.coeff, v2.coeff), geom.g_inv))
+    plan = _plan(tuple(v1.slots), tuple(v2.slots))
+    total = _plan_sum(plan, lambda term: term.contract((v1.coeff, v2.coeff), geom.g_inv),
+                      p.pair_counters(), functools.partial(cross_integral_table, p.beta))
     return (total * pref).scaled(p.beta)
 
 
@@ -389,21 +372,16 @@ def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom
     pairs at each cutoff of ms (a diagnostic; see the module docstring).
     richardson_limit extrapolates a doubling series."""
     pref = _second_order_prefactor(v1, v2, p)
-    plan = _second_order_plan(tuple(v1.slots), tuple(v2.slots))
-    eq_value = p.pair_counters()
-    contractions = [term.contract((v1.coeff, v2.coeff), geom.g_inv) for term in plan]
+    plan = _plan(tuple(v1.slots), tuple(v2.slots))
+    contract = functools.cache(lambda term: term.contract((v1.coeff, v2.coeff), geom.g_inv))
+    zero = np.zeros(geom.g_inv.shape[:-2])  # keeps the batch shape where every sharp sum is zero
     series = []
     for M in ms:
-        sums = {cross: cross_integral_modes(p, cross, M=M)
-                for cross in dict.fromkeys(term.cross for term in plan)}
-        val = 0.0
-        for term, contraction in zip(plan, contractions):
-            x = sums[term.cross]
-            for t in term.equal_time:
-                x *= eq_value[t].value_at(M)
-            val += x * contraction
-        val *= pref.value_at(M) * p.beta
-        series.append((M, val))
+        def cross_value(cross, M=M):
+            return CounterPolynomial(constant=cross_integral_modes(p, cross, M=M))
+        pair_value = {t: CounterPolynomial(constant=c.value_at(M)) for t, c in p.pair_counters().items()}
+        val = zero + _plan_sum(plan, contract, pair_value, cross_value).constant
+        series.append((M, val * (pref.value_at(M) * p.beta)))
     return series
 
 

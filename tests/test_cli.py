@@ -3,6 +3,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 import warnings
@@ -279,6 +280,9 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["ecp", "--route", "covariant", "--builtin", "conformal2d:2", "--params", "a=inf",
       "--point=0.1,0.2", "--beta", "0.1"], 1, "MetricError"),
     (["verify", "bogus"], 2, "invalid choice: 'bogus'"),
+    # an option name is not a negative value
+    (["ecp", "--route", "covariant", "--builtin", "sphere:2", "--point", "--beta", "0.1"],
+     2, "argument --point: expected one argument"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -330,16 +334,17 @@ def test_non_finite_metric_is_rejected_where_it_arises(tmp_path, capsys):
          "--samples", "16"],
         ["geometry", *chart[1], "--point=1,0"],
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
-        for argv in cases:
-            code, out = run_cli(capsys, argv)
-            assert code == 1 and json.loads(out) == {
-                "error": "GeometryError",
-                "message": "metric or its derivatives not finite at [1.0, 0.0]"}, argv
-        # the first node in input order with x near 1, the last of the four in x
-        code, out = run_cli(capsys, ["partition", *chart[0], "--bounds=0:1;0:1", "--nodes", "4",
-                                     "--beta", "0.1"])
+    # the overflow itself is silent: no NumPy warning reaches stderr
+    for argv in cases:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and err == "" and json.loads(out) == {
+            "error": "GeometryError",
+            "message": "metric or its derivatives not finite at [1.0, 0.0]"}, argv
+    # the first node in input order with x near 1, the last of the four in x
+    code = cli.main(["partition", *chart[0], "--bounds=0:1;0:1", "--nodes", "4", "--beta", "0.1"])
+    out, err = capsys.readouterr()
+    assert err == ""
     doc = json.loads(out)
     assert code == 1 and doc["error"] == "GeometryError"
     prefix = "metric or its derivatives not finite at "
@@ -445,6 +450,42 @@ def test_fuzzed_argv_ends_with_one_json_document(argv):
     assert code in (0, 1, 2), argv
     if code in (0, 1):
         json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    ["ecp", "--route", "covariant", "--builtin", "sphere:2", "--point", "-0.3,0", "--beta", "0.1"],
+    ["ecp", "--route", "eta", "--builtin", "sphere:2", "--point", "-.3,-0.1", "--beta", "0.1"],
+    ["sweep", "--builtin", "sphere:2", "--points", "-0.1,0;0.3,-0.2", "--routes", "covariant,eta",
+     "--beta", "0.1"],
+    ["partition", "--builtin", "flat:2", "--beta", "0.3", "--bounds", "-1:1;-1:1", "--nodes", "4"],
+], ids=["ecp-covariant", "ecp-eta", "sweep", "partition"])
+def test_negative_value_may_follow_its_option_as_a_word(capsys, argv):
+    k = next(k for k, arg in enumerate(argv) if arg in ("--point", "--points", "--bounds"))
+    assert cli.main(argv) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(argv[:k] + [f"{argv[k]}={argv[k + 1]}"] + argv[k + 2:]) == 0
+    assert capsys.readouterr() == spaced and spaced.err == ""  # config echo included
+
+
+def _readme_commands() -> list[list[str]]:
+    """The curvepath command lines of README "## Command line", continuation
+    lines joined, as argv lists."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("curvepath ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(capsys, argv):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] == "sweep":
+        assert out.startswith("q1,q2,beta,route,B_coefficient,discrepancy\n")
+    elif argv[0] == "verify":
+        assert out.endswith("\n24/24 checks passed\n")
+    else:
+        assert isinstance(json.loads(out), dict)  # exactly one JSON document
 
 
 def _cap_address_space():

@@ -403,11 +403,55 @@ def test_compiled_plan_is_built_once():
     cubic = next(v for v in vertex_catalog(SPHERE2, beta, "eta") if v.label == "cubic-kinetic")
     for M in (4, 8):
         expect_second_order_connected(cubic, cubic, PeriodicPropagator(beta, M), SPHERE2)
-    info = wick._second_order_plan.cache_info()
+    info = wick._plan.cache_info()
     expect_second_order_connected(cubic, cubic, PeriodicPropagator(beta, 16), SPHERE2)
-    after = wick._second_order_plan.cache_info()
+    after = wick._plan.cache_info()
     assert after.hits == info.hits + 1 and after.misses == info.misses
     # every live term has at least two cross lines and no mixed equal-time pair
-    for term in wick._second_order_plan(cubic.slots, cubic.slots):
+    for term in wick._plan(cubic.slots, cubic.slots):
         assert len(term.cross) >= 2
         assert all(t in ((0, 0), (1, 1)) for t in term.equal_time)
+
+
+def test_terms_are_contracted_only_when_needed(monkeypatch):
+    beta = 0.3
+    p = PeriodicPropagator(beta, 8)
+    cubic = next(v for v in vertex_catalog(SPHERE2, beta, "eta") if v.label == "cubic-kinetic")
+    plan = wick._plan(cubic.slots, cubic.slots)
+    contracted = []
+    contract = wick._Term.contract
+
+    def counting(term, coeffs, g_inv):
+        contracted.append(term)
+        return contract(term, coeffs, g_inv)
+
+    monkeypatch.setattr(wick._Term, "contract", counting)
+    # the rule table: a term whose cross integral is zero is never contracted;
+    # a field pair against a field-velocity pair has two such terms, and no other
+    field, mixed = Vertex("field", np.eye(2), (0, 0)), Vertex("mixed", np.eye(2), (0, 1))
+    odd = wick._plan(field.slots, mixed.slots)
+    assert len(odd) == 2 and all(cross_integral_table(beta, t.cross) == CounterPolynomial()
+                                 for t in odd)
+    assert expect_second_order_connected(field, mixed, p, SPHERE2) == CounterPolynomial()
+    assert contracted == []
+    expect_second_order_connected(cubic, cubic, p, SPHERE2)
+    assert contracted == list(plan)
+    # the sharp series: each term at most once per call, whatever the number of cutoffs
+    contracted.clear()
+    second_order_mode_series(cubic, cubic, p, SPHERE2, [16, 32, 64, 128])
+    assert 0 < len(contracted) == len(set(contracted)) <= len(plan)
+
+
+def test_batched_mode_series_equals_one_point_calls():
+    """Each point of a batch gets its one-point series, with per-point zeros at
+    a cutoff (M = 1) where every sharp sum of the cubic square vanishes."""
+    spec, p = builtin("sphere", 2), PeriodicPropagator(0.3, 8)
+    points = np.array([[0.2, -0.3], [0.1, 0.1]])
+
+    def series(geom):
+        cubic = next(v for v in vertex_catalog(geom, 0.3, "eta") if v.label == "cubic-kinetic")
+        return second_order_mode_series(cubic, cubic, p, geom, [1, 2, 4])
+
+    batched = series(point_geometry(spec, points))
+    for k, q in enumerate(points):
+        assert [(m, x[k]) for m, x in batched] == series(point_geometry(spec, q))
