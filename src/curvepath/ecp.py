@@ -142,6 +142,16 @@ def sphere_geometry(D: int) -> PointGeometry:
     return point_geometry(builtin("sphere", D), np.zeros(D))
 
 
+def _free_density(beta: float, D: int) -> float:
+    """(2 pi beta)^(-D/2), the free density at coincidence; a ValueError where
+    it leaves the float64 range."""
+    try:
+        return (2.0 * math.pi * beta) ** (-D / 2.0)
+    except OverflowError:
+        raise ValueError(f"(2 pi beta)^(-D/2) overflows float64 at beta = {beta!r}, "
+                         f"D = {D}") from None
+
+
 def seeley_density(geom: PointGeometry, beta: float,
                    convention: str = "path_integral") -> float:
     """Short-time partition function density in either convention.
@@ -152,7 +162,7 @@ def seeley_density(geom: PointGeometry, beta: float,
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    pref = (2.0 * math.pi * beta) ** (-geom.dim / 2.0)
+    pref = _free_density(beta, geom.dim)
     if convention == "path_integral":
         return pref * (1.0 - geom.R * beta / 24.0)
     if convention == "dewitt_seeley":
@@ -200,7 +210,7 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
     if beta <= 0:
         raise ValueError("beta must be positive")
     D = spec.dim
-    pref = (2.0 * math.pi * beta) ** (-D / 2.0)
+    pref = _free_density(beta, D)
     x, w = np.polynomial.legendre.leggauss(grid.n)
 
     if grid.kind == "box":
@@ -243,4 +253,4 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
 def sphere_route_partition(D: int, beta: float, M: int) -> float:
     """Full-sphere partition function: area times the homogeneous B."""
     report = boltzmann("sphere", sphere_geometry(D), beta, M)
-    return sphere_area(D) * report.B_value * (2.0 * math.pi * beta) ** (-D / 2.0)
+    return sphere_area(D) * report.B_value * _free_density(beta, D)

@@ -94,7 +94,8 @@ class MetricSpec:
             raise MetricError(f"point has wrong dimension {q.shape}, expected ({self.dim},)")
         if self.domain == "unit-ball":
             points = q.reshape(-1, self.dim)
-            outside = ~(np.sum(points * points, axis=-1) < 1.0)
+            with np.errstate(over="ignore"):  # an overflowing |q|^2 is outside
+                outside = ~(np.sum(points * points, axis=-1) < 1.0)
             if outside.any():
                 raise DomainError(f"point {points[np.argmax(outside)].tolist()} "
                                   f"outside domain of chart {self.name!r}")

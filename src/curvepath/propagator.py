@@ -131,6 +131,9 @@ class PeriodicPropagator:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.M < 1:
             raise ValueError(f"mode cutoff must be >= 1, got {self.M}")
+        if not math.isfinite(2.0 * math.pi * self.M / self.beta):
+            raise ValueError(f"omega_M = 2 pi M / beta overflows float64 at beta = {self.beta!r}, "
+                             f"M = {self.M}")
 
     def omega(self, m) -> np.ndarray:
         return 2.0 * math.pi * np.asarray(m, dtype=float) / self.beta
@@ -147,18 +150,29 @@ class PeriodicPropagator:
 
     # mode sums -------------------------------------------------------------
 
+    def _inverse_square(self, om: np.ndarray) -> np.ndarray:
+        """1 / om**2. At a beta so small that om**2 overflows (below about
+        1e-154) the quotient is 0.0, which is its float64 value."""
+        with np.errstate(over="ignore"):
+            return 1.0 / om**2
+
     def green_modes(self, tau, taup=0.0):
         x = np.asarray(tau, dtype=float) - np.asarray(taup, dtype=float)
         m = np.arange(1, self.M + 1)
         om = self.omega(m)
-        val = (2.0 / self.beta) * np.tensordot(
-            np.cos(np.multiply.outer(np.asarray(x, dtype=float), om)), 1.0 / om**2, axes=(-1, 0))
+        with np.errstate(over="ignore"):
+            phases = np.multiply.outer(np.asarray(x, dtype=float), om)
+        if not np.all(np.isfinite(phases)):
+            raise ValueError(f"mode phase omega_m (tau - taup) overflows float64 at "
+                             f"beta = {self.beta!r}, M = {self.M}")
+        val = (2.0 / self.beta) * np.tensordot(np.cos(phases), self._inverse_square(om),
+                                               axes=(-1, 0))
         return float(val) if np.ndim(val) == 0 else val
 
     def green0_truncated(self) -> float:
         """Equal-time value of the truncated mode sum, beta/12 - O(1/M)."""
         m = np.arange(1, self.M + 1)
-        return float((2.0 / self.beta) * np.sum(1.0 / self.omega(m)**2))
+        return float((2.0 / self.beta) * np.sum(self._inverse_square(self.omega(m))))
 
     # the finite rule table ---------------------------------------------------
 

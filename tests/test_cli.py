@@ -442,7 +442,7 @@ def test_fuzzed_argv_ends_with_one_json_document(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error", RuntimeWarning)
         try:
             code = cli.main(argv)
         except SystemExit as exc:
@@ -450,6 +450,31 @@ def test_fuzzed_argv_ends_with_one_json_document(argv):
     assert code in (0, 1, 2), argv
     if code in (0, 1):
         json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["propagator", "--M=1", "--beta=1e-300"], 0),
+    (["propagator", "--beta=1e-300", "--M=1", "--tau=0", "--taup=1e300"], 1),
+    (["propagator", "--beta=1e-310", "--M=4"], 1),
+    (["ecp", "--M=1", "--route=eta", "--beta=1e-300", "--point=0.1,0.2", "--builtin=sphere:2",
+      "--mode-series"], 1),
+    (["ecp", "--route=covariant", "--builtin=sphere:3", "--point=0.1,0,0", "--beta=1e-300",
+      "--seeley"], 1),
+    (["mc", "--M=1", "--beta=0.1", "--point=1e308,0", "--builtin=sphere:2", "--route=covariant",
+      "--samples=1"], 1),
+    (["partition", "--sphere-D", "3", "--beta", "1e-300"], 1),
+], ids=["propagator", "propagator-phase", "propagator-omega", "ecp-mode-series", "ecp-seeley",
+        "mc-domain", "partition-sphere"])
+def test_extreme_values_end_without_a_warning(argv, code):
+    """Frequencies, phases and densities that leave the float64 range end
+    with one JSON document and nothing on stderr, found by the fuzz above."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == code
+    doc = json.loads(out.getvalue())
+    assert ("error" in doc) == (code == 1) and err.getvalue() == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -440,6 +441,55 @@ def test_terms_are_contracted_only_when_needed(monkeypatch):
     contracted.clear()
     second_order_mode_series(cubic, cubic, p, SPHERE2, [16, 32, 64, 128])
     assert 0 < len(contracted) == len(set(contracted)) <= len(plan)
+
+
+# every first-order signature of 2-4 slots (the odd ones have no pairing) and
+# the second-order pair the routes square, the eta route's cubic vertex
+_FIRST_ORDER = [(slots,) for n in (2, 3, 4) for slots in itertools.product((0, 1), repeat=n)]
+_SECOND_ORDER = [((0, 1, 1), (0, 1, 1))]
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+@pytest.mark.parametrize("slot_groups", _FIRST_ORDER + _SECOND_ORDER, ids=str)
+def test_compiled_steps_match_a_longdouble_naive_einsum(slot_groups, D):
+    """Each term's pairwise steps give its spec's contraction to within the
+    rounding of float64 sums (32 eps of the sum of |terms|), and a batch
+    gives every point the bits of its one-point call."""
+    rng = np.random.default_rng(D + 10 * sum(len(g) for g in slot_groups))
+    N = 5
+    coeffs = [rng.normal(size=(N,) + (D,) * len(g)) for g in slot_groups]
+    a = rng.normal(size=(N, D, D))
+    g_inv = a @ np.swapaxes(a, -1, -2) + D * np.eye(D)
+    for term in wick._plan(*slot_groups):
+        operands = [*coeffs, *(g_inv,) * (len(term.equal_time) + len(term.cross))]
+        assert len(wick._steps(term.spec, D)) == len(operands) - 1
+        batched = term.contract(coeffs, g_inv)
+        ld = [x.astype(np.longdouble) for x in operands]
+        reference = np.einsum(term.spec, *ld)
+        size = np.einsum(term.spec, *(abs(x) for x in ld))
+        assert batched.shape == (N,)
+        assert np.all(abs(batched - reference) <= 32 * np.finfo(float).eps * size), term.spec
+        for k in range(N):
+            one = term.contract([c[k] for c in coeffs], g_inv[k])
+            assert np.shape(one) == () and one == batched[k], (term.spec, k)
+
+
+def test_compiled_steps_are_built_once_per_spec_and_dimension():
+    cubic = next(v for v in vertex_catalog(SPHERE2, 0.3, "eta") if v.label == "cubic-kinetic")
+    plan = wick._plan(cubic.slots, cubic.slots)
+    p = PeriodicPropagator(0.3, 8)
+    expect_second_order_connected(cubic, cubic, p, SPHERE2)
+    info = wick._steps.cache_info()
+    expect_second_order_connected(cubic, cubic, p, SPHERE2)
+    after = wick._steps.cache_info()
+    assert after.hits == info.hits + len(plan) and after.misses == info.misses
+    # from an empty cache, each spec compiles once per dimension
+    sphere3 = point_geometry(builtin("sphere", 3), [0.1, 0.2, -0.1])
+    cubic3 = next(v for v in vertex_catalog(sphere3, 0.3, "eta") if v.label == "cubic-kinetic")
+    wick._steps.cache_clear()
+    expect_second_order_connected(cubic3, cubic3, p, sphere3)
+    expect_second_order_connected(cubic, cubic, p, SPHERE2)
+    assert wick._steps.cache_info().misses == 2 * len({t.spec for t in plan})
 
 
 def test_batched_mode_series_equals_one_point_calls():
