@@ -32,10 +32,18 @@ from .metrics import MetricSpec, eval_metric_jet
 __all__ = ["PointGeometry", "GeometryError", "point_geometry", "geometry_blocks",
            "divergence_identity_residual"]
 
-# Points per batched evaluation in geometry_blocks. It bounds the D^4 arrays
-# a block holds (256 kB each at D = 4; larger blocks raised the peak RSS of a
-# 2048-node partition) while keeping the per-block overhead small.
-BLOCK_POINTS = 128
+# A geometry block holds at most BLOCK_ENTRIES // D^2 points (512 at D = 2,
+# 128 at D = 4), so a D x D field of a block has at most BLOCK_ENTRIES
+# entries. That bounds the metric program's jets, whose slots all stay alive
+# while it runs (one Hessian slot is 16 kB at any D), and the D^4 arrays of
+# the assembly (16 kB * D^2); larger blocks raised the peak RSS of a
+# 2048-node partition.
+BLOCK_ENTRIES = 2048
+
+
+def block_points(dim: int) -> int:
+    """Points per block of geometry_blocks at dimension dim."""
+    return max(1, BLOCK_ENTRIES // dim**2)
 
 
 class GeometryError(ValueError):
@@ -76,7 +84,8 @@ class PointGeometry:
 
 
 def _jet_arrays(spec: MetricSpec, q0: np.ndarray):
-    """g[N, m, n], dg[N, s, m, n] and ddg[N, s, t, m, n] at the rows of q0."""
+    """g[N, m, n], dg[N, s, m, n] and ddg[N, s, t, m, n] at the rows of q0;
+    eval_metric_jet checks that they lie in the chart."""
     jets = [jet for row in eval_metric_jet(spec, q0) for jet in row]
     N, D = q0.shape
     g = np.stack([jet.value for jet in jets], axis=-1).reshape(N, D, D)
@@ -92,20 +101,34 @@ def point_geometry(spec: MetricSpec, q0: Sequence[float]) -> PointGeometry:
     one. q0 of shape (N, D) gives the batched bundle of all N points at once;
     for large N use geometry_blocks, which bounds the memory held.
     """
-    q0 = spec.check_domain(q0)
-    geom = _batch_geometry(spec, q0.reshape(-1, spec.dim))
+    q0 = np.asarray(q0, dtype=float)
+    geom = _batch_geometry(spec, spec.point_rows(q0))
     return geom if q0.ndim == 2 else geom.row(0)
 
 
 def geometry_blocks(spec: MetricSpec, points: np.ndarray) -> Iterator[PointGeometry]:
-    """Batched bundles of consecutive blocks of at most BLOCK_POINTS points."""
-    points = spec.check_domain(points).reshape(-1, spec.dim)
-    for start in range(0, len(points), BLOCK_POINTS):
-        yield point_geometry(spec, points[start:start + BLOCK_POINTS])
+    """Batched bundles of consecutive blocks of at most block_points(D) points.
+
+    Each block's points are checked against the chart when its jets are
+    evaluated, so each point is checked once.
+    """
+    points = spec.point_rows(points)
+    size = block_points(spec.dim)
+    for start in range(0, len(points), size):
+        yield point_geometry(spec, points[start:start + size])
 
 
 def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
-    """The bundle at every row of q0, shape (N, D)."""
+    """The bundle at every row of q0, shape (N, D).
+
+    The assembly from term to T runs with the point axis last and contiguous
+    (names ending in _p), so each einsum loops over the points innermost
+    rather than over index blocks of 2 to 4 entries one point at a time. Each
+    field is turned back once into its point-first array. R, V, dV and divV
+    stay point-first: point-last, a batch of one collapses its trailing axis
+    and numpy sums their reductions with another kernel than in a larger
+    batch, so batch rows would no longer carry the bits of one-point calls.
+    """
     g, dg, ddg = _jet_arrays(spec, q0)
     if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
         # error path only: name the first point with a non-finite entry
@@ -128,33 +151,48 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     g_inv = np.linalg.inv(g)
     sqrt_g = np.prod(diag, axis=-1)
 
+    g_inv_p = np.ascontiguousarray(g_inv.transpose(1, 2, 0))
+    dg_p = np.ascontiguousarray(dg.transpose(1, 2, 3, 0))
+    ddg_p = np.ascontiguousarray(ddg.transpose(1, 2, 3, 4, 0))
+
     # Gamma^m_{st} = 1/2 g^{mn} (d_s g_nt + d_t g_ns - d_n g_st);
     # dg[s, m, n] = d_s g_mn, assembled with axes [n, s, t]
-    term = (np.einsum("...snt->...nst", dg) + np.einsum("...tns->...nst", dg)
-            - np.einsum("...nst->...nst", dg))
-    Gamma = 0.5 * np.einsum("...mn,...nst->...mst", g_inv, term)
+    term = (np.einsum("snt...->nst...", dg_p) + np.einsum("tns...->nst...", dg_p)
+            - np.einsum("nst...->nst...", dg_p))
+    Gamma_p = 0.5 * np.einsum("mn...,nst...->mst...", g_inv_p, term)
 
     # d_k Gamma^m_{st}
-    dg_inv = -np.einsum("...ma,...kab,...bn->...kmn", g_inv, dg, g_inv)
-    dterm = (np.einsum("...ksnt->...knst", ddg) + np.einsum("...ktns->...knst", ddg)
-             - np.einsum("...knst->...knst", ddg))
-    dGamma = (0.5 * np.einsum("...kmn,...nst->...kmst", dg_inv, term)
-              + 0.5 * np.einsum("...mn,...knst->...kmst", g_inv, dterm))
+    dg_inv_p = -np.einsum("ma...,kab...,bn...->kmn...", g_inv_p, dg_p, g_inv_p)
+    dterm = (np.einsum("ksnt...->knst...", ddg_p) + np.einsum("ktns...->knst...", ddg_p)
+             - np.einsum("knst...->knst...", ddg_p))
+    dGamma_p = (0.5 * np.einsum("kmn...,nst...->kmst...", dg_inv_p, term)
+                + 0.5 * np.einsum("mn...,knst...->kmst...", g_inv_p, dterm))
 
     # textbook mixed Riemann R^m_{n a b}
-    r_std = (np.einsum("...ambn->...mnab", dGamma) - np.einsum("...bman->...mnab", dGamma)
-             + np.einsum("...mar,...rbn->...mnab", Gamma, Gamma)
-             - np.einsum("...mbr,...ran->...mnab", Gamma, Gamma))
+    r_std_p = (np.einsum("ambn...->mnab...", dGamma_p) - np.einsum("bman...->mnab...", dGamma_p)
+               + np.einsum("mar...,rbn...->mnab...", Gamma_p, Gamma_p)
+               - np.einsum("mbr...,ran...->mnab...", Gamma_p, Gamma_p))
+    Ricci_p = np.einsum("mnmb...->nb...", r_std_p)
+    Ricci_p = 0.5 * (Ricci_p + Ricci_p.transpose(1, 0, 2))
+
+    T_p = (np.einsum("mmst...->st...", dGamma_p)
+           - 2.0 * np.einsum("msk...,kmt...->st...", Gamma_p, Gamma_p)
+           + np.einsum("mkm...,kst...->st...", Gamma_p, Gamma_p))
+    T_p = 0.5 * (T_p + T_p.transpose(1, 0, 2))
+
+    # back to the point-first layout. r_std[..., m, n, a, b] keeps the
+    # memory order [m, a, b, n] of the point-first sum it replaces, so
+    # Riemann, its view, has the strides (and the einsums that read it the
+    # loop order) they had
+    Gamma = np.ascontiguousarray(Gamma_p.transpose(3, 0, 1, 2))
+    dGamma = np.ascontiguousarray(dGamma_p.transpose(4, 0, 1, 2, 3))
+    dg_inv = np.ascontiguousarray(dg_inv_p.transpose(3, 0, 1, 2))
+    r_std = np.ascontiguousarray(r_std_p.transpose(4, 0, 2, 3, 1)).transpose(0, 1, 4, 2, 3)
     Riemann = np.einsum("...mkst->...stkm", r_std)
-    Ricci = np.einsum("...mnmb->...nb", r_std)
-    Ricci = 0.5 * (Ricci + np.swapaxes(Ricci, -1, -2))
+    Ricci = np.ascontiguousarray(Ricci_p.transpose(2, 0, 1))
+    T = np.ascontiguousarray(T_p.transpose(2, 0, 1))
+
     R = np.einsum("...nb,...nb->...", g_inv, Ricci)
-
-    T = (np.einsum("...mmst->...st", dGamma)
-         - 2.0 * np.einsum("...msk,...kmt->...st", Gamma, Gamma)
-         + np.einsum("...mkm,...kst->...st", Gamma, Gamma))
-    T = 0.5 * (T + np.swapaxes(T, -1, -2))
-
     V = np.einsum("...st,...mst->...m", g_inv, Gamma)
     dV = (np.einsum("...kst,...mst->...km", dg_inv, Gamma)
           + np.einsum("...st,...kmst->...km", g_inv, dGamma))

@@ -86,14 +86,20 @@ class MetricSpec:
         return hash((self.name, self.dim, self.coords, self.components,
                      tuple(sorted(self.params.items())), self.domain, self.default_grid))
 
+    def point_rows(self, q: Sequence[float]) -> np.ndarray:
+        """q, one point of shape (D,) or N points of shape (N, D), as a float
+        array of shape (N, D); the domain is not checked."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
+            raise MetricError(f"point has wrong dimension {q.shape}, expected ({self.dim},)")
+        return q.reshape(-1, self.dim)
+
     def check_domain(self, q: Sequence[float]) -> np.ndarray:
         """q as a float array of shape (D,) or (N, D), every point inside the chart
         (a conservative test for the builtin families)."""
         q = np.asarray(q, dtype=float)
-        if q.ndim not in (1, 2) or q.shape[-1] != self.dim:
-            raise MetricError(f"point has wrong dimension {q.shape}, expected ({self.dim},)")
+        points = self.point_rows(q)
         if self.domain == "unit-ball":
-            points = q.reshape(-1, self.dim)
             with np.errstate(over="ignore"):  # an overflowing |q|^2 is outside
                 outside = ~(np.sum(points * points, axis=-1) < 1.0)
             if outside.any():

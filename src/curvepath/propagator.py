@@ -150,11 +150,17 @@ class PeriodicPropagator:
 
     # mode sums -------------------------------------------------------------
 
-    def _inverse_square(self, om: np.ndarray) -> np.ndarray:
-        """1 / om**2. At a beta so small that om**2 overflows (below about
-        1e-154) the quotient is 0.0, which is its float64 value."""
+    def _mode_weights(self) -> tuple[float, np.ndarray]:
+        """c and w_m, m = 1..M, with c w_m = (2 / beta) / omega_m^2: the mode
+        sums are c sum_m f_m w_m. They are 2 / beta and 1 / omega_m^2, except
+        where 1 / omega_M^2 underflows (beta below about 1e-153 M): there the
+        scaled form beta / (2 pi^2) and 1 / m^2 keeps the sums' magnitude."""
+        m = np.arange(1, self.M + 1, dtype=float)
         with np.errstate(over="ignore"):
-            return 1.0 / om**2
+            inverse_square = 1.0 / self.omega(m) ** 2
+        if inverse_square[-1] >= np.finfo(float).tiny:
+            return 2.0 / self.beta, inverse_square
+        return self.beta / (2.0 * math.pi**2), 1.0 / m**2
 
     def green_modes(self, tau, taup=0.0):
         x = np.asarray(tau, dtype=float) - np.asarray(taup, dtype=float)
@@ -165,14 +171,14 @@ class PeriodicPropagator:
         if not np.all(np.isfinite(phases)):
             raise ValueError(f"mode phase omega_m (tau - taup) overflows float64 at "
                              f"beta = {self.beta!r}, M = {self.M}")
-        val = (2.0 / self.beta) * np.tensordot(np.cos(phases), self._inverse_square(om),
-                                               axes=(-1, 0))
+        scale, weights = self._mode_weights()
+        val = scale * np.tensordot(np.cos(phases), weights, axes=(-1, 0))
         return float(val) if np.ndim(val) == 0 else val
 
     def green0_truncated(self) -> float:
         """Equal-time value of the truncated mode sum, beta/12 - O(1/M)."""
-        m = np.arange(1, self.M + 1)
-        return float((2.0 / self.beta) * np.sum(self._inverse_square(self.omega(m))))
+        scale, weights = self._mode_weights()
+        return float(scale * np.sum(weights))
 
     # the finite rule table ---------------------------------------------------
 

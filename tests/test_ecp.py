@@ -10,7 +10,7 @@ import pytest
 from curvepath import cli, ecp, wick
 from curvepath.ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
                            sphere_area, sphere_geometry, sphere_route_partition)
-from curvepath.geometry import BLOCK_POINTS, geometry_blocks, point_geometry
+from curvepath.geometry import block_points, geometry_blocks, point_geometry
 from curvepath.metrics import builtin, embedding_to_stereographic, parse_metric
 from curvepath.propagator import PeriodicPropagator
 from curvepath.wick import (RouteError, cross_integral_modes, expand, expect_first_order,
@@ -447,9 +447,9 @@ def test_batched_failures_name_the_first_offending_point(monkeypatch):
 
 
 def test_sweep_across_a_block_boundary_matches_one_point_ecp_calls():
-    """A sweep of BLOCK_POINTS + 2 points runs two geometry blocks; each row
+    """A sweep of block_points(3) + 2 points runs two geometry blocks; each row
     carries the repr of the float the one-point ecp call reports."""
-    points = np.random.default_rng(11).uniform(-0.4, 0.4, size=(BLOCK_POINTS + 2, 3))
+    points = np.random.default_rng(11).uniform(-0.4, 0.4, size=(block_points(3) + 2, 3))
     chart = ["--builtin", "hyperbolic-ball:3"]
     text = ";".join(",".join(map(repr, q.tolist())) for q in points)
     out = _cli_stdout(["sweep", *chart, "--points=" + text, "--routes", "covariant,eta",

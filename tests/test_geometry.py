@@ -131,23 +131,54 @@ def test_sphere_T_trace_at_origin():
     assert float(np.einsum("st,st->", geom.g_inv, geom.T)) == pytest.approx(D * D, abs=1e-10)
 
 
-@pytest.mark.parametrize("name,D", [("sphere", 4), ("hyperbolic-ball", 3), ("conformal2d", 2)])
-def test_batch_matches_single_points(name, D, monkeypatch):
-    spec = builtin(name, D)
-    qs = np.random.default_rng(23).uniform(-0.35, 0.35, size=(9, D))
+def _chart(g):
+    return parse_metric(json.dumps({"name": "chart", "dim": 1, "coords": ["q1"], "g": [[g]]}))
+
+
+@pytest.mark.parametrize("name,D", [("file", 1), ("sphere", 2), ("hyperbolic-ball", 2),
+                                    ("conformal2d", 2), ("hyperbolic-ball", 3), ("sphere", 4)])
+def test_batch_matches_single_points(name, D):
+    # one block plus one point: the rows of a full block, of the block
+    # after it and of the whole batch all carry the one-point bits
+    spec = _chart("1 + q1^2 + 0.3*sin(q1)") if name == "file" else builtin(name, D)
+    size = geometry.block_points(D)
+    qs = np.random.default_rng(23).uniform(-0.35, 0.35, size=(size + 1, D))
     batch = point_geometry(spec, qs)
+    blocks = list(geometry_blocks(spec, qs))
+    assert [len(b.q0) for b in blocks] == [size, 1]
+    for field in dataclasses.fields(batch):
+        whole = getattr(batch, field.name)
+        assert np.array_equal(np.concatenate([getattr(b, field.name) for b in blocks]),
+                              whole), field.name
     for k, q in enumerate(qs):
         one = point_geometry(spec, q)
         for field in dataclasses.fields(one):
-            assert np.array_equal(getattr(batch, field.name)[k], getattr(one, field.name)), field.name
-    monkeypatch.setattr(geometry, "BLOCK_POINTS", 4)
-    blocks = list(geometry_blocks(spec, qs))
-    assert [len(b.q0) for b in blocks] == [4, 4, 1]
-    assert np.array_equal(np.concatenate([b.R for b in blocks]), batch.R)
+            assert np.array_equal(getattr(batch, field.name)[k], getattr(one, field.name)), \
+                (field.name, k)
 
 
-def _chart(g):
-    return parse_metric(json.dumps({"name": "chart", "dim": 1, "coords": ["q1"], "g": [[g]]}))
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+def test_geometry_blocks_hold_at_most_2048_matrix_entries(D):
+    size = geometry.block_points(D)
+    qs = np.random.default_rng(5).uniform(-0.3, 0.3, size=(2 * size + 3, D))
+    blocks = [len(b.q0) for b in geometry_blocks(builtin("sphere", D), qs)]
+    assert blocks == [size, size, 3]
+    assert size * D**2 <= 2048 < (size + 1) * D**2
+    assert size == {1: 2048, 2: 512, 3: 227, 4: 128, 5: 81}[D]
+
+
+def test_geometry_blocks_check_each_point_once(monkeypatch):
+    spec = builtin("hyperbolic-ball", 2)
+    checked = []
+    check = type(spec).check_domain
+    monkeypatch.setattr(type(spec), "check_domain",
+                        lambda self, q: checked.append(np.shape(q)) or check(self, q))
+    qs = np.random.default_rng(3).uniform(-0.5, 0.5, size=(geometry.block_points(2) + 7, 2))
+    list(geometry_blocks(spec, qs))
+    assert checked == [(geometry.block_points(2), 2), (7, 2)]
+    checked.clear()
+    point_geometry(spec, qs[0])
+    assert checked == [(1, 2)]
 
 
 @pytest.mark.parametrize("spec,error,match", [

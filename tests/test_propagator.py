@@ -147,3 +147,23 @@ def test_batched_counter_polynomials_act_point_by_point():
         b.finite_value()
     with pytest.raises(ValueError, match="outside the algebra"):
         b * b
+
+
+def test_mode_sums_keep_their_magnitude_where_one_over_omega_squared_underflows(capsys):
+    # (2 / beta) / omega_m^2 = beta / (2 pi^2 m^2); at beta = 1e-300 the
+    # quotient 1 / omega^2 alone is 0.0
+    assert main(["propagator", "--M=1", "--beta=1e-300"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    want = 1e-300 / (2 * math.pi**2)
+    assert doc["green0_truncated"] == pytest.approx(want, rel=1e-15)
+    assert doc["green_modes"] == pytest.approx(want, rel=1e-15)
+    p = PeriodicPropagator(1e-300, 3)
+    assert p.green0_truncated() == pytest.approx(want * (1 + 1 / 4 + 1 / 9), rel=1e-15)
+    x = np.array([0.0, 0.3e-300])
+    assert np.allclose(p.green_modes(x), want * np.cos(np.multiply.outer(x, p.omega([1, 2, 3])))
+                       @ (1 / np.array([1.0, 4.0, 9.0])), rtol=1e-14, atol=0)
+    # on either side of the switch the two forms agree
+    for beta in (2.5e-153, 3.5e-153):
+        q = PeriodicPropagator(beta, 3)
+        assert q.green0_truncated() == pytest.approx(beta / (2 * math.pi**2) * (1 + 1 / 4 + 1 / 9),
+                                                     rel=1e-14)
