@@ -47,6 +47,17 @@ def _positive(kind):
     return parse
 
 
+def _seed(text: str) -> int:
+    """Argument type: an integer >= 0, as a Monte Carlo seed must be."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _finite(text: str) -> float:
     """Argument type: a finite float."""
     try:
@@ -115,10 +126,8 @@ def _resolve_metric(args):
 
 
 def _config_echo(args) -> dict:
-    skip = {"func"}
-    out = {"version": __version__}
-    out.update({k: v for k, v in vars(args).items() if k not in skip and v is not None})
-    return out
+    echo = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    return {"version": __version__, **echo}
 
 
 def _emit(payload: dict, args) -> None:
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--beta", type=_positive(float), required=True)
     m.add_argument("--M", type=_positive(int), required=True)
     m.add_argument("--samples", type=_positive(int), required=True)
-    m.add_argument("--seed", type=int, default=0)
+    m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--csv", action="store_true",
                    help="stream per-batch partial results as CSV")
     m.set_defaults(func=cmd_mc)
@@ -410,6 +419,9 @@ def main(argv=None) -> int:
             if others:
                 ap.error(f"--{dest.replace('_', '-')} applies to {scope} only, "
                          f"not to {','.join(others)}")
+    for dest in ("builtin", "params"):  # a metric file is the whole chart
+        if getattr(args, "metric", None) is not None and getattr(args, dest) is not None:
+            ap.error(f"--{dest} does not apply to a --metric chart")
     try:
         return args.func(args)
     except _FAILURE_TYPES as exc:

@@ -205,13 +205,21 @@ def _node_fields(spec: MetricSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.concatenate(sqrt_g), np.concatenate(R)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], read-only and built once per n."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> float:
     """Quadrature of sqrt(g) B(q0) / (2 pi beta)^(D/2) over the chart."""
     if beta <= 0:
         raise ValueError("beta must be positive")
     D = spec.dim
     pref = _free_density(beta, D)
-    x, w = np.polynomial.legendre.leggauss(grid.n)
+    x, w = _gauss_legendre(grid.n)
 
     if grid.kind == "box":
         if len(grid.bounds) != D:

@@ -12,8 +12,7 @@ line/column location, never an uncaught crash.
 Evaluation runs a compiled Program: straight-line code over the distinct
 subtrees of a list of expressions, so a repeated subtree is computed once. A
 MetricSpec compiles its components once, when it is constructed, and every
-evaluation of the spec runs that shared program; evaluate(node, env)
-compiles its one node.
+evaluation of the spec runs that shared program.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ from .jets import JET_FUNCTIONS, Jet2
 
 __all__ = [
     "Expression", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
-    "ParseError", "EvalError", "Program", "parse", "to_string", "compile_program", "evaluate",
+    "ParseError", "EvalError", "Program", "parse", "compile_program",
 ]
 
 FUNCTION_NAMES = tuple(sorted(JET_FUNCTIONS))
@@ -97,6 +96,9 @@ class _Token:
     col: int
 
 
+_ONE_CHARACTER_TOKENS = {**dict.fromkeys("+-*/^", "op"), "(": "lparen", ")": "rparen"}
+
+
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, line, col = 0, 1, 1
@@ -144,18 +146,8 @@ def _tokenize(source: str) -> list[_Token]:
             i += 2
             col += 2
             continue
-        if c in "+-*/^":
-            tokens.append(_Token("op", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, line, col))
+        if c in _ONE_CHARACTER_TOKENS:
+            tokens.append(_Token(_ONE_CHARACTER_TOKENS[c], c, line, col))
             i += 1
             col += 1
             continue
@@ -241,21 +233,20 @@ class _Parser:
             if self.peek().kind == "lparen":
                 if tok.text not in FUNCTION_NAMES:
                     raise ParseError(f"unknown function {tok.text!r}", tok.line, tok.col)
-                self.next()
-                arg = self.parse_expression()
-                if self.peek().kind != "rparen":
-                    raise self.fail("expected ')'")
-                self.next()
-                return Call(tok.text, arg)
+                return Call(tok.text, self.parse_group())
             return Var(tok.text)
         if tok.kind == "lparen":
-            self.next()
-            node = self.parse_expression()
-            if self.peek().kind != "rparen":
-                raise self.fail("expected ')'")
-            self.next()
-            return node
+            return self.parse_group()
         raise self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input")
+
+    def parse_group(self) -> Expression:
+        """The expression in parentheses, from its '(' on."""
+        self.next()
+        node = self.parse_expression()
+        if self.peek().kind != "rparen":
+            raise self.fail("expected ')'")
+        self.next()
+        return node
 
 
 def parse(source: str) -> Expression:
@@ -264,48 +255,6 @@ def parse(source: str) -> Expression:
     if parser.peek().kind != "end":
         raise parser.fail(f"trailing input {parser.peek().text!r}")
     return node
-
-
-# --- printing ---------------------------------------------------------------
-
-def _prec(node: Expression) -> int:
-    if isinstance(node, BinOp):
-        return 1 if node.op in "+-" else 2
-    if isinstance(node, Neg):
-        return 3
-    if isinstance(node, Pow):
-        return 4
-    return 5
-
-
-def to_string(node: Expression) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = to_string(node.arg)
-        if _prec(node.arg) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, BinOp):
-        left = to_string(node.left)
-        right = to_string(node.right)
-        if _prec(node.left) < _prec(node):
-            left = f"({left})"
-        # the grammar is left associative, so a right operand of equal
-        # precedence always needs parens to reparse to the same tree
-        if _prec(node.right) <= _prec(node):
-            right = f"({right})"
-        return f"{left} {node.op} {right}"
-    if isinstance(node, Pow):
-        base = to_string(node.base)
-        if _prec(node.base) <= 4:
-            base = f"({base})"
-        return f"{base}^{node.exponent}"
-    if isinstance(node, Call):
-        return f"{node.func}({to_string(node.arg)})"
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # --- compilation and evaluation ---------------------------------------------
@@ -403,8 +352,3 @@ def compile_program(nodes: Sequence[Expression]) -> Program:
 
     roots = tuple(visit(node, owner) for owner, node in enumerate(nodes))
     return Program(tuple(code), roots, tuple(owners))
-
-
-def evaluate(node: Expression, env: Mapping[str, object]):
-    """One expression over floats or Jet2, by compiling and running it."""
-    return compile_program([node]).run(env)[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -20,7 +21,7 @@ from .jets import Jet2
 __all__ = [
     "MetricSpec", "MetricError", "DomainError", "parse_metric", "finite_parameter", "builtin",
     "eval_metric_jet", "BUILTIN_NAMES",
-    "embedding_to_stereographic", "stereographic_to_embedding",
+    "embedding_to_stereographic",
 ]
 
 BUILTIN_NAMES = ("flat", "sphere", "sphere-stereographic", "hyperbolic-ball", "conformal2d")
@@ -39,10 +40,12 @@ class MetricSpec:
     """A chart: dimension, coordinate names, and symmetric component expressions.
 
     Every parameter is converted to a float on construction, and a
-    non-finite one is a MetricError that names it. The components are
-    compiled once, row by row, into one program (every evaluation runs it).
-    domain "unit-ball" admits only points with |q| < 1; default_grid names
-    the partition grid used when none is asked for."""
+    non-finite one is a MetricError that names it. Coordinate names are
+    distinct identifiers, and no parameter takes one of them. The
+    components are compiled once, row by row, into one program (every
+    evaluation runs it). domain "unit-ball" admits only points with
+    |q| < 1; default_grid names the partition grid used when none is asked
+    for."""
 
     name: str
     dim: int
@@ -56,10 +59,21 @@ class MetricSpec:
     def __post_init__(self):
         params = {name: finite_parameter(name, value) for name, value in self.params.items()}
         object.__setattr__(self, "params", MappingProxyType(params))
-        if self.dim < 1:
-            raise MetricError(f"dimension must be positive, got {self.dim}")
+        object.__setattr__(self, "dim", _dimension(self.dim))
         if len(self.coords) != self.dim:
             raise MetricError(f"expected {self.dim} coordinate names, got {len(self.coords)}")
+        for name in self.coords:
+            try:
+                bare = isinstance(name, str) and ex.parse(name) == ex.Var(name)
+            except ex.ParseError:
+                bare = False
+            if not bare:
+                raise MetricError(f"coordinate name {name!r} is not an identifier")
+        if len(set(self.coords)) != self.dim:
+            raise MetricError(f"coordinate names must be distinct, got {list(self.coords)}")
+        shadowed = sorted(set(self.coords) & set(params))
+        if shadowed:
+            raise MetricError(f"coordinate name(s) {shadowed} are also parameter names")
         if len(self.components) != self.dim or any(len(r) != self.dim for r in self.components):
             raise MetricError("component array must be D x D")
         if self.domain not in (None, "unit-ball"):
@@ -108,12 +122,16 @@ class MetricSpec:
         return q
 
 
+def _dimension(dim) -> int:
+    """dim as an int, or a MetricError naming the field (a bool is no integer)."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+        raise MetricError(f"'dim' must be a positive integer, got {dim!r}")
+    return int(dim)
+
+
 def _mirror_and_check(entries: list[list], dim: int) -> list[list[str]]:
-    """Fill omitted lower-triangle entries; reject asymmetric explicit ones."""
-    grid: list[list] = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(dim):
-            grid[i][j] = entries[i][j]
+    """Fill the omitted entry of each off-diagonal pair from its mirror."""
+    grid = [list(row) for row in entries]
     for i in range(dim):
         for j in range(i + 1, dim):
             upper, lower = grid[i][j], grid[j][i]
@@ -152,9 +170,7 @@ def parse_metric(source: str) -> MetricSpec:
     if name in BUILTIN_NAMES:
         # outputs report the chart by name, so a file's chart may not pass for a builtin
         raise MetricError(f"metric name {name!r} is reserved for a builtin chart")
-    dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise MetricError(f"'dim' must be a positive integer, got {dim!r}")
+    dim = _dimension(doc["dim"])
     coords = doc["coords"]
     if not isinstance(coords, list) or len(coords) != dim:
         raise MetricError(f"'coords' must list {dim} names")
@@ -179,12 +195,11 @@ def parse_metric(source: str) -> MetricSpec:
                 raise MetricError(f"component ({i + 1}, {j + 1}): {exc}") from None
     for i in range(dim):
         for j in range(i + 1, dim):
-            if isinstance(grid[i][j], str) and isinstance(grid[j][i], str) \
-                    and parsed[i][j] != parsed[j][i]:
+            if parsed[i][j] != parsed[j][i]:  # only a pair written out in full can differ
                 raise MetricError(
                     f"components ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ explicitly")
     return MetricSpec(
-        name=name, dim=dim, coords=tuple(str(c) for c in coords),
+        name=name, dim=dim, coords=tuple(coords),
         components=tuple(tuple(row) for row in parsed), params=params)
 
 
@@ -206,7 +221,8 @@ def builtin(name: str, D: int, params: Mapping[str, float] | None = None) -> Met
     sphere-stereographic is the same manifold in the stereographic chart,
     g_ij = 4 delta_ij / (1 + q^2)^2. hyperbolic-ball is the Poincare ball,
     g_ij = 4 delta_ij / (1 - q^2)^2. conformal2d is exp(2 sigma(q)) delta_ij
-    with sigma = a q1 + b q2 + c q1 q2 + e (q1^2 + q2^2).
+    with sigma = a q1 + b q2 + c q1 q2 + e (q1^2 + q2^2); its a, b, c and e
+    are the only builtin parameters, and naming any other is a MetricError.
 
     Specs are immutable, so each (name, D, params) is parsed and validated
     once per process and the same spec is returned on every later call.
@@ -220,6 +236,10 @@ def _builtin_spec(name: str, D: int, params: tuple[tuple[str, float], ...]) -> M
         raise MetricError(f"dimension must be positive, got {D}")
     components = _builtin_components(name, D)
     defaults = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1} if name == "conformal2d" else {}
+    unknown = sorted({key for key, _ in params} - set(defaults))
+    if unknown:
+        raise MetricError(f"unknown parameter(s) {unknown} for builtin chart {name!r}; "
+                          f"it takes {sorted(defaults) or 'no parameters'}")
     return MetricSpec(name=name, dim=D, coords=_coords(D), components=components,
                       params={**defaults, **dict(params)},
                       domain="unit-ball" if name in ("sphere", "hyperbolic-ball") else None,
@@ -290,8 +310,3 @@ def embedding_to_stereographic(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     z = np.sqrt(1.0 - float(q @ q))
     return q / (1.0 + z)
-
-
-def stereographic_to_embedding(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    return 2.0 * u / (1.0 + float(u @ u))

@@ -283,6 +283,16 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     # an option name is not a negative value
     (["ecp", "--route", "covariant", "--builtin", "sphere:2", "--point", "--beta", "0.1"],
      2, "argument --point: expected one argument"),
+    # a metric file is the whole chart: no builtin or builtin parameter is dropped silently
+    (["geometry", "--metric", "m.json", "--builtin", "sphere:2", "--point=0.1,0"],
+     2, "--builtin does not apply to a --metric chart"),
+    (["geometry", "--metric", "m.json", "--params", "a=1", "--point=0.1,0"],
+     2, "--params does not apply to a --metric chart"),
+    (MC_SPHERE + ["--beta", "0.1", "--samples", "16", "--seed", "-1"], 2, "argument --seed"),
+    # a parameter the builtin chart does not have
+    (["geometry", "--builtin", "flat:2", "--params", "a=1", "--point=0.1,0"], 1, "MetricError"),
+    (["geometry", "--builtin", "conformal2d:2", "--params", "z=1", "--point=0.1,0"],
+     1, "MetricError"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -295,6 +305,70 @@ def test_bad_arguments_rejected(capsys, argv, code, needle):
         assert captured.out == "" and needle in captured.err
     else:
         assert json.loads(captured.out)["error"] == needle
+
+
+ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
+
+
+@pytest.mark.parametrize("argv,error,message", [
+    (ECP + ["--builtin", "sphere:2", "--point=a,b"], "MetricError", "cannot parse point 'a,b'"),
+    (ECP + ["--builtin", "sphere:2", "--point=nan,0"],
+     "MetricError", "point 'nan,0' is not finite"),
+    (ECP + ["--builtin", "conformal2d:2", "--params", "a", "--point=0,0"],
+     "MetricError", "cannot parse parameter assignment 'a'"),
+    (ECP + ["--builtin", "sphere", "--point=0,0"],
+     "MetricError", "--builtin needs the form name:D, e.g. sphere:2"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--routes", "sphere", "--beta", "0.1"],
+     "RouteError", "sweep supports covariant and eta routes, not 'sphere'"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0;0.1,0,0", "--beta", "0.1"],
+     "MetricError", "point [0.1, 0.0, 0.0] has wrong dimension, expected 2"),
+    (ECP + ["--builtin", "conformal2d:3", "--point=0,0,0"],
+     "MetricError", "conformal2d requires D = 2"),
+], ids=["point-text", "point-nan", "params-text", "builtin-no-dim", "sweep-route",
+        "sweep-point-dim", "conformal2d-dim"])
+def test_input_errors_end_as_one_json_error_document(capsys, argv, error, message):
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {"error": error, "message": message}
+
+
+def _chart(**fields):
+    """A valid two-dimensional metric file with the given fields replaced."""
+    return json.dumps({"dim": 2, "coords": ["x", "y"], "g": [["1 + x^2", "0"], [None, "1"]],
+                       **fields})
+
+
+@pytest.mark.parametrize("text,error,message", [
+    # at one time a TypeError traceback, then two charts that ran with the wrong metric
+    (_chart(dim=True, coords=["x"], g=[["1"]]),
+     "MetricError", "'dim' must be a positive integer, got True"),
+    (_chart(coords=["x", "x"]), "MetricError", "coordinate names must be distinct, got ['x', 'x']"),
+    (_chart(coords=["a", "y"], params={"a": 0.5}),
+     "MetricError", "coordinate name(s) ['a'] are also parameter names"),
+    ('{"dim": 2,', "MetricError", "invalid JSON: "),  # then the decoder's own words
+    ("[1, 2]", "MetricError", "metric file must be a JSON object"),
+    ('{"dim": 2, "coords": ["x", "y"]}', "MetricError", "metric file missing field 'g'"),
+    (_chart(dim=0), "MetricError", "'dim' must be a positive integer, got 0"),
+    (_chart(coords=["x"]), "MetricError", "'coords' must list 2 names"),
+    (_chart(params=[1]), "MetricError", "'params' must be an object of numbers"),
+    (_chart(g=[["1", None], [None, "1"]]), "MetricError", "missing component (1, 2)"),
+    (_chart(g=[["1", 0], [None, "1"]]), "MetricError",
+     "component (1, 2) must be an expression string"),
+    (_chart(g=[["1 +", "0"], [None, "1"]]), "MetricError",
+     "component (1, 1): unexpected end of input (line 1, col 4)"),
+    (_chart(g=[["1", "0"], [None, "1e-13"]]), "GeometryError",
+     "metric nearly singular at [0.3, 0.2]"),
+], ids=["dim-bool", "coords-repeated", "coords-shadowed", "json", "array", "no-g", "dim-0",
+        "coords-length", "params-array", "null-pair", "non-string", "unparsable",
+        "nearly-singular"])
+def test_metric_file_errors_end_as_one_json_error_document(tmp_path, capsys, text, error,
+                                                           message):
+    path = tmp_path / "metric.json"
+    path.write_text(text)
+    code, out = run_cli(capsys, ["geometry", "--metric", str(path), "--point=0.3,0.2"])
+    doc = json.loads(out)
+    assert code == 1 and set(doc) == {"error", "message"} and doc["error"] == error
+    assert doc["message"].startswith(message)
 
 
 def test_non_finite_parameter_is_named(capsys):

@@ -229,6 +229,25 @@ def test_partition_hemisphere_quadrature():
     assert z == pytest.approx(expected, rel=1e-6)
 
 
+def test_partitions_build_each_gauss_legendre_rule_once(monkeypatch):
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: built.append(n) or leggauss(n))
+    ecp._gauss_legendre.cache_clear()
+    spec = builtin("hyperbolic-ball", 2)
+    grids = [QuadratureGrid(kind="polar", rmax=0.3, n=6),
+             QuadratureGrid(kind="box", bounds=((-0.2, 0.2), (-0.1, 0.3)), n=6),
+             QuadratureGrid(kind="polar", rmax=0.3, n=5)]
+    first = [partition_function(spec, 0.1, grid) for grid in grids]
+    assert [partition_function(spec, 0.1, grid) for grid in grids] == first
+    assert built == [6, 5]
+    for n in (5, 6):
+        x, w = ecp._gauss_legendre(n)
+        assert not x.flags.writeable and not w.flags.writeable
+        assert np.array_equal(x, leggauss(n)[0]) and np.array_equal(w, leggauss(n)[1])
+
+
 def test_partition_polar_matches_box():
     spec = builtin("hyperbolic-ball", 2)
     beta = 0.2

@@ -1,4 +1,6 @@
+import ast
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -8,12 +10,20 @@ from hypothesis import given, settings, strategies as st
 from curvepath import expressions as ex
 from curvepath.jets import Jet2
 
+_MATH = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log, "sin": math.sin,
+         "cos": math.cos, "tan": math.tan, "sinh": math.sinh, "cosh": math.cosh}
+
+
+def run_one(node, env):
+    """The value of one expression: its one-root program, run on env."""
+    return ex.compile_program([node]).run(env)[0]
+
 
 def test_parse_basic():
     node = ex.parse("1 + q1*q2 / (1 - q1^2)")
     env = {"q1": 0.3, "q2": -0.5}
     expected = 1 + 0.3 * -0.5 / (1 - 0.09)
-    assert ex.evaluate(node, env) == pytest.approx(expected, rel=1e-15)
+    assert run_one(node, env) == pytest.approx(expected, rel=1e-15)
 
 
 def test_double_star_power_alias():
@@ -22,7 +32,7 @@ def test_double_star_power_alias():
 
 def test_unary_minus_and_functions():
     node = ex.parse("-sin(q1) + exp(-q1)")
-    val = ex.evaluate(node, {"q1": 0.7})
+    val = run_one(node, {"q1": 0.7})
     assert val == pytest.approx(-math.sin(0.7) + math.exp(-0.7), rel=1e-15)
 
 
@@ -53,46 +63,96 @@ def test_jet_evaluation_matches_scalar():
     node = ex.parse("sqrt(1 + q1^2) * cos(q2)")
     env_f = {"q1": 0.4, "q2": -0.8}
     env_j = {"q1": Jet2.coordinate(0.4, 0, 2), "q2": Jet2.coordinate(-0.8, 1, 2)}
-    assert ex.evaluate(node, env_j).value == pytest.approx(ex.evaluate(node, env_f))
+    assert run_one(node, env_j).value == pytest.approx(run_one(node, env_f))
 
 
 def test_division_by_zero_is_eval_error():
     node = ex.parse("1 / (q1 - 1)")
     with pytest.raises(ex.EvalError):
-        ex.evaluate(node, {"q1": 1.0})
+        run_one(node, {"q1": 1.0})
 
 
 @pytest.mark.parametrize("source", ["exp(1000) + q1", "(1e300 + q1)^2"])
 def test_overflow_is_eval_error(source):
     with pytest.raises(ex.EvalError):
-        ex.evaluate(ex.parse(source), {"q1": 0.0})
+        run_one(ex.parse(source), {"q1": 0.0})
 
 
-# --- property: print/parse round-trip -----------------------------------------
+# --- property: the parser reads text as Python's grammar does ------------------
 
-def expressions_strategy():
-    leaves = st.one_of(
-        st.floats(min_value=0.0, max_value=9.5, allow_nan=False).map(ex.Num),
-        st.sampled_from(["q1", "q2", "alpha"]).map(ex.Var),
-    )
-
-    def extend(children):
-        return st.one_of(
-            st.tuples(st.sampled_from("+-*/"), children, children).map(
-                lambda t: ex.BinOp(t[0], t[1], t[2])),
-            children.map(ex.Neg),
-            st.tuples(children, st.integers(-3, 3)).map(lambda t: ex.Pow(t[0], t[1])),
-            st.tuples(st.sampled_from(ex.FUNCTION_NAMES), children).map(
-                lambda t: ex.Call(t[0], t[1])),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
+_NAMES = ("x", "y", "q1", "alpha")
+_ATOMS = ("0", "x", "1", "y", "2", "q1", "7", "alpha", "0.5", "1e-1", ".75", "2.5e1", "3.",
+          "1E+0")
+_PREFIXES = ("", "-", "+", "--", "+-")
+_OPERATORS = ("+", "-", "*", "/", " + ", " - ", " * ", " / ")
+_EXPONENTS = ("", "", "", "") + tuple(op + sign + k for op in ("^", "**")
+                                      for sign in ("", "+", "-") for k in "0123")
 
 
-@given(expressions_strategy())
-@settings(max_examples=150, deadline=None)
-def test_print_parse_round_trip(node):
-    assert ex.parse(ex.to_string(node)) == node
+def source_text(data: bytes, depth: int = 3) -> str:
+    """Source text valid in this grammar and in Python's, read off data one
+    byte per choice (byte 0, also once data runs out, is the simplest choice):
+    sums of products joined by + - * / with and without spaces, unary + and -,
+    parentheses, ^ or ** with a signed integer exponent on an atom, and the
+    eight functions, with groups nested at most depth deep."""
+    choices = iter(data)
+
+    def take(options):
+        return options[next(choices, 0) % len(options)]
+
+    def expression(depth):
+        text = factor(depth)
+        for _ in range(take((0, 1, 2, 3))):
+            text += take(_OPERATORS) + factor(depth)
+        return text
+
+    def factor(depth):
+        kind = take(("atom", "group", "call")) if depth else "atom"
+        if kind == "atom":
+            base = take(_ATOMS)
+        elif kind == "group":
+            base = f"({expression(depth - 1)})"
+        else:
+            base = f"{take(ex.FUNCTION_NAMES)}({expression(depth - 1)})"
+        return take(_PREFIXES) + base + take(_EXPONENTS)
+
+    return expression(depth)
+
+
+class _FloatLiterals(ast.NodeTransformer):
+    """Python's tree of a text with every number a float, as this grammar reads
+    it: a Python int never rounds or overflows, and its zero has no sign."""
+
+    def visit_Constant(self, node):
+        node.value = float(node.value)
+        return node
+
+
+def python_outcome(text, env):
+    tree = _FloatLiterals().visit(ast.parse(text.replace("^", "**"), mode="eval"))
+    try:
+        value = eval(compile(tree, "<text>", "eval"), {"__builtins__": {}}, {**_MATH, **env})
+    except (ArithmeticError, ValueError):
+        return "fails"
+    return struct.pack("<d", value)
+
+
+def parser_outcome(text, env):
+    try:
+        value = ex.compile_program([ex.parse(text)]).run(env)[0]
+    except ex.EvalError:
+        return "fails"
+    return struct.pack("<d", value)
+
+
+@given(st.binary(min_size=24, max_size=96).map(source_text),
+       st.tuples(*[st.floats(-2.0, 2.0)] * len(_NAMES)))
+@settings(max_examples=500, deadline=None)
+def test_parser_agrees_with_python(text, values):
+    # the text parsed, compiled and run here, and parsed by Python and run by
+    # eval, gives the same bits in a float environment, or fails in both
+    env = dict(zip(_NAMES, values))
+    assert parser_outcome(text, env) == python_outcome(text, env)
 
 
 @given(st.text(alphabet="q12+-*/^(). abesinxo²", max_size=40))
@@ -106,10 +166,6 @@ def test_parser_is_total(text):
 
 
 # --- property: the compiled program equals a tree walk, bit for bit -------------
-
-_MATH = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log, "sin": math.sin,
-         "cos": math.cos, "tan": math.tan, "sinh": math.sinh, "cosh": math.cosh}
-
 
 def walk(node, env):
     """Reference: evaluate a tree recursively, as the package once did."""
@@ -203,7 +259,7 @@ def test_program_matches_the_tree_walk_bit_for_bit(nodes, q1, q2, alpha):
     program = ex.compile_program(nodes)
     for env in environments(q1, q2, alpha):
         expected = [outcome(lambda node=node: walk(node, env)) for node in nodes]
-        assert [outcome(lambda node=node: ex.evaluate(node, env)) for node in nodes] == expected
+        assert [outcome(lambda node=node: run_one(node, env)) for node in nodes] == expected
         failing = [k for k, (kind, _) in enumerate(expected) if kind == "EvalError"]
         try:
             with np.errstate(all="ignore"):
@@ -224,4 +280,4 @@ def test_failures_give_the_tree_walk_message(source):
     node = ex.parse(source)
     for env in environments(-0.5, 0.25, 1.5):
         expected = outcome(lambda: walk(node, env))
-        assert expected[0] == "EvalError" and outcome(lambda: ex.evaluate(node, env)) == expected
+        assert expected[0] == "EvalError" and outcome(lambda: run_one(node, env)) == expected

@@ -11,8 +11,7 @@ from curvepath import expressions as ex
 from curvepath import metrics as mx
 from curvepath.geometry import point_geometry
 from curvepath.metrics import (DomainError, MetricError, builtin,
-                               embedding_to_stereographic, eval_metric_jet,
-                               parse_metric, stereographic_to_embedding)
+                               embedding_to_stereographic, eval_metric_jet, parse_metric)
 
 
 def metric_file(dim, coords, g, name="test", params=None):
@@ -73,6 +72,50 @@ def test_unknown_identifier_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(MetricError):
         parse_metric(metric_file(2, ["q1", "q2"], [["1"]]))
+
+
+@pytest.mark.parametrize("coords,params,message", [
+    # a repeated name bound the second axis only; a parameter shadowed its coordinate
+    (("x", "x"), {}, "coordinate names must be distinct, got ['x', 'x']"),
+    (("a", "y"), {"a": 0.5}, "coordinate name(s) ['a'] are also parameter names"),
+    (("x", "2y"), {}, "coordinate name '2y' is not an identifier"),
+    (("x", "sin(y)"), {}, "coordinate name 'sin(y)' is not an identifier"),
+    (("x", ""), {}, "coordinate name '' is not an identifier"),
+    (("x", 1), {}, "coordinate name 1 is not an identifier"),
+], ids=["repeated", "shadowed", "number", "call", "empty", "not-a-string"])
+def test_coordinate_names_are_distinct_identifiers_no_parameter_takes(coords, params, message):
+    flat = builtin("flat", 2)
+    with pytest.raises(MetricError) as err:
+        mx.MetricSpec(name="chart", dim=2, coords=coords, components=flat.components,
+                      params=params)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dim", [True, 2.0, "2", 0])
+def test_dimension_must_be_a_positive_integer(dim):
+    with pytest.raises(MetricError) as err:
+        mx.MetricSpec(name="chart", dim=dim, coords=("x",), components=((ex.Num(1.0),),))
+    assert str(err.value) == f"'dim' must be a positive integer, got {dim!r}"
+
+
+def test_numpy_integer_dimension_is_accepted_as_an_int():
+    flat = builtin("flat", 2)
+    spec = mx.MetricSpec(name="chart", dim=np.int64(2), coords=flat.coords,
+                         components=flat.components)
+    assert type(spec.dim) is int and spec == mx.MetricSpec(
+        name="chart", dim=2, coords=flat.coords, components=flat.components)
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("flat", {"a": 1.0}, "unknown parameter(s) ['a'] for builtin chart 'flat'; "
+                         "it takes no parameters"),
+    ("conformal2d", {"z": 1.0, "a": 0.1}, "unknown parameter(s) ['z'] for builtin chart "
+                                          "'conformal2d'; it takes ['a', 'b', 'c', 'e']"),
+])
+def test_builtin_rejects_a_parameter_it_does_not_have(name, params, message):
+    with pytest.raises(MetricError) as err:
+        builtin(name, 2, params)
+    assert str(err.value) == message
 
 
 def test_params_are_usable():
@@ -219,11 +262,12 @@ def test_random_expression_metric_jets_match_fd():
 
 
 def test_chart_maps_are_inverse():
+    # the closed-form inverse of the map: q = 2u / (1 + |u|^2)
     rng = np.random.default_rng(17)
     for _ in range(8):
         q = 0.7 * rng.uniform(-1, 1, size=2)
         u = embedding_to_stereographic(q)
-        assert np.allclose(stereographic_to_embedding(u), q, atol=1e-14)
+        assert np.allclose(2.0 * u / (1.0 + u @ u), q, atol=1e-14)
 
 
 def test_spec_is_immutable():
