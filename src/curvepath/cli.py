@@ -109,7 +109,10 @@ def _parse_params(text: str | None) -> dict:
         key, sep, value = piece.partition("=")
         if not sep or not key:
             raise MetricError(f"cannot parse parameter assignment {piece!r}")
-        out[key.strip()] = value     # MetricSpec converts it and rejects a non-finite one
+        name = key.strip()
+        if name in out:
+            raise MetricError(f"parameter {name!r} is given more than once")
+        out[name] = value     # MetricSpec converts it and rejects a non-finite one
     return out
 
 

@@ -174,7 +174,7 @@ def parse_metric(source: str) -> MetricSpec:
     coords = doc["coords"]
     if not isinstance(coords, list) or len(coords) != dim:
         raise MetricError(f"'coords' must list {dim} names")
-    params = doc.get("params", {}) or {}
+    params = doc.get("params", {})
     if not isinstance(params, dict):
         raise MetricError("'params' must be an object of numbers")
     g = doc["g"]

@@ -5,14 +5,18 @@ space: the real and imaginary parts of each positive-frequency coefficient
 are independent normals with variance 1/(2 beta omega_m^2), which
 reproduces the two-point kernel of the free action exactly.
 
-Vertex integrals are exact, so the only error is statistical. A cubic or
-quartic vertex is a product of at most four trigonometric polynomials of
-degree M, with frequencies up to 4M, so a uniform grid of any K > 4M points
-integrates it exactly; the grid is the smallest such K whose only prime
-factors are 2 and 3 (72, 144, 288 points at M = 16, 32, 64), a fast FFT
-length. Its coefficient is applied as a D^2 x D^2 (or D^2 x D) matrix to
-pair products of the fields. A quadratic vertex needs no grid at all:
-by Parseval, int q^a q^b = 2 beta sum_m Re xi^a_m conj(xi^b_m).
+Vertex integrals are exact, so the only error is statistical. Vertices with
+the same slots are summed into one term first, each coefficient times its
+prefactor, so every catalog has one quadratic term. A cubic or quartic term
+is a product of at most four trigonometric polynomials of degree M, with
+frequencies up to 4M, so a uniform grid of any K > 4M points integrates it
+exactly; the grid is the smallest such K whose only prime factors are 2 and
+3 (72, 144, 288 points at M = 16, 32, 64), a fast FFT length. q and qd come
+from one inverse FFT of their zero-padded half spectra. The coefficient is
+applied as a D^2 x D^2 (or D^2 x D) matrix to pair products of the fields.
+A quadratic term needs no grid at all: by Parseval,
+int q^a q^b = 2 beta sum_m Re xi^a_m conj(xi^b_m), one real sum over the
+(Re, Im) float view of the modes.
 
 Estimates are reproducible: streams derive from a counter-based Philox
 generator keyed by the user seed, and batch substreams are spawned
@@ -22,12 +26,13 @@ which keeps the variance accurate when the mean is large against the spread.
 
 The samples run as a pipeline on every CPU of the process's affinity mask.
 The main thread draws each substream's modes in order and cuts them into
-chunks of about 2 MB of field; pool threads transform each chunk to the grid
-and contract every vertex on it (NumPy releases the GIL in the FFT, matmul
-and einsum), and the per-sample actions are merged in substream order. Each
-sample's action is computed by the same operations whatever its chunk or
-thread, so the output is bit-identical at any worker count, and the fields
-are held one chunk per worker, never for a whole substream. The main thread
+equal chunks of at most about 2 MB of field, two per worker where each keeps
+256 samples; pool threads transform each chunk to the grid and contract
+every term on it (NumPy releases the GIL in the FFT, matmul and einsum),
+and the per-sample actions are merged in substream order. Each sample's
+action is computed by the same operations whatever its chunk or thread, so
+the output is bit-identical at any worker count, and the fields are held one
+chunk per worker, never for a whole substream. The main thread
 allocates every large array once per call and the chunks reuse them, so the
 memory a run holds does not depend on how its threads interleave.
 """
@@ -135,29 +140,32 @@ def _draw_modes(rng: np.random.Generator, beta: float, M: int, D: int,
     return modes
 
 
-def _to_grid(modes: np.ndarray, beta: float, K: int, derivative: bool,
-             out=None, spectrum=None) -> np.ndarray:
-    """Field values on the uniform grid tau_j = j beta / K (in out, with the
-    half spectrum in spectrum, when given).
+def _to_grid(modes: np.ndarray, beta: float, K: int, out=None, spectrum=None) -> np.ndarray:
+    """The field q and its derivative qd on the uniform grid tau_j = j beta / K,
+    as one (2, nbatch, D, K) array (in out, when given).
 
-    xi(tau) = sum_{m>0} [xi_m e^{-i omega_m tau} + conj], realized through a
-    half-spectrum inverse FFT; the derivative multiplies modes by -i omega_m.
+    xi(tau) = sum_{m>0} [xi_m e^{-i omega_m tau} + conj], realized by one
+    half-spectrum inverse FFT of both fields; the derivative multiplies modes
+    by -i omega_m. spectrum, when given, is a (2, nbatch, D, K//2+1) array
+    zero outside m = 1..M, so only the modes are written to it.
     """
     nbatch, D, M = modes.shape
     if K < 2 * M + 2:
         raise ValueError("grid too coarse for the mode content")
-    X = np.empty((nbatch, D, M + 1), dtype=complex) if spectrum is None else spectrum
-    X[:, :, 0] = 0.0
-    np.conjugate(modes, out=X[:, :, 1:])
-    if derivative:
-        X[:, :, 1:] *= 1j * _omega(beta, M)  # conj(-i omega xi)
-    return np.fft.irfft(X, n=K, axis=2, norm="forward", out=out)
+    X = np.zeros((2, nbatch, D, K // 2 + 1), dtype=complex) if spectrum is None else spectrum
+    field, derivative = X[..., 1:M + 1]
+    np.conjugate(modes, out=field)
+    np.multiply(field, 1j * _omega(beta, M), out=derivative)  # conj(-i omega xi)
+    return np.fft.irfft(X, n=K, axis=-1, norm="forward", out=out)
 
 
 # Bytes of field, q and qd together, per chunk of samples (2 MB). A chunk is
 # one pool task: its modes are transformed and every vertex is contracted on
-# them at once, so the fields of a whole substream are never held.
+# them at once, so the fields of a whole substream are never held. A substream
+# is cut into chunks of equal size, at least two per worker where each still
+# holds _MIN_CHUNK samples, so that the last chunks keep every worker busy.
 _CHUNK_BYTES = 1 << 21
+_MIN_CHUNK = 256
 
 
 def _workers() -> int:
@@ -228,15 +236,15 @@ _CONTRACT_ELEMENTS = 1 << 15
 
 
 class _Workspace:
-    """The arrays one chunk of up to rows samples is written to: half spectrum,
-    grid fields, a derivative mode field and a product with a quadratic
-    vertex's coefficient, and the pair products of one contraction block."""
+    """The arrays one chunk of up to rows samples is written to: the half
+    spectra of q and qd, zero-padded once here, their grid fields, a quadratic
+    term's coefficient times the modes, and the pair products of one
+    contraction block."""
 
     def __init__(self, rows: int, D: int, M: int, K: int):
-        self.spectrum = np.empty((rows, D, M + 1), dtype=complex)
-        self.q = np.empty((rows, D, K))
-        self.qd = np.empty((rows, D, K))
-        self.modes = np.empty((2, rows, D, M), dtype=complex)
+        self.spectrum = np.zeros((2, rows, D, K // 2 + 1), dtype=complex)
+        self.fields = np.empty((2, rows, D, K))
+        self.quadratic = np.empty((rows, D, 2 * M))
         self.pairs = np.empty((3, max(1, _CONTRACT_ELEMENTS // (D * D * K)), D * D, K))
 
 
@@ -247,58 +255,61 @@ def _pair(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _vertex_action(v: Vertex, coeff: np.ndarray, modes: np.ndarray, q: np.ndarray,
-                   qd: np.ndarray, beta: float, M: int, ws=None) -> np.ndarray:
-    """Per-sample action of one vertex, with coeff its coefficient in the
-    orthonormal frame (_frame_coeff): a quadratic one by Parseval from the
-    modes (nbatch, D, M), a cubic or quartic one from the grid fields
-    (nbatch, D, K) as a factored contraction, with temporaries in ws."""
-    n, D, K = q.shape
+def _terms(vertices, geom: PointGeometry, beta: float, M: int) -> list:
+    """The vertices as one (slots, coefficient) term per slot signature: each
+    vertex's orthonormal-frame coefficient (_frame_coeff) times its truncated
+    prefactor, summed over the vertices with those slots."""
+    terms = {}
+    for v in vertices:
+        coeff = v.prefactor_truncated(beta, M) * _frame_coeff(v.coeff, geom)
+        terms[v.slots] = terms[v.slots] + coeff if v.slots in terms else coeff
+    return list(terms.items())
+
+
+def _vertex_action(slots: tuple, coeff: np.ndarray, spectrum: np.ndarray, fields: np.ndarray,
+                   beta: float, M: int, ws=None) -> np.ndarray:
+    """Per-sample action of one term of _terms: a quadratic one by Parseval
+    from the half spectra (2, n, D, K//2+1) of q and qd, a cubic or quartic one
+    from their grid fields (2, n, D, K) as a factored contraction, with
+    temporaries in ws."""
+    _, n, D, K = fields.shape
     ws = ws or _Workspace(n, D, M, K)
-    if len(v.slots) == 2:
-        # the derivative field -i omega_m xi_m, formed once
-        if 1 in v.slots:
-            derivative = np.multiply(modes, -1j * _omega(beta, M), out=ws.modes[0, :n])
-        f, g = (derivative if s == 1 else modes for s in v.slots)
-        h = np.matmul(coeff, g, out=ws.modes[1, :n])
-        # sum_m Re(f_m conj h_m) as two real dot products
-        integral = 2.0 * beta * (np.einsum("nam,nam->n", f.real, h.real)
-                                 + np.einsum("nam,nam->n", f.imag, h.imag))
-        return v.prefactor_truncated(beta, M) * integral
-    if K <= len(v.slots) * M:
+    if len(slots) == 2:
+        # int f g = 2 beta sum_m Re f_m conj(g_m): the spectra hold conjugate
+        # modes, and the sum runs on their float view of (Re, Im) pairs
+        f, g = (spectrum[s, :, :, 1:M + 1].view(float) for s in slots)
+        return 2.0 * beta * np.einsum("nak,nak->n", f, np.matmul(coeff, g, out=ws.quadratic[:n]))
+    if K <= len(slots) * M:
         raise ValueError("grid too coarse for an exact vertex integral")
-    fields = [qd if s == 1 else q for s in v.slots]
     matrix = coeff.reshape(D * D, -1)
     integral = np.empty(n)
     step = len(ws.pairs[0])
     for lo in range(0, n, step):
-        f = [x[lo:lo + step] for x in fields]
+        f = [fields[s, lo:lo + step] for s in slots]
         rows = len(f[0])
         left = _pair(f[0], f[1], ws.pairs[0, :rows])
         if len(f) == 3:
             right = f[2]
         else:  # a repeated pair, as in (q.qdot)^2, is formed once
-            right = left if v.slots[2:] == v.slots[:2] else _pair(f[2], f[3], ws.pairs[1, :rows])
+            right = left if slots[2:] == slots[:2] else _pair(f[2], f[3], ws.pairs[1, :rows])
         product = np.matmul(matrix, right, out=ws.pairs[2, :rows])
         integral[lo:lo + rows] = np.einsum("ij,ij->i", left.reshape(rows, -1),
                                            product.reshape(rows, -1))
-    integral *= beta / K
-    return v.prefactor_truncated(beta, M) * integral
+    return integral * (beta / K)
 
 
 def _chunk_action(terms, beta: float, M: int, modes: np.ndarray, spaces) -> np.ndarray:
-    """Summed per-sample action of terms, (vertex, frame coefficient) pairs,
-    on one chunk of modes, from fields on the exact grid written to a
-    _Workspace borrowed from the queue spaces."""
+    """Summed per-sample action of the _terms on one chunk of modes, from
+    fields on the exact grid written to a _Workspace borrowed from the queue
+    spaces."""
     n = len(modes)
-    K = _grid_size(M)
     ws = spaces.get()
     try:
-        q = _to_grid(modes, beta, K, False, ws.q[:n], ws.spectrum[:n])
-        qd = _to_grid(modes, beta, K, True, ws.qd[:n], ws.spectrum[:n])
+        spectrum = ws.spectrum[:, :n]
+        fields = _to_grid(modes, beta, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
         a = np.zeros(n)
-        for v, coeff in terms:
-            a += _vertex_action(v, coeff, modes, q, qd, beta, M, ws)
+        for slots, coeff in terms:
+            a += _vertex_action(slots, coeff, spectrum, fields, beta, M, ws)
         return a
     finally:
         spaces.put(ws)
@@ -310,17 +321,19 @@ def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: i
     substream of the sample stream, in order.
 
     The main thread draws each substream's modes and cuts them into chunks
-    of _CHUNK_BYTES of field; the pool transforms and contracts the chunks
+    (see _CHUNK_BYTES); the pool transforms and contracts the chunks
     of one substream while the next is drawn. The main thread allocates the
     arrays once: two slots of modes, used in turn (a slot is redrawn after
     its batch was consumed), and a _Workspace per worker that each task
     borrows, so the memory held does not depend on thread timing."""
-    terms = [(v, _frame_coeff(v.coeff, geom)) for v in vertices]
+    terms = _terms(vertices, geom, beta, M)
     D = geom.dim
     K = _grid_size(M)
     rows = max(1, _CHUNK_BYTES // (2 * D * K * 8))
     streams = _substreams(D, M, n, seed)
-    workers = min(_workers(), sum(-(-size // rows) for _, size in streams))
+    available = _workers()
+    cuts = [max(-(-size // rows), min(2 * available, size // _MIN_CHUNK)) for _, size in streams]
+    workers = min(available, sum(cuts))
     slots = np.empty((min(2, len(streams)), streams[0][1], D, M), dtype=complex)
     normals = np.empty(slots.shape[1:])
     spaces = queue.SimpleQueue()
@@ -329,8 +342,9 @@ def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: i
 
     def chunks(j, rng, size):
         modes = _draw_modes(rng, beta, M, D, size, slots[j % len(slots), :size], normals[:size])
-        return [functools.partial(_chunk_action, terms, beta, M, modes[lo:lo + rows], spaces)
-                for lo in range(0, size, rows)]
+        edges = [size * i // cuts[j] for i in range(cuts[j] + 1)]
+        return [functools.partial(_chunk_action, terms, beta, M, modes[lo:hi], spaces)
+                for lo, hi in zip(edges, edges[1:])]
 
     _in_order((chunks(j, rng, size) for j, (rng, size) in enumerate(streams)),
               workers, consume, ahead=1)

@@ -324,8 +324,10 @@ ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
      "MetricError", "point [0.1, 0.0, 0.0] has wrong dimension, expected 2"),
     (ECP + ["--builtin", "conformal2d:3", "--point=0,0,0"],
      "MetricError", "conformal2d requires D = 2"),
+    (ECP + ["--builtin", "conformal2d:2", "--params", "a=1,e=0.1, a=0.2", "--point=0.1,0"],
+     "MetricError", "parameter 'a' is given more than once"),
 ], ids=["point-text", "point-nan", "params-text", "builtin-no-dim", "sweep-route",
-        "sweep-point-dim", "conformal2d-dim"])
+        "sweep-point-dim", "conformal2d-dim", "params-repeated"])
 def test_input_errors_end_as_one_json_error_document(capsys, argv, error, message):
     code, out = run_cli(capsys, argv)
     assert code == 1
@@ -351,6 +353,11 @@ def _chart(**fields):
     (_chart(dim=0), "MetricError", "'dim' must be a positive integer, got 0"),
     (_chart(coords=["x"]), "MetricError", "'coords' must list 2 names"),
     (_chart(params=[1]), "MetricError", "'params' must be an object of numbers"),
+    (_chart(params=0), "MetricError", "'params' must be an object of numbers"),
+    (_chart(params=[]), "MetricError", "'params' must be an object of numbers"),
+    (_chart(params=False), "MetricError", "'params' must be an object of numbers"),
+    (_chart(params=""), "MetricError", "'params' must be an object of numbers"),
+    (_chart(params=None), "MetricError", "'params' must be an object of numbers"),
     (_chart(g=[["1", None], [None, "1"]]), "MetricError", "missing component (1, 2)"),
     (_chart(g=[["1", 0], [None, "1"]]), "MetricError",
      "component (1, 2) must be an expression string"),
@@ -359,7 +366,8 @@ def _chart(**fields):
     (_chart(g=[["1", "0"], [None, "1e-13"]]), "GeometryError",
      "metric nearly singular at [0.3, 0.2]"),
 ], ids=["dim-bool", "coords-repeated", "coords-shadowed", "json", "array", "no-g", "dim-0",
-        "coords-length", "params-array", "null-pair", "non-string", "unparsable",
+        "coords-length", "params-array", "params-0", "params-empty-array", "params-false",
+        "params-empty-string", "params-null", "null-pair", "non-string", "unparsable",
         "nearly-singular"])
 def test_metric_file_errors_end_as_one_json_error_document(tmp_path, capsys, text, error,
                                                            message):

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import json
 import math
@@ -13,9 +14,9 @@ from curvepath.cli import main
 from curvepath.ecp import sphere_geometry
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin
-from curvepath.montecarlo import (_Moments, _draw_modes, _frame_coeff, _grid_size,
-                                  _substreams, _to_grid, _vertex_action, mc_boltzmann,
-                                  mc_two_point, mc_vertex_expectation)
+from curvepath.montecarlo import (_Moments, _draw_modes, _grid_size, _substreams, _terms,
+                                  _to_grid, _vertex_action, mc_boltzmann, mc_two_point,
+                                  mc_vertex_expectation)
 from curvepath.propagator import PeriodicPropagator
 from curvepath.wick import expect_first_order_truncated, vertex_catalog
 
@@ -26,6 +27,18 @@ def first_sample(beta, M, D, seed):
     """The modes, shape (D, M), of the first sample the stream of seed draws."""
     [(rng, _)] = _substreams(D, M, 1, seed)
     return _draw_modes(rng, beta, M, D, 1)[0]
+
+
+def grid_fields(modes, beta, K):
+    """The half spectra (2, n, D, K//2+1) and grid fields (2, n, D, K) of q and qd."""
+    spectrum = np.zeros((2, *modes.shape[:2], K // 2 + 1), dtype=complex)
+    return spectrum, _to_grid(modes, beta, K, spectrum=spectrum)
+
+
+def vertex_action(v, geom, beta, M, spectrum, fields):
+    """Per-sample action of the one vertex v, as its own term."""
+    [(slots, coeff)] = _terms([v], geom, beta, M)
+    return _vertex_action(slots, coeff, spectrum, fields, beta, M)
 
 
 def test_sample_is_reproducible():
@@ -39,7 +52,7 @@ def test_sample_is_reproducible():
 def test_path_periodicity_and_zero_mean():
     beta, M = 0.9, 6
     modes = first_sample(beta, M, 2, seed=5)
-    grid = _to_grid(modes[np.newaxis], beta, _grid_size(M), False)[0]
+    grid = _to_grid(modes[np.newaxis], beta, _grid_size(M))[0, 0]
     # uniform grid of a trigonometric polynomial with no constant term
     assert abs(grid.sum(axis=1)).max() < 1e-12
     # tau = 0 equals tau = beta by periodic reconstruction
@@ -51,14 +64,13 @@ def test_grid_values_match_direct_sum():
     beta, M = 0.7, 5
     modes = first_sample(beta, M, 1, seed=9)[0]
     K = 8 * M
-    grid = _to_grid(modes[np.newaxis, np.newaxis], beta, K, False)[0, 0]
+    grid, deriv = _to_grid(modes[np.newaxis, np.newaxis], beta, K)[:, 0, 0]
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     tgrid = beta * np.arange(K) / K
     direct = sum(2 * (modes[m].real * np.cos(omega[m] * tgrid)
                       + modes[m].imag * np.sin(omega[m] * tgrid))
                  for m in range(M))
     assert np.allclose(grid, direct, atol=1e-12)
-    deriv = _to_grid(modes[np.newaxis, np.newaxis], beta, K, True)[0, 0]
     direct_d = sum(2 * omega[m] * (-modes[m].real * np.sin(omega[m] * tgrid)
                                    + modes[m].imag * np.cos(omega[m] * tgrid))
                    for m in range(M))
@@ -103,10 +115,9 @@ def test_vertex_estimates_match_engine():
     while done < n:
         take = min(4096, n - done)
         modes = _draw_modes(rng, beta, M, geom.dim, take)
-        q = _to_grid(modes, beta, K, derivative=False)
-        qd = _to_grid(modes, beta, K, derivative=True)
+        fields = grid_fields(modes, beta, K)
         for k, v in enumerate(vertices):
-            vals = _vertex_action(v, _frame_coeff(v.coeff, geom), modes, q, qd, beta, M)
+            vals = vertex_action(v, geom, beta, M, *fields)
             sums[k] += vals.sum()
             sums2[k] += (vals**2).sum()
         done += take
@@ -206,7 +217,6 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
     v = next(x for x in vertex_catalog(geom, beta, "sphere") if x.label == "(q.qdot)^2")
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     sd = np.sqrt(1.0 / (2 * beta * omega**2))
-    coeff = _frame_coeff(v.coeff, geom)
 
     def batch_means(seed, relabel=False, K=_grid_size(M)):
         rng = np.random.Generator(np.random.Philox(seed))
@@ -218,9 +228,7 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
                 modes = re + 1j * im
             else:
                 modes = _draw_modes(rng, beta, M, 2, bs)
-            q = _to_grid(modes, beta, K, derivative=False)
-            qd = _to_grid(modes, beta, K, derivative=True)
-            out.append(_vertex_action(v, coeff, modes, q, qd, beta, M).mean())
+            out.append(vertex_action(v, geom, beta, M, *grid_fields(modes, beta, K)).mean())
         return np.array(out)
 
     base = batch_means(900)
@@ -300,32 +308,101 @@ def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
     quadratic vertex by Parseval equals its grid integral."""
     beta, M, n = 0.1, 16, 300
     modes = _draw_modes(np.random.Generator(np.random.Philox(5)), beta, M, geom.dim, n)
-    fields = {K: (_to_grid(modes, beta, K, False), _to_grid(modes, beta, K, True))
-              for K in (_grid_size(M), 8 * M)}
+    fields = {K: grid_fields(modes, beta, K) for K in (_grid_size(M), 8 * M)}
     vertices = vertex_catalog(geom, beta, route)
     assert {len(v.slots) for v in vertices} >= {2, 4}
     for v in vertices:
-        coeff = _frame_coeff(v.coeff, geom)
-        ref = _vertex_action(v, coeff, modes, *fields[8 * M], beta, M)
-        new = _vertex_action(v, coeff, modes, *fields[_grid_size(M)], beta, M)
+        ref = vertex_action(v, geom, beta, M, *fields[8 * M])
+        new = vertex_action(v, geom, beta, M, *fields[_grid_size(M)])
         scale = np.abs(ref).max()
         np.testing.assert_allclose(new, ref, rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
         if len(v.slots) == 2:
-            q, qd = fields[8 * M]
-            f, g = (qd if s else q for s in v.slots)
+            [(slots, coeff)] = _terms([v], geom, beta, M)
+            f, g = (fields[8 * M][1][s] for s in slots)
             grid = np.einsum("nak,ab,nbk->n", f, coeff, g) * (beta / (8 * M))
-            np.testing.assert_allclose(new, v.prefactor_truncated(beta, M) * grid,
-                                       rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
+            np.testing.assert_allclose(new, grid, rtol=1e-12, atol=1e-12 * scale, err_msg=v.label)
+
+
+@pytest.mark.parametrize("geom,route", _catalog_cases())
+def test_one_term_per_slot_signature_sums_the_vertex_actions(geom, route):
+    beta, M, n = 0.1, 16, 300
+    modes = _draw_modes(np.random.Generator(np.random.Philox(6)), beta, M, geom.dim, n)
+    fields = grid_fields(modes, beta, _grid_size(M))
+    vertices = vertex_catalog(geom, beta, route)
+    terms = _terms(vertices, geom, beta, M)
+    assert [len(slots) for slots, _ in terms].count(2) == 1
+    assert sorted(slots for slots, _ in terms) == sorted({v.slots for v in vertices})
+    each = np.array([vertex_action(v, geom, beta, M, *fields) for v in vertices])
+    folded = sum(_vertex_action(slots, coeff, *fields, beta, M) for slots, coeff in terms)
+    np.testing.assert_allclose(folded, each.sum(axis=0), rtol=0,
+                               atol=1e-13 * np.abs(each).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("M", [16, 32, 64])
+def test_padded_transform_is_the_irfft_of_the_modes(M):
+    """One transform of the zero-padded spectra of q and qd, in a workspace
+    reused at two chunk sizes, gives the bits of irfft on the M + 1 modes."""
+    beta, K = 0.3, _grid_size(M)
+    workspace = montecarlo._Workspace(40, 3, M, K)
+    rng = np.random.Generator(np.random.Philox(M))
+    for n in (40, 17):
+        modes = _draw_modes(rng, beta, M, 3, n)
+        spectrum = np.concatenate([np.zeros((n, 3, 1)), np.conjugate(modes)], axis=2)
+        ref = [np.fft.irfft(spectrum, n=K, axis=2, norm="forward"),
+               np.fft.irfft(spectrum * (1j * 2 * math.pi * np.arange(M + 1) / beta),
+                            n=K, axis=2, norm="forward")]
+        got = _to_grid(modes, beta, K, workspace.fields[:, :n], workspace.spectrum[:, :n])
+        assert K in (72, 144, 288) and np.array_equal(got, ref)
+        assert np.array_equal(_to_grid(modes, beta, K), ref)
+
+
+@pytest.mark.parametrize("route,geom,terms", [("sphere", SPHERE0, 2),
+                                              ("covariant", _catalog_cases()[0][0], 2),
+                                              ("eta", _catalog_cases()[3][0], 3)])
+def test_each_chunk_makes_one_transform_and_one_action_per_term(monkeypatch, route, geom, terms):
+    counts = collections.Counter()
+
+    def counting(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "irfft", counting("irfft", np.fft.irfft))
+    for name in ("_chunk_action", "_vertex_action"):
+        monkeypatch.setattr(montecarlo, name, counting(name, getattr(montecarlo, name)))
+    mc_boltzmann(route, geom, 0.02, 16, 3000, seed=1)
+    assert counts["irfft"] == counts["_chunk_action"] > 1
+    assert counts["_vertex_action"] == terms * counts["_chunk_action"]
+
+
+@pytest.mark.parametrize("workers,counts", [(1, [3, 2, 1, 19]), (2, [4, 4, 1, 19]),
+                                            (4, [8, 4, 1, 19])])
+def test_substreams_are_cut_into_equal_chunks_two_per_worker(monkeypatch, workers, counts):
+    """A chunk holds at most 910 samples at D = 2, M = 16, 606 at D = 3,
+    M = 16 and 227 at D = 2, M = 64; more chunks are cut for the workers
+    only while each keeps 256 samples."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+    sizes = []
+    real = montecarlo._chunk_action
+    monkeypatch.setattr(montecarlo, "_chunk_action",
+                        lambda *args: sizes.append(len(args[3])) or real(*args))
+    hyper = _catalog_cases()[0][0]
+    runs = [("sphere", SPHERE0, 16, 2048), ("covariant", hyper, 16, 1024),
+            ("sphere", SPHERE0, 16, 300), ("sphere", SPHERE0, 64, 4096)]
+    for (route, geom, M, n), count in zip(runs, counts):
+        sizes.clear()
+        mc_boltzmann(route, geom, 0.02, M, n, seed=1)
+        assert len(sizes) == count and sum(sizes) == n and max(sizes) - min(sizes) <= 1
 
 
 def test_coarse_grid_is_rejected_for_a_quartic_vertex():
     beta, M = 0.1, 8
     v = next(x for x in vertex_catalog(SPHERE0, beta, "sphere") if len(x.slots) == 4)
     modes = _draw_modes(np.random.Generator(np.random.Philox(1)), beta, M, 2, 4)
-    K = 4 * M
-    q, qd = _to_grid(modes, beta, K, False), _to_grid(modes, beta, K, True)
+    fields = grid_fields(modes, beta, 4 * M)
     with pytest.raises(ValueError, match="too coarse"):
-        _vertex_action(v, _frame_coeff(v.coeff, SPHERE0), modes, q, qd, beta, M)
+        vertex_action(v, SPHERE0, beta, M, *fields)
 
 
 # Outputs of the earlier core (an 8M grid and a per-entry coefficient loop)
@@ -405,11 +482,12 @@ def test_work_of_one_chunk_starts_no_thread(monkeypatch):
     monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "made", 0)
-    # one chunk holds 910 samples at D = 2, M = 16; a substream holds 8192
-    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 900, seed=1)
+    # below twice the 256-sample floor a substream is one chunk; a two-point
+    # task is a whole substream of 8192 samples at D = 2, M = 16
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=1)
     mc_two_point(0.5, 16, 2, 8000, seed=1, pairs=[(0.1, 0.3)])
     assert _CountingPool.made == 0
-    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 1000, seed=1)
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 512, seed=1)
     mc_two_point(0.5, 16, 2, 9000, seed=1, pairs=[(0.1, 0.3)])
     assert _CountingPool.made == 2
 
