@@ -7,7 +7,8 @@ deliberately tiny so that evaluation is bit-reproducible; fractional
 powers are written via sqrt composition.
 
 Parsing is total: any input either parses or raises ParseError with a
-line/column location, never an uncaught crash.
+line/column location, never an uncaught crash. Text that nests deeper than
+MAX_DEPTH is a ParseError too.
 
 Evaluation runs a compiled Program: straight-line code over the distinct
 subtrees of a list of expressions, so a repeated subtree is computed once. A
@@ -31,11 +32,7 @@ __all__ = [
 
 FUNCTION_NAMES = tuple(sorted(JET_FUNCTIONS))
 
-_MATH_FUNCTIONS = {
-    "sqrt": math.sqrt, "exp": math.exp, "log": math.log,
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh,
-}
+_MATH_FUNCTIONS = {name: getattr(math, name) for name in FUNCTION_NAMES}
 
 
 class ParseError(ValueError):
@@ -158,10 +155,20 @@ def _tokenize(source: str) -> list[_Token]:
 
 # --- recursive descent parser ----------------------------------------------
 
+MAX_DEPTH = 100
+"""At most this many parentheses and signs open at once, and a parse tree at
+most this many nodes tall; deeper text is a ParseError at the token that goes
+too deep, so no parsed tree reaches Python's recursion limit when it is
+compiled, compared or hashed."""
+
+
 class _Parser:
+    """Each parse_ method returns the tree it read and the tree's height."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.open = 0  # parentheses and signs around the current token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -175,35 +182,37 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
-    def parse_expression(self) -> Expression:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_term())
-        return node
+    def deeper(self, depth: int, tok: _Token) -> int:
+        """depth, if it is at most MAX_DEPTH, else a ParseError at tok."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", tok.line, tok.col)
+        return depth
 
-    def parse_term(self) -> Expression:
-        node = self.parse_unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
-            node = BinOp(op, node, self.parse_unary())
-        return node
+    def parse_expression(self, ops: str = "+-") -> tuple[Expression, int]:
+        """Terms joined by + and -; with ops "*/", a term: factors joined by * and /."""
+        node, height = self.parse_expression("*/") if ops == "+-" else self.parse_unary()
+        while self.peek().kind == "op" and self.peek().text in ops:
+            tok = self.next()
+            right, h = self.parse_expression("*/") if ops == "+-" else self.parse_unary()
+            node, height = BinOp(tok.text, node, right), self.deeper(max(height, h) + 1, tok)
+        return node, height
 
-    def parse_unary(self) -> Expression:
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.next()
-            return Neg(self.parse_unary())
-        if self.peek().kind == "op" and self.peek().text == "+":
-            self.next()
-            return self.parse_unary()
-        return self.parse_power()
+    def parse_unary(self) -> tuple[Expression, int]:
+        tok = self.peek()
+        if tok.kind != "op" or tok.text not in "+-":
+            return self.parse_power()
+        self.next()
+        self.open = self.deeper(self.open + 1, tok)
+        node, height = self.parse_unary()
+        self.open -= 1
+        return (Neg(node), self.deeper(height + 1, tok)) if tok.text == "-" else (node, height)
 
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
+    def parse_power(self) -> tuple[Expression, int]:
+        base, height = self.parse_atom()
         if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
-            base = Pow(base, self.parse_int_exponent())
-        return base
+            tok = self.next()
+            base, height = Pow(base, self.parse_int_exponent()), self.deeper(height + 1, tok)
+        return base, height
 
     def parse_int_exponent(self) -> int:
         sign = 1
@@ -220,12 +229,12 @@ class _Parser:
             raise ParseError("exponent must be an integer", tok.line, tok.col) from None
         return sign * value
 
-    def parse_atom(self) -> Expression:
+    def parse_atom(self) -> tuple[Expression, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.next()
             try:
-                return Num(float(tok.text))
+                return Num(float(tok.text)), 1
             except ValueError:      # a digit float() does not read, such as '²'
                 raise ParseError(f"invalid number {tok.text!r}", tok.line, tok.col) from None
         if tok.kind == "ident":
@@ -233,25 +242,27 @@ class _Parser:
             if self.peek().kind == "lparen":
                 if tok.text not in FUNCTION_NAMES:
                     raise ParseError(f"unknown function {tok.text!r}", tok.line, tok.col)
-                return Call(tok.text, self.parse_group())
-            return Var(tok.text)
+                node, height = self.parse_group()
+                return Call(tok.text, node), self.deeper(height + 1, tok)
+            return Var(tok.text), 1
         if tok.kind == "lparen":
             return self.parse_group()
         raise self.fail(f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input")
 
-    def parse_group(self) -> Expression:
+    def parse_group(self) -> tuple[Expression, int]:
         """The expression in parentheses, from its '(' on."""
-        self.next()
+        self.open = self.deeper(self.open + 1, self.next())
         node = self.parse_expression()
         if self.peek().kind != "rparen":
             raise self.fail("expected ')'")
         self.next()
+        self.open -= 1
         return node
 
 
 def parse(source: str) -> Expression:
     parser = _Parser(_tokenize(source))
-    node = parser.parse_expression()
+    node, _ = parser.parse_expression()
     if parser.peek().kind != "end":
         raise parser.fail(f"trailing input {parser.peek().text!r}")
     return node

@@ -83,17 +83,6 @@ class PointGeometry:
         return PointGeometry(**parts)
 
 
-def _jet_arrays(spec: MetricSpec, q0: np.ndarray):
-    """g[N, m, n], dg[N, s, m, n] and ddg[N, s, t, m, n] at the rows of q0;
-    eval_metric_jet checks that they lie in the chart."""
-    jets = [jet for row in eval_metric_jet(spec, q0) for jet in row]
-    N, D = q0.shape
-    g = np.stack([jet.value for jet in jets], axis=-1).reshape(N, D, D)
-    dg = np.stack([jet.grad for jet in jets], axis=-1).reshape(N, D, D, D)
-    ddg = np.stack([jet.hess for jet in jets], axis=-1).reshape(N, D, D, D, D)
-    return 0.5 * (g + np.swapaxes(g, -1, -2)), dg, ddg
-
-
 def point_geometry(spec: MetricSpec, q0: Sequence[float]) -> PointGeometry:
     """Assemble the full tensor bundle at q0 from exact metric jets.
 
@@ -121,20 +110,22 @@ def geometry_blocks(spec: MetricSpec, points: np.ndarray) -> Iterator[PointGeome
 def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     """The bundle at every row of q0, shape (N, D).
 
-    The assembly from term to T runs with the point axis last and contiguous
-    (names ending in _p), so each einsum loops over the points innermost
-    rather than over index blocks of 2 to 4 entries one point at a time. Each
-    field is turned back once into its point-first array. R, V, dV and divV
-    stay point-first: point-last, a batch of one collapses its trailing axis
-    and numpy sums their reductions with another kernel than in a larger
-    batch, so batch rows would no longer carry the bits of one-point calls.
+    The metric's jets arrive, and the assembly from term to T runs, with the
+    point axis last and contiguous (names ending in _p), so each einsum loops
+    over the points innermost rather than over index blocks of 2 to 4 entries
+    one point at a time. Each field is turned once into its point-first
+    array. R, V, dV and divV stay point-first: point-last, a batch of one
+    collapses its trailing axis and numpy sums their reductions with another
+    kernel than in a larger batch, so batch rows would no longer carry the
+    bits of one-point calls.
     """
-    g, dg, ddg = _jet_arrays(spec, q0)
-    if not (np.isfinite(g).all() and np.isfinite(dg).all() and np.isfinite(ddg).all()):
+    g_p, dg_p, ddg_p = eval_metric_jet(spec, q0)  # it checks that q0 lies in the chart
+    if not (np.isfinite(g_p).all() and np.isfinite(dg_p).all() and np.isfinite(ddg_p).all()):
         # error path only: name the first point with a non-finite entry
         k = next(k for k in range(len(q0))
-                 if not all(np.isfinite(a[k]).all() for a in (g, dg, ddg)))
+                 if not all(np.isfinite(a[..., k]).all() for a in (g_p, dg_p, ddg_p)))
         raise GeometryError(f"metric or its derivatives not finite at {q0[k].tolist()}")
+    g = np.ascontiguousarray(g_p.transpose(2, 0, 1))
 
     try:
         chol = np.linalg.cholesky(g)
@@ -152,19 +143,15 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     sqrt_g = np.prod(diag, axis=-1)
 
     g_inv_p = np.ascontiguousarray(g_inv.transpose(1, 2, 0))
-    dg_p = np.ascontiguousarray(dg.transpose(1, 2, 3, 0))
-    ddg_p = np.ascontiguousarray(ddg.transpose(1, 2, 3, 4, 0))
 
     # Gamma^m_{st} = 1/2 g^{mn} (d_s g_nt + d_t g_ns - d_n g_st);
     # dg[s, m, n] = d_s g_mn, assembled with axes [n, s, t]
-    term = (np.einsum("snt...->nst...", dg_p) + np.einsum("tns...->nst...", dg_p)
-            - np.einsum("nst...->nst...", dg_p))
+    term = np.einsum("snt...->nst...", dg_p) + np.einsum("tns...->nst...", dg_p) - dg_p
     Gamma_p = 0.5 * np.einsum("mn...,nst...->mst...", g_inv_p, term)
 
     # d_k Gamma^m_{st}
     dg_inv_p = -np.einsum("ma...,kab...,bn...->kmn...", g_inv_p, dg_p, g_inv_p)
-    dterm = (np.einsum("ksnt...->knst...", ddg_p) + np.einsum("ktns...->knst...", ddg_p)
-             - np.einsum("knst...->knst...", ddg_p))
+    dterm = np.einsum("ksnt...->knst...", ddg_p) + np.einsum("ktns...->knst...", ddg_p) - ddg_p
     dGamma_p = (0.5 * np.einsum("kmn...,nst...->kmst...", dg_inv_p, term)
                 + 0.5 * np.einsum("mn...,knst...->kmst...", g_inv_p, dterm))
 
@@ -184,6 +171,8 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     # memory order [m, a, b, n] of the point-first sum it replaces, so
     # Riemann, its view, has the strides (and the einsums that read it the
     # loop order) they had
+    dg = np.ascontiguousarray(dg_p.transpose(3, 0, 1, 2))
+    ddg = np.ascontiguousarray(ddg_p.transpose(4, 0, 1, 2, 3))
     Gamma = np.ascontiguousarray(Gamma_p.transpose(3, 0, 1, 2))
     dGamma = np.ascontiguousarray(dGamma_p.transpose(4, 0, 1, 2, 3))
     dg_inv = np.ascontiguousarray(dg_inv_p.transpose(3, 0, 1, 2))

@@ -1,8 +1,9 @@
 """Truncated Taylor arithmetic to second order (dense jets).
 
 A Jet2 carries a value together with its gradient and Hessian with respect
-to D base coordinates. Each part may carry the same leading batch axes, so
-one jet holds one point (value shape ()) or N points (value shape (N,)).
+to D base coordinates. Each part may carry the same batch axes, last, so one
+jet holds one point (value shape ()) or N points (value (N,), gradient (D, N),
+Hessian (D, D, N)), and the value broadcasts against the others as it is.
 Sums, products, quotients and compositions with the supported scalar
 functions propagate derivatives exactly (truncated Leibniz/chain rules), so
 metric components defined by closed-form expressions yield machine-precision
@@ -18,7 +19,7 @@ __all__ = ["Jet2", "JET_FUNCTIONS"]
 
 
 class Jet2:
-    """Value, gradient and Hessian with shapes B, B + (D,) and B + (D, D)."""
+    """Value, gradient and Hessian with shapes B, (D,) + B and (D, D) + B."""
 
     __slots__ = ("value", "grad", "hess")
 
@@ -29,18 +30,17 @@ class Jet2:
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[-1]
+        return self.grad.shape[0]
 
     @staticmethod
     def constant(value, dim: int) -> "Jet2":
         value = np.asarray(value, dtype=float)
-        return Jet2(value, np.zeros(value.shape + (dim,)),
-                    np.zeros(value.shape + (dim, dim)))
+        return Jet2(value, np.zeros((dim,) + value.shape), np.zeros((dim, dim) + value.shape))
 
     @staticmethod
     def coordinate(value, index: int, dim: int) -> "Jet2":
         jet = Jet2.constant(value, dim)
-        jet.grad[..., index] = 1.0
+        jet.grad[index] = 1.0
         return jet
 
     # arithmetic -----------------------------------------------------------
@@ -68,11 +68,9 @@ class Jet2:
             return Jet2(self.value * other, self.grad * other, self.hess * other)
         u0, v0 = self.value, other.value
         ug, vg = self.grad, other.grad
-        u1, v1 = u0[..., None], v0[..., None]
-        outer = ug[..., :, None] * vg[..., None, :]
-        hess = (self.hess * v1[..., None] + u1[..., None] * other.hess
-                + outer + np.swapaxes(outer, -1, -2))
-        return Jet2(u0 * v0, ug * v1 + u1 * vg, hess)
+        outer = ug[:, None] * vg[None, :]
+        hess = self.hess * v0 + u0 * other.hess + outer + np.swapaxes(outer, 0, 1)
+        return Jet2(u0 * v0, ug * v0 + u0 * vg, hess)
 
     __rmul__ = __mul__
 
@@ -91,9 +89,13 @@ class Jet2:
             return Jet2.constant(np.ones_like(self.value), self.dim)
         if exponent < 0:
             return (self.__pow__(-exponent))._reciprocal()
+        # left-to-right binary powering: x^2 and x^3 are the products x x and
+        # (x x) x, and a huge exponent costs two products per bit
         out = self
-        for _ in range(exponent - 1):
-            out = out * self
+        for bit in bin(exponent)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
     def _reciprocal(self) -> "Jet2":
@@ -107,9 +109,7 @@ class Jet2:
     def _compose(self, f0, f1, f2) -> "Jet2":
         """Chain rule through second order for f(self)."""
         g = self.grad
-        f1, f2 = np.asarray(f1)[..., None], np.asarray(f2)[..., None, None]
-        gg = g[..., :, None] * g[..., None, :]
-        return Jet2(f0, f1 * g, f2 * gg + f1[..., None] * self.hess)
+        return Jet2(f0, f1 * g, f2 * (g[:, None] * g[None, :]) + f1 * self.hess)
 
     def sqrt(self) -> "Jet2":
         v = self.value
@@ -154,12 +154,5 @@ class Jet2:
 
 
 JET_FUNCTIONS: dict[str, Callable[[Jet2], Jet2]] = {
-    "sqrt": Jet2.sqrt,
-    "exp": Jet2.exp,
-    "log": Jet2.log,
-    "sin": Jet2.sin,
-    "cos": Jet2.cos,
-    "tan": Jet2.tan,
-    "sinh": Jet2.sinh,
-    "cosh": Jet2.cosh,
-}
+    name: getattr(Jet2, name)
+    for name in ("sqrt", "exp", "log", "sin", "cos", "tan", "sinh", "cosh")}

@@ -232,8 +232,8 @@ def builtin(name: str, D: int, params: Mapping[str, float] | None = None) -> Met
 
 @functools.lru_cache(maxsize=64)
 def _builtin_spec(name: str, D: int, params: tuple[tuple[str, float], ...]) -> MetricSpec:
-    if D < 1:
-        raise MetricError(f"dimension must be positive, got {D}")
+    if not 1 <= D <= ex.MAX_DEPTH - 4:  # the sum over D coordinates nests D + 4 deep
+        raise MetricError(f"dimension must be 1 to {ex.MAX_DEPTH - 4}, got {D}")
     components = _builtin_components(name, D)
     defaults = {"a": 0.3, "b": -0.2, "c": 0.15, "e": 0.1} if name == "conformal2d" else {}
     unknown = sorted({key for key, _ in params} - set(defaults))
@@ -274,11 +274,14 @@ def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], .
 
 # --- evaluation ---------------------------------------------------------------
 
-def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
-    """g_{mu nu}(q) with exact first and second partials.
+def eval_metric_jet(spec: MetricSpec, q: Sequence[float]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g[m, n] = g_mn(q) with its exact partials dg[s, m, n] = d_s g_mn and
+    ddg[s, t, m, n] = d_s d_t g_mn.
 
-    q has shape (D,) or (N, D); every jet carries the leading axes of q, so
-    the program runs once for all points.
+    q has shape (D,) or (N, D). Each array carries the batch axes of q last:
+    g is (D, D), dg (D, D, D) and ddg (D, D, D, D), each with a trailing
+    axis of N for N points, so the program runs once for all points.
     """
     qv = spec.check_domain(q)
     D = spec.dim
@@ -293,14 +296,12 @@ def eval_metric_jet(spec: MetricSpec, q: Sequence[float]) -> list[list[Jet2]]:
                 eval_metric_jet(spec, point)
         i, j = divmod(exc.root, D)
         raise MetricError(f"evaluating g({i + 1},{j + 1}) at {qv.tolist()}: {exc}") from None
-    out: list[list[Jet2]] = [[None] * D for _ in range(D)]  # type: ignore
-    for i in range(D):
-        for j in range(i, D):
-            jet = values[i * D + j]
-            if not isinstance(jet, Jet2):
-                jet = Jet2.constant(np.full(qv.shape[:-1], jet), D)
-            out[i][j] = out[j][i] = jet
-    return out
+    batch = qv.shape[:-1]
+    jets = [v if isinstance(v, Jet2) else Jet2.constant(np.full(batch, v), D) for v in values]
+    g = np.stack([jet.value for jet in jets]).reshape((D, D) + batch)
+    dg = np.stack([jet.grad for jet in jets], axis=1).reshape((D,) * 3 + batch)
+    ddg = np.stack([jet.hess for jet in jets], axis=2).reshape((D,) * 4 + batch)
+    return g, dg, ddg
 
 
 # --- chart correspondence for the unit sphere ---------------------------------

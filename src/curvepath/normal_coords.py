@@ -186,8 +186,7 @@ def _chart_gamma(exp: NormalExpansion, xi: np.ndarray, geom_q: PointGeometry) ->
              + np.einsum("...uv,...aum,...vn->...amn", geom_q.g, dJ, J)
              + np.einsum("...uv,...um,...avn->...amn", geom_q.g, J, dJ))
     ghat_inv = np.linalg.inv(ghat)
-    term = (np.einsum("...snt->...nst", dghat) + np.einsum("...tns->...nst", dghat)
-            - np.einsum("...nst->...nst", dghat))
+    term = np.einsum("...snt->...nst", dghat) + np.einsum("...tns->...nst", dghat) - dghat
     return 0.5 * np.einsum("...mn,...nst->...mst", ghat_inv, term)
 
 

@@ -106,22 +106,15 @@ class Vertex:
 
 def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of n items ((n-1)!! of them)."""
-    if n % 2 != 0:
-        return
-    items = list(range(n))
-
-    def rec(rest: list[int]):
+    def rec(rest: tuple[int, ...]):
         if not rest:
             yield ()
-            return
-        first = rest[0]
         for k in range(1, len(rest)):
-            pair = (first, rest[k])
-            remainder = rest[1:k] + rest[k + 1:]
-            for tail in rec(remainder):
-                yield (pair,) + tail
+            for tail in rec(rest[1:k] + rest[k + 1:]):
+                yield ((rest[0], rest[k]),) + tail
 
-    yield from rec(items)
+    if n % 2 == 0:
+        yield from rec(tuple(range(n)))
 
 
 # --- compiled pairings ------------------------------------------------------------
@@ -139,19 +132,28 @@ class _Term(NamedTuple):
     cross: tuple[tuple[int, int], ...]
     spec: str
 
-    def contract(self, coeffs: Sequence[np.ndarray], g_inv: np.ndarray) -> np.ndarray:
+    def contract(self, coeffs: Sequence[np.ndarray], g_inv: np.ndarray,
+                 memo: dict | None = None) -> np.ndarray:
         """The contraction at every point of the batch (a scalar for one point).
 
         The spec runs as the pairwise steps _steps compiles for it at this
         dimension, each a plain two-operand einsum, so the eta route's cubic
         square costs D^4 per point instead of D^6. Each step sums point by
         point in einsum's own order, never through tensordot or BLAS, so
-        every point gets the bits of a one-point call.
+        every point gets the bits of a one-point call. memo, shared by the
+        terms of one plan sum, holds each step's result under the identity of
+        its operands and its spec: a step that another term already ran is
+        read from it, with the same bits.
         """
-        pairs = len(self.equal_time) + len(self.cross)
-        operands = [*coeffs, *(g_inv,) * pairs]
+        memo = {} if memo is None else memo
+        operands = [*coeffs, *(g_inv,) * (len(self.equal_time) + len(self.cross))]
+        keys = [id(x) for x in operands]  # an input is alive, so its id is its own
         for a, b, step in _steps(self.spec, g_inv.shape[-1]):
-            operands.append(np.einsum(step, operands[a], operands[b]))
+            key = (keys[a], keys[b], step)
+            if key not in memo:
+                memo[key] = np.einsum(step, operands[a], operands[b])
+            operands.append(memo[key])
+            keys.append(key)
         return operands[-1]
 
 
@@ -200,13 +202,16 @@ def _plan(*slot_groups: tuple[int, ...]) -> tuple[_Term, ...]:
     return tuple(terms)
 
 
-def _plan_sum(plan: Sequence[_Term], contract, pair_value: dict,
-              cross_value=lambda cross: CounterPolynomial(constant=1.0)) -> CounterPolynomial:
+def _plan_sum(plan: Sequence[_Term], coeffs: Sequence[np.ndarray], g_inv: np.ndarray,
+              pair_value: dict, cross_value=lambda cross: CounterPolynomial(constant=1.0),
+              memo: dict | None = None) -> CounterPolynomial:
     """Sum over the plan of cross_value(cross lines) x equal-time pair values x
-    contract(term), in plan order. The values are counter polynomials,
-    constant ones at a single cutoff; each cross signature is evaluated once
-    (first order has none), and a term whose cross value is zero is skipped
-    uncontracted."""
+    the term's contraction of coeffs with g_inv, in plan order. The values
+    are counter polynomials, constant ones at a single cutoff; each cross
+    signature is evaluated once (first order has none), and a term whose
+    cross value is zero is skipped uncontracted. The terms share memo (a new
+    one if none is given), so each distinct pairwise step runs once."""
+    memo = {} if memo is None else memo
     crosses: dict = {}
     total = CounterPolynomial()
     for term in plan:
@@ -220,7 +225,7 @@ def _plan_sum(plan: Sequence[_Term], contract, pair_value: dict,
                 value = value * pair_value[t]
         except ValueError as exc:
             raise EngineError(f"pairing outside the rule table: {exc}") from None
-        total = total + value.scaled(contract(term))
+        total = total + value.scaled(term.contract(coeffs, g_inv, memo))
     return total
 
 
@@ -230,8 +235,7 @@ def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) ->
     """<integral of the vertex> under the free measure, as a counter polynomial."""
     if len(v.slots) % 2 == 1:
         return CounterPolynomial()
-    total = _plan_sum(_plan(tuple(v.slots)), lambda term: term.contract((v.coeff,), geom.g_inv),
-                      p.pair_counters())
+    total = _plan_sum(_plan(tuple(v.slots)), (v.coeff,), geom.g_inv, p.pair_counters())
     return (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
 
 
@@ -246,8 +250,7 @@ def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGe
         return 0.0
     pair_value = {(0, 0): CounterPolynomial(constant=p.green0_truncated()),
                   (1, 1): CounterPolynomial(constant=2 * p.M / p.beta)}
-    total = _plan_sum(_plan(tuple(v.slots)), lambda term: term.contract((v.coeff,), geom.g_inv),
-                      pair_value)
+    total = _plan_sum(_plan(tuple(v.slots)), (v.coeff,), geom.g_inv, pair_value)
     return total.constant * v.prefactor_truncated(p.beta, p.M) * p.beta
 
 
@@ -397,8 +400,8 @@ def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
         return CounterPolynomial()
     pref = _second_order_prefactor(v1, v2, p)
     plan = _plan(tuple(v1.slots), tuple(v2.slots))
-    total = _plan_sum(plan, lambda term: term.contract((v1.coeff, v2.coeff), geom.g_inv),
-                      p.pair_counters(), functools.partial(cross_integral_table, p.beta))
+    total = _plan_sum(plan, (v1.coeff, v2.coeff), geom.g_inv, p.pair_counters(),
+                      functools.partial(cross_integral_table, p.beta))
     return (total * pref).scaled(p.beta)
 
 
@@ -409,14 +412,15 @@ def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom
     richardson_limit extrapolates a doubling series."""
     pref = _second_order_prefactor(v1, v2, p)
     plan = _plan(tuple(v1.slots), tuple(v2.slots))
-    contract = functools.cache(lambda term: term.contract((v1.coeff, v2.coeff), geom.g_inv))
+    memo: dict = {}  # every cutoff contracts the same terms
     zero = np.zeros(geom.g_inv.shape[:-2])  # keeps the batch shape where every sharp sum is zero
     series = []
     for M in ms:
         def cross_value(cross, M=M):
             return CounterPolynomial(constant=cross_integral_modes(p, cross, M=M))
         pair_value = {t: CounterPolynomial(constant=c.value_at(M)) for t, c in p.pair_counters().items()}
-        val = zero + _plan_sum(plan, contract, pair_value, cross_value).constant
+        val = zero + _plan_sum(plan, (v1.coeff, v2.coeff), geom.g_inv, pair_value, cross_value,
+                               memo).constant
         series.append((M, val * (pref.value_at(M) * p.beta)))
     return series
 

@@ -6,6 +6,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -377,6 +378,35 @@ def test_metric_file_errors_end_as_one_json_error_document(tmp_path, capsys, tex
     doc = json.loads(out)
     assert code == 1 and set(doc) == {"error", "message"} and doc["error"] == error
     assert doc["message"].startswith(message)
+
+
+@pytest.mark.parametrize("g11,code,message", [
+    ("1+" + "(" * 3000 + "q1" + ")" * 3000, 1,
+     "component (1, 1): expression nests deeper than 100 levels (line 1, col 103)"),
+    ("1+" + "-" * 5000 + "q1", 1,
+     "component (1, 1): expression nests deeper than 100 levels (line 1, col 103)"),
+    ("1+" + "sin(" * 2000 + "q1" + ")" * 2000, 1,
+     "component (1, 1): expression nests deeper than 100 levels (line 1, col 406)"),
+    ("1+" + "q1+" * 20000 + "q1", 1,
+     "component (1, 1): expression nests deeper than 100 levels (line 1, col 299)"),
+    ("1+q1^1000000000000", 0, None),
+    ("1+q1^-1000000000000", 1,
+     "evaluating g(1,1) at [0.1]: division by zero during evaluation"),
+], ids=["parens", "signs", "calls", "long-sum", "huge-power", "huge-negative-power"])
+def test_deep_or_huge_expressions_end_quickly_as_one_json_document(tmp_path, capsys, g11, code,
+                                                                   message):
+    # the first four once ended in a RecursionError traceback, the powers ran for minutes
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"name": "d", "dim": 1, "coords": ["q1"], "g": [[g11]]}))
+    start = time.perf_counter()
+    got, out = run_cli(capsys, ["geometry", "--metric", str(path), "--point=0.1"])
+    assert time.perf_counter() - start < 2.0
+    doc = json.loads(out)
+    assert got == code
+    if message is None:
+        assert doc["g"] == [[1.0]]  # 0.1^(10^12) underflows to 0
+    else:
+        assert doc == {"error": "MetricError", "message": message}
 
 
 def test_non_finite_parameter_is_named(capsys):

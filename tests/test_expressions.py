@@ -165,6 +165,26 @@ def test_parser_is_total(text):
         assert err.line >= 1 and err.col >= 1
 
 
+@pytest.mark.parametrize("make,deepest,col", [
+    (lambda n: "(" * n + "q1" + ")" * n, 100, 101),   # the '(' that opens level 101
+    (lambda n: "+" * n + "q1", 100, 101),
+    (lambda n: "-" * n + "q1", 99, 1),                # the '-' whose Neg is 101 tall
+    (lambda n: "sin(" * n + "q1" + ")" * n, 99, 1),
+    (lambda n: "q1+" * n + "q1", 99, 300),            # the + that makes the sum 101 tall
+    (lambda n: "q1*(" * n + "q1" + ")" * n, 99, 3),
+], ids=["parens", "plus", "minus", "calls", "sum", "nested-products"])
+def test_nesting_deeper_than_the_bound_is_a_located_parse_error(make, deepest, col):
+    """The deepest text parses, and its tree compiles, compares and hashes;
+    one level more is a ParseError at the token that goes too deep. The fuzz
+    above draws at most 40 characters and never gets there."""
+    tree = ex.parse(make(deepest))
+    assert len(ex.compile_program([tree]).code) <= ex.MAX_DEPTH
+    assert tree == ex.parse(make(deepest)) and hash(tree) == hash(ex.parse(make(deepest)))
+    with pytest.raises(ex.ParseError, match=f"nests deeper than {ex.MAX_DEPTH} levels") as err:
+        ex.parse(make(deepest + 1))
+    assert (err.value.line, err.value.col) == (1, col)
+
+
 # --- property: the compiled program equals a tree walk, bit for bit -------------
 
 def walk(node, env):

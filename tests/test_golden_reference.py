@@ -34,7 +34,7 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_routes.json").read_text())
 EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
-def _naive_longdouble(term, coeffs, g_inv):
+def _naive_longdouble(term, coeffs, g_inv, memo):
     pairs = len(term.equal_time) + len(term.cross)
     operands = [np.asarray(c, np.longdouble) for c in coeffs]
     return np.einsum(term.spec, *operands, *(np.asarray(g_inv, np.longdouble),) * pairs)

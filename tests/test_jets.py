@@ -52,8 +52,8 @@ def test_batch_matches_single_points():
     for k, q in enumerate(qs):
         one = sample_jet(q)
         assert batch.value[k] == one.value
-        assert np.array_equal(batch.grad[k], one.grad)
-        assert np.array_equal(batch.hess[k], one.hess)
+        assert np.array_equal(batch.grad[..., k], one.grad)
+        assert np.array_equal(batch.hess[..., k], one.hess)
 
 
 def test_symmetry_invariants():
@@ -88,6 +88,23 @@ def test_integer_powers():
     assert (x ** 0).value == 1.0
     with pytest.raises(TypeError):
         x ** 0.5
+
+
+def test_powers_are_products_in_a_fixed_order(monkeypatch):
+    # x^2 and x^3 are the products x x and (x x) x, bit for bit; a huge
+    # exponent takes two products per binary digit, not one per unit
+    x = sample_jet(np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2)))
+    for power, product in ((x ** 2, x * x), (x ** 3, (x * x) * x)):
+        for part in ("value", "grad", "hess"):
+            assert np.array_equal(getattr(power, part), getattr(product, part))
+    products = []
+    multiply = Jet2.__mul__
+    monkeypatch.setattr(Jet2, "__mul__", lambda a, b: products.append(1) or multiply(a, b))
+    half = Jet2.coordinate(0.5, 0, 1)
+    assert (half ** 61).value == 0.5 ** 61 and (half ** 61).grad[0] == pytest.approx(61 * 0.5 ** 60)
+    products.clear()
+    huge = half ** 10**12
+    assert huge.value == 0.0 and len(products) <= 2 * (10**12).bit_length()
 
 
 def test_domain_errors():

@@ -21,15 +21,15 @@ def metric_file(dim, coords, g, name="test", params=None):
 
 def metric_values(spec, q):
     """g(q) as a D x D array: the values of the metric's jets at one point."""
-    return np.array([[jet.value for jet in row] for row in eval_metric_jet(spec, q)])
+    return eval_metric_jet(spec, q)[0]
 
 
 def test_flat_line_metric():
     spec = parse_metric(metric_file(1, ["q1"], [["1"]]))
     assert spec.dim == 1
-    jet = eval_metric_jet(spec, [0.37])[0][0]
-    assert jet.value == 1.0
-    assert np.all(jet.grad == 0) and np.all(jet.hess == 0)
+    g, dg, ddg = eval_metric_jet(spec, [0.37])
+    assert g[0, 0] == 1.0
+    assert np.all(dg == 0) and np.all(ddg == 0)
 
 
 def test_written_out_sphere_equals_builtin():
@@ -46,9 +46,9 @@ def test_written_out_sphere_equals_builtin():
         b = eval_metric_jet(ref, q)
         for i in range(2):
             for j in range(2):
-                assert a[i][j].value == pytest.approx(b[i][j].value, rel=1e-12)
-                assert np.allclose(a[i][j].grad, b[i][j].grad, rtol=1e-11, atol=1e-12)
-                assert np.allclose(a[i][j].hess, b[i][j].hess, rtol=1e-10, atol=1e-11)
+                assert a[0][i, j] == pytest.approx(b[0][i, j], rel=1e-12)
+                assert np.allclose(a[1][:, i, j], b[1][:, i, j], rtol=1e-11, atol=1e-12)
+                assert np.allclose(a[2][:, :, i, j], b[2][:, :, i, j], rtol=1e-10, atol=1e-11)
 
 
 def test_explicit_asymmetry_rejected():
@@ -157,6 +157,16 @@ def test_builtin_unknown_name():
         builtin("torus", 2)
 
 
+def test_builtin_dimension_is_bounded_by_the_parse_depth():
+    # a builtin's sum over the D coordinates nests D + 4 deep
+    top = ex.MAX_DEPTH - 4
+    for name in ("hyperbolic-ball", "sphere-stereographic"):
+        assert builtin(name, top).dim == top
+    for D in (0, top + 1):
+        with pytest.raises(MetricError, match=f"dimension must be 1 to {top}, got {D}"):
+            builtin("hyperbolic-ball", D)
+
+
 def test_sphere_domain_error():
     spec = builtin("sphere", 2)
     with pytest.raises(DomainError):
@@ -207,18 +217,18 @@ def test_compiled_program_shares_repeated_subtrees():
                          components=((g11, ex.Num(-0.0)), (ex.Num(-0.0), g22)))
     literals = [a for op, a, _ in spec.program.code if op == "num" and a == 0.0]
     assert [math.copysign(1.0, a) for a in literals] == [1.0, -1.0]
-    jets = eval_metric_jet(spec, [0.5, 0.25])
-    assert np.signbit(jets[0][0].grad).tolist() == [False, False]
-    assert np.signbit(jets[1][1].grad).tolist() == [True, True]
+    dg = eval_metric_jet(spec, [0.5, 0.25])[1]
+    assert np.signbit(dg[:, 0, 0]).tolist() == [False, False]
+    assert np.signbit(dg[:, 1, 1]).tolist() == [True, True]
     assert np.signbit(metric_values(spec, [0.5, 0.25])[0, 1])
 
 
 def test_sphere_d1_jets():
     # g11 = 1/(1-q^2) = 1 + q^2 + ...: first derivative 0, second 2 at origin
     spec = builtin("sphere", 1)
-    jet = eval_metric_jet(spec, [0.0])[0][0]
-    assert jet.grad[0] == pytest.approx(0.0, abs=1e-15)
-    assert jet.hess[0, 0] == pytest.approx(2.0, rel=1e-14)
+    _, dg, ddg = eval_metric_jet(spec, [0.0])
+    assert dg[0, 0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert ddg[0, 0, 0, 0] == pytest.approx(2.0, rel=1e-14)
 
 
 def fd4(f, q, k, h):
@@ -235,14 +245,14 @@ def test_jets_match_finite_differences(name, D):
     rng = np.random.default_rng(11)
     for _ in range(20):
         q = 0.5 * rng.uniform(-1, 1, size=D)
-        jets = eval_metric_jet(spec, q)
+        dg = eval_metric_jet(spec, q)[1]
         for i in range(D):
             for j in range(D):
                 def comp(x, i=i, j=j):
                     return metric_values(spec, x)[i, j]
                 for k in range(D):
                     fd = fd4(comp, q, k, 1e-3)
-                    assert jets[i][j].grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+                    assert dg[k, i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_random_expression_metric_jets_match_fd():
@@ -251,14 +261,14 @@ def test_random_expression_metric_jets_match_fd():
     rng = np.random.default_rng(13)
     for _ in range(10):
         q = rng.uniform(-0.5, 0.5, size=2)
-        jets = eval_metric_jet(spec, q)
+        dg = eval_metric_jet(spec, q)[1]
         for i in range(2):
             for j in range(2):
                 def comp(x, i=i, j=j):
                     return metric_values(spec, x)[i, j]
                 for k in range(2):
                     fd = fd4(comp, q, k, 1e-3)
-                    assert jets[i][j].grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+                    assert dg[k, i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 def test_chart_maps_are_inverse():

@@ -422,9 +422,9 @@ def test_terms_are_contracted_only_when_needed(monkeypatch):
     contracted = []
     contract = wick._Term.contract
 
-    def counting(term, coeffs, g_inv):
+    def counting(term, coeffs, g_inv, memo):
         contracted.append(term)
-        return contract(term, coeffs, g_inv)
+        return contract(term, coeffs, g_inv, memo)
 
     monkeypatch.setattr(wick._Term, "contract", counting)
     # the rule table: a term whose cross integral is zero is never contracted;
@@ -437,10 +437,30 @@ def test_terms_are_contracted_only_when_needed(monkeypatch):
     assert contracted == []
     expect_second_order_connected(cubic, cubic, p, SPHERE2)
     assert contracted == list(plan)
-    # the sharp series: each term at most once per call, whatever the number of cutoffs
-    contracted.clear()
-    second_order_mode_series(cubic, cubic, p, SPHERE2, [16, 32, 64, 128])
-    assert 0 < len(contracted) == len(set(contracted)) <= len(plan)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4])
+def test_a_cubic_square_runs_each_pairwise_step_once(monkeypatch, D):
+    """The six terms of the cubic square make 24 pairwise steps; six repeat an
+    earlier step on the same operands, so 18 einsum calls run, with the bits
+    of unshared steps. A sharp series makes the same 18 calls at any number
+    of cutoffs."""
+    geom = point_geometry(builtin("sphere", D), [0.1, -0.2, 0.15, 0.05][:D])
+    cubic = next(v for v in vertex_catalog(geom, 0.3, "eta") if v.label == "cubic-kinetic")
+    p = PeriodicPropagator(0.3, 8)
+    contract = wick._Term.contract
+    with monkeypatch.context() as patch:
+        patch.setattr(wick._Term, "contract", lambda term, coeffs, g_inv, memo:
+                      contract(term, coeffs, g_inv))
+        unshared = expect_second_order_connected(cubic, cubic, p, geom)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
+    assert expect_second_order_connected(cubic, cubic, p, geom) == unshared
+    assert len(calls) == 18
+    calls.clear()
+    second_order_mode_series(cubic, cubic, p, geom, [16, 32, 64, 128])
+    assert len(calls) == 18
 
 
 # every first-order signature of 2-4 slots (the odd ones have no pairing) and
