@@ -43,7 +43,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    root: int | None = None  # set by Program.run: the expression that failed
+    root: int | None = None  # set by Program.run and compile_program: the expression that failed
 
 
 @dataclass(frozen=True)
@@ -332,12 +332,17 @@ def _execute(op: str, a, b, values: list, env: Mapping[str, object]):
 
 
 def compile_program(nodes: Sequence[Expression]) -> Program:
-    """The program of nodes, one root each; equal subtrees share a slot."""
+    """The program of nodes, one root each; equal subtrees share a slot. A node
+    deeper than MAX_DEPTH is an EvalError whose root is its expression."""
     code: list[tuple[str, object, object]] = []
     owners: list[int] = []
     slots: dict[tuple, int] = {}
 
-    def visit(node: Expression, owner: int) -> int:
+    def visit(node: Expression, owner: int, depth: int = 1) -> int:
+        if depth > MAX_DEPTH:
+            error = EvalError(f"expression nests deeper than {MAX_DEPTH} levels")
+            error.root = owner
+            raise error
         if isinstance(node, Num):
             v = node.value
             instruction = ("num", v, None)
@@ -346,13 +351,14 @@ def compile_program(nodes: Sequence[Expression]) -> Program:
         elif isinstance(node, Var):
             key = instruction = ("var", node.name, None)
         elif isinstance(node, Neg):
-            key = instruction = ("neg", visit(node.arg, owner), None)
+            key = instruction = ("neg", visit(node.arg, owner, depth + 1), None)
         elif isinstance(node, BinOp):
-            key = instruction = (node.op, visit(node.left, owner), visit(node.right, owner))
+            key = instruction = (node.op, visit(node.left, owner, depth + 1),
+                                 visit(node.right, owner, depth + 1))
         elif isinstance(node, Pow):
-            key = instruction = ("^", visit(node.base, owner), node.exponent)
+            key = instruction = ("^", visit(node.base, owner, depth + 1), node.exponent)
         elif isinstance(node, Call):
-            key = instruction = ("call", visit(node.arg, owner), node.func)
+            key = instruction = ("call", visit(node.arg, owner, depth + 1), node.func)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         if key not in slots:

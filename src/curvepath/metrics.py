@@ -79,7 +79,10 @@ class MetricSpec:
         if self.domain not in (None, "unit-ball"):
             raise MetricError(f"unknown domain {self.domain!r}")
         D = self.dim
-        program = ex.compile_program([c for row in self.components for c in row])
+        try:
+            program = ex.compile_program([c for row in self.components for c in row])
+        except ex.EvalError as exc:  # a component deeper than MAX_DEPTH
+            raise MetricError(f"component {divmod(exc.root, D)}: {exc}") from None
         object.__setattr__(self, "program", program)
         for i in range(D):
             for j in range(D):
@@ -247,15 +250,15 @@ def _builtin_spec(name: str, D: int, params: tuple[tuple[str, float], ...]) -> M
 
 
 def _builtin_components(name: str, D: int) -> tuple[tuple[ex.Expression, ...], ...]:
-    """Parsed components of a builtin chart."""
+    """Parsed components of a builtin chart; the sphere's share one parse of qq."""
     if name == "flat":
         comps = [[("1" if i == j else "0") for j in range(D)] for i in range(D)]
-    elif name == "sphere":
-        qq = _qq(D)
-        comps = [[f"q{min(i, j) + 1}*q{max(i, j) + 1} / (1 - ({qq}))" for j in range(D)]
-                 for i in range(D)]
-        for i in range(D):
-            comps[i][i] = f"1 + {comps[i][i]}"
+    elif name == "sphere":  # "q_i*q_j / (1 - (qq))", plus 1 on the diagonal
+        den, q = ex.parse(f"1 - ({_qq(D)})"), [ex.Var(c) for c in _coords(D)]
+        fractions = [[ex.BinOp("/", ex.BinOp("*", q[min(i, j)], q[max(i, j)]), den)
+                      for j in range(D)] for i in range(D)]
+        return tuple(tuple(ex.BinOp("+", ex.Num(1.0), x) if i == j else x
+                           for j, x in enumerate(row)) for i, row in enumerate(fractions))
     elif name == "sphere-stereographic":
         qq = _qq(D)
         comps = [[("0" if i != j else f"4 / (1 + ({qq}))^2") for j in range(D)] for i in range(D)]

@@ -166,6 +166,7 @@ def _to_grid(modes: np.ndarray, beta: float, K: int, out=None, spectrum=None) ->
 # holds _MIN_CHUNK samples, so that the last chunks keep every worker busy.
 _CHUNK_BYTES = 1 << 21
 _MIN_CHUNK = 256
+_VARIANCE_GUARD = 1.0  # mc_boltzmann rejects a run whose action variance reaches it
 
 
 def _workers() -> int:
@@ -364,8 +365,7 @@ def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
 
 
 def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
-                 seed: int, variance_guard: float = 1.0,
-                 on_batch=None) -> McEstimate:
+                 seed: int, on_batch=None) -> McEstimate:
     """Monte Carlo Boltzmann factor for one route's truncated vertex set.
 
     The primary estimate is the catalog-order-consistent 1 - <A>; the raw
@@ -386,9 +386,9 @@ def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
 
     _actions(vertex_catalog(geom, beta, route), geom, beta, M, n, seed, merge)
     var_a = float(action.variance())
-    if var_a >= variance_guard:
+    if var_a >= _VARIANCE_GUARD:
         raise ValueError(
-            f"action variance {var_a:.3f} >= {variance_guard}: reweighting unreliable; "
+            f"action variance {var_a:.3f} >= {_VARIANCE_GUARD}: reweighting unreliable; "
             "use a smaller beta or a larger cutoff")
     est = McEstimate(mean=1.0 - float(action.mean), stderr=float(action.stderr()),
                      n_samples=action.count, seed=seed)

@@ -1,12 +1,12 @@
 """Gaussian expectation values of polynomial vertices over periodic,
 zero-mode-free fluctuations.
 
-Every expectation walks one plan, compiled once per list of slot groups (one
-vertex, or two for the connected second order): the live Wick pairings, each
-split into equal-time pairs and cross lines, with its einsum spec. One sum
-multiplies, per pairing, the cross-line value, the equal-time pair values
-and the contraction. It is fed the rule table, which gives an exact counter
-polynomial at any cutoff, or the values at one cutoff M.
+Every expectation walks one plan, compiled once per dimension and list of
+slot groups (one vertex, or two for the connected second order): the live
+Wick pairings, split into equal-time pairs and cross lines, and the distinct
+pairwise einsum steps of their contractions, each run once per call. One sum
+multiplies, per pairing, the cross-line value, the equal-time pair values and
+the contraction, fed the rule table (exact at any cutoff) or one cutoff's values.
 
 First order has no cross lines; its equal-time pairs take the coincidence
 propagator beta/12, the vanishing mixed derivative and a mode counter for
@@ -125,107 +125,97 @@ class _Term(NamedTuple):
     equal_time holds the derivative orders at the ends of each equal-time
     pair, cross the sorted orders of each cross line (second order only),
     spec the einsum that contracts the vertex coefficients with one inverse
-    metric per pair, over any leading batch axes.
+    metric per pair, over any leading batch axes, and result the position of
+    that contraction among the plan's operands.
     """
 
     equal_time: tuple[tuple[int, int], ...]
     cross: tuple[tuple[int, int], ...]
     spec: str
+    result: int
 
-    def contract(self, coeffs: Sequence[np.ndarray], g_inv: np.ndarray,
-                 memo: dict | None = None) -> np.ndarray:
-        """The contraction at every point of the batch (a scalar for one point).
 
-        The spec runs as the pairwise steps _steps compiles for it at this
-        dimension, each a plain two-operand einsum, so the eta route's cubic
-        square costs D^4 per point instead of D^6. Each step sums point by
-        point in einsum's own order, never through tensordot or BLAS, so
-        every point gets the bits of a one-point call. memo, shared by the
-        terms of one plan sum, holds each step's result under the identity of
-        its operands and its spec: a step that another term already ran is
-        read from it, with the same bits.
-        """
-        memo = {} if memo is None else memo
-        operands = [*coeffs, *(g_inv,) * (len(self.equal_time) + len(self.cross))]
-        keys = [id(x) for x in operands]  # an input is alive, so its id is its own
-        for a, b, step in _steps(self.spec, g_inv.shape[-1]):
-            key = (keys[a], keys[b], step)
-            if key not in memo:
-                memo[key] = np.einsum(step, operands[a], operands[b])
-            operands.append(memo[key])
-            keys.append(key)
-        return operands[-1]
+class _Plan(NamedTuple):
+    """The live terms of one list of slot groups at one dimension and the
+    distinct pairwise steps of their contractions: (a, b, spec) runs spec on
+    operands a and b (the coefficients, then g_inv, then earlier results)."""
+
+    terms: tuple[_Term, ...]
+    steps: tuple[tuple[int, int, str], ...]
 
 
 @functools.lru_cache(maxsize=None)
-def _steps(spec: str, D: int) -> tuple[tuple[int, int, str], ...]:
-    """The pairwise contraction order that np.einsum_path(optimize="optimal")
-    picks for an einsum spec at dimension D. Each step reads two operands,
-    inputs or earlier results, by their position in the list of inputs then
-    results, and gives their two-operand spec; its result joins the list.
-    An intermediate keeps the letters still shared with another operand, in
-    alphabetical order, after the batch axes."""
-    inputs = spec.replace("...", "").split("->")[0].split(",")
-    path, _ = np.einsum_path(",".join(inputs) + "->", *(np.empty((D,) * len(s)) for s in inputs),
-                             optimize="optimal")
-    live = list(enumerate(inputs))  # (position, letters) of the operands not yet contracted
-    steps = []
-    for i, j in path[1:]:
-        (a, left), (b, right) = live[i], live[j]
-        del live[j], live[i]
-        kept = "".join(sorted(set(left + right) & set("".join(s for _, s in live))))
-        steps.append((a, b, f"...{left},...{right}->...{kept}"))
-        live.append((len(inputs) + len(steps) - 1, kept))
-    return tuple(steps)
+def _plan(D: int, *slot_groups: tuple[int, ...]) -> _Plan:
+    """The live pairings of one vertex or two at dimension D: no equal-time
+    pair joins a field to a velocity (that coincidence value vanishes), and
+    two vertices share at least two cross lines (the cumulant removes
+    disconnected pieces, and a single cross line integrates to zero), an
+    even number of them field-velocity lines (an odd number is odd under
+    x -> -x, so both schemes give zero).
 
-
-@functools.lru_cache(maxsize=None)
-def _plan(*slot_groups: tuple[int, ...]) -> tuple[_Term, ...]:
-    """The live pairings of one vertex or two: no equal-time pair joins a
-    field to a velocity (that coincidence value vanishes), and two vertices
-    share at least two cross lines (the cumulant removes disconnected pieces,
-    and a single cross line integrates to zero)."""
-    n1 = len(slot_groups[0])
-    slots = sum(slot_groups, ())
-    operands = ",".join("..." + _LETTERS[s:s + len(g)] for s, g in zip((0, n1), slot_groups))
-    terms = []
+    Each term contracts in the pairwise order einsum_path("optimal") picks,
+    D^4 per point for the eta cubic square instead of D^6; an intermediate
+    keeps its letters still shared with another operand, in alphabetical
+    order. A step is keyed by its operands and its spec with the letters
+    renamed in order of first appearance: a step an earlier term takes is
+    not repeated."""
+    n1, slots = len(slot_groups[0]), sum(slot_groups, ())
+    groups = [_LETTERS[s:s + len(g)] for s, g in zip((0, n1), slot_groups)]
+    terms, positions = [], {}  # step key -> (position of its result, step)
     for pairing in pairings(len(slots)):
-        cross = [(i, j) for i, j in pairing if i < n1 <= j]
-        if len(slot_groups) == 2 and len(cross) < 2:
-            continue
+        cross = tuple(sorted((slots[i], slots[j]) for i, j in pairing if i < n1 <= j))
         internal = tuple((slots[i], slots[j]) for i, j in pairing if not i < n1 <= j)
-        if any(t in ((0, 1), (1, 0)) for t in internal):
+        if any(a != b for a, b in internal) or len(slot_groups) == 2 and (
+                len(cross) < 2 or sum(a != b for a, b in cross) % 2):
             continue
-        types = tuple(sorted((slots[i], slots[j]) for i, j in cross))
-        lines = "".join(f",...{_LETTERS[i]}{_LETTERS[j]}" for i, j in pairing)
-        terms.append(_Term(internal, types, operands + lines + "->..."))
-    return tuple(terms)
+        lines = [_LETTERS[i] + _LETTERS[j] for i, j in pairing]
+        path, _ = np.einsum_path(",".join(groups + lines) + "->",
+                                 *(np.empty((D,) * len(s)) for s in groups + lines),
+                                 optimize="optimal")
+        live = [*enumerate(groups), *((len(groups), s) for s in lines)]  # (position, letters)
+        for i, j in path[1:]:
+            (a, left), (b, right) = live[i], live[j]
+            del live[j], live[i]
+            kept = "".join(sorted(set(left + right) & set("".join(s for _, s in live))))
+            step = f"...{left},...{right}->...{kept}"
+            rename = str.maketrans(dict(zip(dict.fromkeys(left + right), _LETTERS)))
+            key = (a, b, step.translate(rename))
+            at = positions.setdefault(key, (len(groups) + 1 + len(positions), (a, b, step)))[0]
+            live.append((at, kept))
+        spec = ",".join("..." + s for s in groups + lines) + "->..."
+        terms.append(_Term(internal, cross, spec, live[0][0]))
+    return _Plan(tuple(terms), tuple(step for _, step in positions.values()))
 
 
-def _plan_sum(plan: Sequence[_Term], coeffs: Sequence[np.ndarray], g_inv: np.ndarray,
-              pair_value: dict, cross_value=lambda cross: CounterPolynomial(constant=1.0),
-              memo: dict | None = None) -> CounterPolynomial:
+def _contractions(plan: _Plan, coeffs: Sequence[np.ndarray], g_inv: np.ndarray) -> list:
+    """coeffs and g_inv, then each step's result at every point of the batch (a
+    scalar for one point). A step runs once, as a plain two-operand einsum
+    that sums point by point in einsum's own order, never through tensordot
+    or BLAS, so every point gets the bits of a one-point call."""
+    operands = [*coeffs, g_inv]
+    for a, b, step in plan.steps:
+        operands.append(np.einsum(step, operands[a], operands[b]))
+    return operands
+
+
+def _plan_sum(plan: _Plan, values: Sequence, pair_value: dict,
+              cross_value=lambda cross: CounterPolynomial(constant=1.0)) -> CounterPolynomial:
     """Sum over the plan of cross_value(cross lines) x equal-time pair values x
-    the term's contraction of coeffs with g_inv, in plan order. The values
-    are counter polynomials, constant ones at a single cutoff; each cross
-    signature is evaluated once (first order has none), and a term whose
-    cross value is zero is skipped uncontracted. The terms share memo (a new
-    one if none is given), so each distinct pairwise step runs once."""
-    memo = {} if memo is None else memo
+    the term's contraction, read from values (the plan's _contractions), in
+    plan order. The values are counter polynomials, constant ones at a single
+    cutoff; each cross signature is evaluated once (first order has none)."""
     crosses: dict = {}
     total = CounterPolynomial()
-    for term in plan:
-        value = crosses.get(term.cross)
-        if value is None:
-            value = crosses[term.cross] = cross_value(term.cross)
-        if value.constant == 0.0 and value.divergent_weight() == 0.0:
-            continue
+    for term in plan.terms:
+        if term.cross not in crosses:
+            crosses[term.cross] = cross_value(term.cross)
+        value = crosses[term.cross]
         try:
             for t in term.equal_time:
                 value = value * pair_value[t]
         except ValueError as exc:
             raise EngineError(f"pairing outside the rule table: {exc}") from None
-        total = total + value.scaled(term.contract(coeffs, g_inv, memo))
+        total = total + value.scaled(values[term.result])
     return total
 
 
@@ -235,7 +225,8 @@ def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) ->
     """<integral of the vertex> under the free measure, as a counter polynomial."""
     if len(v.slots) % 2 == 1:
         return CounterPolynomial()
-    total = _plan_sum(_plan(tuple(v.slots)), (v.coeff,), geom.g_inv, p.pair_counters())
+    plan = _plan(geom.dim, tuple(v.slots))
+    total = _plan_sum(plan, _contractions(plan, (v.coeff,), geom.g_inv), p.pair_counters())
     return (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
 
 
@@ -250,7 +241,8 @@ def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGe
         return 0.0
     pair_value = {(0, 0): CounterPolynomial(constant=p.green0_truncated()),
                   (1, 1): CounterPolynomial(constant=2 * p.M / p.beta)}
-    total = _plan_sum(_plan(tuple(v.slots)), (v.coeff,), geom.g_inv, pair_value)
+    plan = _plan(geom.dim, tuple(v.slots))
+    total = _plan_sum(plan, _contractions(plan, (v.coeff,), geom.g_inv), pair_value)
     return total.constant * v.prefactor_truncated(p.beta, p.M) * p.beta
 
 
@@ -399,9 +391,9 @@ def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
     if (len(v1.slots) + len(v2.slots)) % 2 == 1:
         return CounterPolynomial()
     pref = _second_order_prefactor(v1, v2, p)
-    plan = _plan(tuple(v1.slots), tuple(v2.slots))
-    total = _plan_sum(plan, (v1.coeff, v2.coeff), geom.g_inv, p.pair_counters(),
-                      functools.partial(cross_integral_table, p.beta))
+    plan = _plan(geom.dim, tuple(v1.slots), tuple(v2.slots))
+    total = _plan_sum(plan, _contractions(plan, (v1.coeff, v2.coeff), geom.g_inv),
+                      p.pair_counters(), functools.partial(cross_integral_table, p.beta))
     return (total * pref).scaled(p.beta)
 
 
@@ -411,16 +403,14 @@ def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom
     pairs at each cutoff of ms (a diagnostic; see the module docstring).
     richardson_limit extrapolates a doubling series."""
     pref = _second_order_prefactor(v1, v2, p)
-    plan = _plan(tuple(v1.slots), tuple(v2.slots))
-    memo: dict = {}  # every cutoff contracts the same terms
-    zero = np.zeros(geom.g_inv.shape[:-2])  # keeps the batch shape where every sharp sum is zero
+    plan = _plan(geom.dim, tuple(v1.slots), tuple(v2.slots))
+    values = _contractions(plan, (v1.coeff, v2.coeff), geom.g_inv)  # shared by every cutoff
+    zero = np.zeros(geom.g_inv.shape[:-2])  # keeps the batch shape of a plan with no terms
     series = []
     for M in ms:
-        def cross_value(cross, M=M):
-            return CounterPolynomial(constant=cross_integral_modes(p, cross, M=M))
         pair_value = {t: CounterPolynomial(constant=c.value_at(M)) for t, c in p.pair_counters().items()}
-        val = zero + _plan_sum(plan, (v1.coeff, v2.coeff), geom.g_inv, pair_value, cross_value,
-                               memo).constant
+        val = zero + _plan_sum(plan, values, pair_value, lambda cross: CounterPolynomial(
+            constant=cross_integral_modes(p, cross, M=M))).constant
         series.append((M, val * (pref.value_at(M) * p.beta)))
     return series
 

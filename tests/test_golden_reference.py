@@ -34,16 +34,19 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_routes.json").read_text())
 EXTENDED = np.finfo(np.longdouble).nmant >= 63
 
 
-def _naive_longdouble(term, coeffs, g_inv, memo):
-    pairs = len(term.equal_time) + len(term.cross)
+def _naive_longdouble(plan, coeffs, g_inv):
+    """Each term's contraction as one naive long-double einsum, at its result."""
     operands = [np.asarray(c, np.longdouble) for c in coeffs]
-    return np.einsum(term.spec, *operands, *(np.asarray(g_inv, np.longdouble),) * pairs)
+    g_inv = np.asarray(g_inv, np.longdouble)
+    return {term.result: np.einsum(term.spec, *operands,
+                                   *(g_inv,) * (len(term.equal_time) + len(term.cross)))
+            for term in plan.terms}
 
 
 @contextlib.contextmanager
 def longdouble_plan_sums():
     """Run every plan sum of the Wick engine as a naive long-double einsum."""
-    with mock.patch.object(wick._Term, "contract", _naive_longdouble):
+    with mock.patch.object(wick, "_contractions", _naive_longdouble):
         yield
 
 

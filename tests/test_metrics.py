@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import re
+import time
 
 from curvepath import expressions as ex
 from curvepath import metrics as mx
@@ -165,6 +166,49 @@ def test_builtin_dimension_is_bounded_by_the_parse_depth():
     for D in (0, top + 1):
         with pytest.raises(MetricError, match=f"dimension must be 1 to {top}, got {D}"):
             builtin("hyperbolic-ball", D)
+
+
+def _sphere_text(D):
+    """The sphere builtin's components parsed from text, one string each."""
+    qq = " + ".join(f"q{k + 1}*q{k + 1}" for k in range(D))
+    return tuple(tuple(ex.parse(("1 + " if i == j else "")
+                                + f"q{min(i, j) + 1}*q{max(i, j) + 1} / (1 - ({qq}))")
+                       for j in range(D)) for i in range(D))
+
+
+@pytest.mark.parametrize("D", range(1, 9))
+def test_sphere_components_equal_the_parsed_text(D):
+    assert builtin("sphere", D).components == _sphere_text(D)
+
+
+def test_sphere_builds_quickly_at_the_top_dimension():
+    top = ex.MAX_DEPTH - 4
+    start = time.perf_counter()
+    spec = mx._builtin_spec.__wrapped__("sphere", top, ())  # not the cached spec
+    assert time.perf_counter() - start <= 5.0
+    assert spec.dim == top
+
+
+def _tall(height):
+    """1 + q1 under height - 2 signs: a tree height nodes tall."""
+    node = ex.Var("q1")
+    for _ in range(height - 2):
+        node = ex.Neg(node)
+    return ex.BinOp("+", ex.Num(1.0), node)
+
+
+def test_code_built_component_at_the_depth_bound_constructs_and_hashes():
+    specs = [mx.MetricSpec(name="tall", dim=1, coords=("q1",), components=((_tall(100),),))
+             for _ in range(2)]
+    assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+
+
+@pytest.mark.parametrize("height", [101, 500, 3000])
+def test_code_built_component_past_the_depth_bound_is_named(height):
+    tall, one = _tall(height), ex.Num(1.0)
+    with pytest.raises(MetricError, match=r"^component \(0, 1\): expression nests deeper "
+                                          r"than 100 levels$"):
+        mx.MetricSpec(name="tall", dim=2, coords=("q1", "q2"), components=((one, tall), (tall, one)))
 
 
 def test_sphere_domain_error():

@@ -150,12 +150,13 @@ def test_cubic_vertex_estimates_zero():
     assert abs(est.mean) <= 3 * est.stderr
 
 
-def test_boltzmann_estimates_and_guard():
+def test_boltzmann_estimates_and_guard(monkeypatch):
     est = mc_boltzmann("sphere", SPHERE0, 0.1, 16, 40000, seed=52)
     assert abs(est.mean - (1 - 0.1 / 12)) <= max(3 * est.stderr, 0.003)
     assert est.extras["action_variance"] < 1.0
+    monkeypatch.setattr(montecarlo, "_VARIANCE_GUARD", 1e-9)
     with pytest.raises(ValueError, match="variance"):
-        mc_boltzmann("sphere", SPHERE0, 0.1, 16, 2000, seed=52, variance_guard=1e-9)
+        mc_boltzmann("sphere", SPHERE0, 0.1, 16, 2000, seed=52)
 
 
 def test_boltzmann_consistent_with_vertex_sums():

@@ -408,59 +408,97 @@ def test_compiled_plan_is_built_once():
     expect_second_order_connected(cubic, cubic, PeriodicPropagator(beta, 16), SPHERE2)
     after = wick._plan.cache_info()
     assert after.hits == info.hits + 1 and after.misses == info.misses
-    # every live term has at least two cross lines and no mixed equal-time pair
-    for term in wick._plan(cubic.slots, cubic.slots):
+    # every live term has at least two cross lines, an even number of them
+    # joining a field to a velocity, and no mixed equal-time pair
+    for term in wick._plan(2, cubic.slots, cubic.slots).terms:
         assert len(term.cross) >= 2
+        assert sum(a != b for a, b in term.cross) % 2 == 0
         assert all(t in ((0, 0), (1, 1)) for t in term.equal_time)
 
 
+# every cross signature of 2-4 lines with an odd number of field-velocity lines
+_ODD_CROSSES = [types for K in (2, 3, 4)
+                for types in itertools.product(((0, 0), (0, 1), (1, 0), (1, 1)), repeat=K)
+                if sum(a != b for a, b in types) % 2]
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 2.0])
+def test_odd_field_velocity_cross_lines_integrate_to_zero(beta):
+    """Such a product is odd under x -> -x, so both schemes give exactly zero
+    and a plan drops its pairings: a field pair against a field-velocity
+    pair has no term."""
+    for types in _ODD_CROSSES:
+        assert cross_integral_table(beta, types) == CounterPolynomial(), types
+        for M in (1, 7, 16, 64, 128):
+            assert cross_integral_modes(PeriodicPropagator(beta, M), types, M) == 0.0, (types, M)
+    plan = wick._plan(2, (0, 0), (0, 1))
+    assert plan.terms == () and plan.steps == ()
+
+
 def test_terms_are_contracted_only_when_needed(monkeypatch):
+    """A plan runs each of its steps once, in order, and every step feeds a
+    later step or a term; a plan with no term runs no einsum."""
     beta = 0.3
     p = PeriodicPropagator(beta, 8)
     cubic = next(v for v in vertex_catalog(SPHERE2, beta, "eta") if v.label == "cubic-kinetic")
-    plan = wick._plan(cubic.slots, cubic.slots)
-    contracted = []
-    contract = wick._Term.contract
-
-    def counting(term, coeffs, g_inv, memo):
-        contracted.append(term)
-        return contract(term, coeffs, g_inv, memo)
-
-    monkeypatch.setattr(wick._Term, "contract", counting)
-    # the rule table: a term whose cross integral is zero is never contracted;
-    # a field pair against a field-velocity pair has two such terms, and no other
+    plan = wick._plan(2, cubic.slots, cubic.slots)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
     field, mixed = Vertex("field", np.eye(2), (0, 0)), Vertex("mixed", np.eye(2), (0, 1))
-    odd = wick._plan(field.slots, mixed.slots)
-    assert len(odd) == 2 and all(cross_integral_table(beta, t.cross) == CounterPolynomial()
-                                 for t in odd)
     assert expect_second_order_connected(field, mixed, p, SPHERE2) == CounterPolynomial()
-    assert contracted == []
+    assert second_order_mode_series(field, mixed, p, SPHERE2, [1, 8]) == [(1, 0.0), (8, 0.0)]
+    assert calls == []
     expect_second_order_connected(cubic, cubic, p, SPHERE2)
-    assert contracted == list(plan)
+    assert calls == [step for _, _, step in plan.steps]
+    first = 3  # the two coefficients and g_inv come first
+    read = {x for a, b, _ in plan.steps for x in (a, b)} | {term.result for term in plan.terms}
+    assert read >= set(range(first, first + len(plan.steps)))
+
+
+def _unshared_chain(term, coeffs, g_inv):
+    """A term's contraction as its own chain of pairwise steps, in the order
+    np.einsum_path(optimize="optimal") picks; an intermediate keeps the
+    letters still shared with another operand, in alphabetical order."""
+    inputs = term.spec.replace("...", "").split("->")[0].split(",")
+    operands = [*coeffs, *(g_inv,) * (len(inputs) - len(coeffs))]
+    path, _ = np.einsum_path(",".join(inputs) + "->",
+                             *(np.empty((g_inv.shape[-1],) * len(s)) for s in inputs),
+                             optimize="optimal")
+    live = list(zip(operands, inputs))
+    for i, j in path[1:]:
+        (x, left), (y, right) = live[i], live[j]
+        del live[j], live[i]
+        kept = "".join(sorted(set(left + right) & set("".join(s for _, s in live))))
+        live.append((np.einsum(f"...{left},...{right}->...{kept}", x, y), kept))
+    return live[0][0]
 
 
 @pytest.mark.parametrize("D", [2, 3, 4])
 def test_a_cubic_square_runs_each_pairwise_step_once(monkeypatch, D):
-    """The six terms of the cubic square make 24 pairwise steps; six repeat an
-    earlier step on the same operands, so 18 einsum calls run, with the bits
-    of unshared steps. A sharp series makes the same 18 calls at any number
-    of cutoffs."""
+    """The six terms of the cubic square make 24 pairwise steps; eight repeat
+    an earlier step on the same operands up to the names of its indices, so
+    16 einsum calls run, and every term gets the bits of its own unshared
+    chain. A sharp series makes the same 16 calls at any number of cutoffs."""
     geom = point_geometry(builtin("sphere", D), [0.1, -0.2, 0.15, 0.05][:D])
     cubic = next(v for v in vertex_catalog(geom, 0.3, "eta") if v.label == "cubic-kinetic")
     p = PeriodicPropagator(0.3, 8)
-    contract = wick._Term.contract
+    plan = wick._plan(D, cubic.slots, cubic.slots)
+    coeffs = (cubic.coeff, cubic.coeff)
+    unshared = {term.result: _unshared_chain(term, coeffs, geom.g_inv) for term in plan.terms}
+    shared = wick._contractions(plan, coeffs, geom.g_inv)
+    assert all(shared[result] == value for result, value in unshared.items())
     with monkeypatch.context() as patch:
-        patch.setattr(wick._Term, "contract", lambda term, coeffs, g_inv, memo:
-                      contract(term, coeffs, g_inv))
-        unshared = expect_second_order_connected(cubic, cubic, p, geom)
+        patch.setattr(wick, "_contractions", lambda plan, coeffs, g_inv: unshared)
+        expected = expect_second_order_connected(cubic, cubic, p, geom)
     calls = []
     einsum = np.einsum
     monkeypatch.setattr(np, "einsum", lambda *args: calls.append(args[0]) or einsum(*args))
-    assert expect_second_order_connected(cubic, cubic, p, geom) == unshared
-    assert len(calls) == 18
+    assert expect_second_order_connected(cubic, cubic, p, geom) == expected
+    assert len(calls) == 16
     calls.clear()
     second_order_mode_series(cubic, cubic, p, geom, [16, 32, 64, 128])
-    assert len(calls) == 18
+    assert len(calls) == 16
 
 
 # every first-order signature of 2-4 slots (the odd ones have no pairing) and
@@ -472,44 +510,57 @@ _SECOND_ORDER = [((0, 1, 1), (0, 1, 1))]
 @pytest.mark.parametrize("D", [1, 2, 3, 4])
 @pytest.mark.parametrize("slot_groups", _FIRST_ORDER + _SECOND_ORDER, ids=str)
 def test_compiled_steps_match_a_longdouble_naive_einsum(slot_groups, D):
-    """Each term's pairwise steps give its spec's contraction to within the
-    rounding of float64 sums (32 eps of the sum of |terms|), and a batch
-    gives every point the bits of its one-point call."""
+    """Each term's chain of pairwise steps gives its spec's contraction to
+    within the rounding of float64 sums (32 eps of the sum of |terms|), and a
+    batch gives every point the bits of its one-point call."""
     rng = np.random.default_rng(D + 10 * sum(len(g) for g in slot_groups))
     N = 5
     coeffs = [rng.normal(size=(N,) + (D,) * len(g)) for g in slot_groups]
     a = rng.normal(size=(N, D, D))
     g_inv = a @ np.swapaxes(a, -1, -2) + D * np.eye(D)
-    for term in wick._plan(*slot_groups):
+    plan = wick._plan(D, *slot_groups)
+    first = len(slot_groups) + 1  # step results follow the coefficients and g_inv
+
+    def chain(position):  # the number of steps that give an operand
+        if position < first:
+            return 0
+        a, b, _ = plan.steps[position - first]
+        return 1 + chain(a) + chain(b)
+
+    values = wick._contractions(plan, coeffs, g_inv)
+    points = [wick._contractions(plan, [c[k] for c in coeffs], g_inv[k]) for k in range(N)]
+    for term in plan.terms:
         operands = [*coeffs, *(g_inv,) * (len(term.equal_time) + len(term.cross))]
-        assert len(wick._steps(term.spec, D)) == len(operands) - 1
-        batched = term.contract(coeffs, g_inv)
+        assert chain(term.result) == len(operands) - 1
+        batched = values[term.result]
         ld = [x.astype(np.longdouble) for x in operands]
         reference = np.einsum(term.spec, *ld)
         size = np.einsum(term.spec, *(abs(x) for x in ld))
         assert batched.shape == (N,)
         assert np.all(abs(batched - reference) <= 32 * np.finfo(float).eps * size), term.spec
         for k in range(N):
-            one = term.contract([c[k] for c in coeffs], g_inv[k])
+            one = points[k][term.result]
             assert np.shape(one) == () and one == batched[k], (term.spec, k)
 
 
-def test_compiled_steps_are_built_once_per_spec_and_dimension():
+def test_compiled_steps_are_built_once_per_spec_and_dimension(monkeypatch):
+    """A plan compiles its terms' steps once per dimension: one einsum_path
+    per term when it is built, none when it is read back."""
     cubic = next(v for v in vertex_catalog(SPHERE2, 0.3, "eta") if v.label == "cubic-kinetic")
-    plan = wick._plan(cubic.slots, cubic.slots)
-    p = PeriodicPropagator(0.3, 8)
-    expect_second_order_connected(cubic, cubic, p, SPHERE2)
-    info = wick._steps.cache_info()
-    expect_second_order_connected(cubic, cubic, p, SPHERE2)
-    after = wick._steps.cache_info()
-    assert after.hits == info.hits + len(plan) and after.misses == info.misses
-    # from an empty cache, each spec compiles once per dimension
     sphere3 = point_geometry(builtin("sphere", 3), [0.1, 0.2, -0.1])
     cubic3 = next(v for v in vertex_catalog(sphere3, 0.3, "eta") if v.label == "cubic-kinetic")
-    wick._steps.cache_clear()
-    expect_second_order_connected(cubic3, cubic3, p, sphere3)
-    expect_second_order_connected(cubic, cubic, p, SPHERE2)
-    assert wick._steps.cache_info().misses == 2 * len({t.spec for t in plan})
+    p = PeriodicPropagator(0.3, 8)
+    paths = []
+    einsum_path = np.einsum_path
+    monkeypatch.setattr(np, "einsum_path", lambda *args, **kwargs:
+                        paths.append(args[0]) or einsum_path(*args, **kwargs))
+    wick._plan.cache_clear()
+    for _ in range(2):
+        expect_second_order_connected(cubic3, cubic3, p, sphere3)
+        expect_second_order_connected(cubic, cubic, p, SPHERE2)
+    info = wick._plan.cache_info()
+    assert info.misses == 2 and info.hits == 2
+    assert len(paths) == 2 * len(wick._plan(2, cubic.slots, cubic.slots).terms)
 
 
 def test_batched_mode_series_equals_one_point_calls():
