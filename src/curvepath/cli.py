@@ -34,39 +34,23 @@ _COORDINATE_OPTIONS = ("--point", "--points", "--bounds")
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")  # argparse takes "-0.3,0" for an option
 
 
-def _positive(kind):
-    """Argument type: a finite number of the given kind, greater than zero."""
+def _number(kind, wording: str, accept=lambda value: math.isfinite(value) and value > 0):
+    """Argument type: kind(text) where accept takes it, else "must be {wording}"."""
     def parse(text: str):
         try:
-            value = kind(text)
-        except ValueError:
-            value = 0
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(f"must be a finite {kind.__name__} > 0, got {text!r}")
+            ok = accept(value := kind(text))
+        except (ValueError, OverflowError):  # OverflowError: an int too large for a float
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be {wording}, got {text!r}")
         return value
     return parse
 
 
-def _seed(text: str) -> int:
-    """Argument type: an integer >= 0, as a Monte Carlo seed must be."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return value
-
-
-def _finite(text: str) -> float:
-    """Argument type: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+_positive_float = _number(float, "a finite float > 0")
+_positive_int = _number(int, "a finite int > 0")
+_seed = _number(int, "an integer >= 0", lambda value: value >= 0)
+_finite = _number(float, "a finite number", math.isfinite)
 
 
 def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
@@ -309,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_geometry)
 
     pr = sub.add_parser("propagator", help="periodic kernel values")
-    pr.add_argument("--beta", type=_positive(float), required=True)
-    pr.add_argument("--M", type=_positive(int), required=True)
+    pr.add_argument("--beta", type=_positive_float, required=True)
+    pr.add_argument("--M", type=_positive_int, required=True)
     pr.add_argument("--tau", type=_finite, default=0.0)
     pr.add_argument("--taup", type=_finite, default=0.0)
     pr.set_defaults(func=cmd_propagator)
@@ -318,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("ecp", help="Boltzmann factor by one route")
     e.add_argument("--route", required=True, choices=("covariant", "eta", "sphere"))
     add_metric_opts(e, point_required=False)
-    e.add_argument("--beta", type=_positive(float), required=True)
-    e.add_argument("--M", type=_positive(int), default=64)
-    e.add_argument("--D", type=_positive(int), help="dimension for the sphere route")
+    e.add_argument("--beta", type=_positive_float, required=True)
+    e.add_argument("--M", type=_positive_int, default=64)
+    e.add_argument("--D", type=_positive_int, help="dimension for the sphere route")
     e.add_argument("--no-fp", action="store_true", dest="no_fp",
                    help="drop the Faddeev-Popov term (eta route)")
     e.add_argument("--mode-series", action="store_true", dest="mode_series",
@@ -333,18 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_metric_opts(sw, point_required=False)
     sw.add_argument("--points", required=True, help="semicolon-separated points")
     sw.add_argument("--routes", default="covariant")
-    sw.add_argument("--beta", type=_positive(float), required=True)
-    sw.add_argument("--M", type=_positive(int), default=64)
+    sw.add_argument("--beta", type=_positive_float, required=True)
+    sw.add_argument("--M", type=_positive_int, default=64)
     sw.add_argument("--no-fp", action="store_true", dest="no_fp")
     sw.set_defaults(func=cmd_sweep)
 
     m = sub.add_parser("mc", help="Monte Carlo cross-check")
     m.add_argument("--route", required=True, choices=("covariant", "eta", "sphere"))
     add_metric_opts(m, point_required=False)
-    m.add_argument("--D", type=_positive(int))
-    m.add_argument("--beta", type=_positive(float), required=True)
-    m.add_argument("--M", type=_positive(int), required=True)
-    m.add_argument("--samples", type=_positive(int), required=True)
+    m.add_argument("--D", type=_positive_int)
+    m.add_argument("--beta", type=_positive_float, required=True)
+    m.add_argument("--M", type=_positive_int, required=True)
+    m.add_argument("--samples", type=_positive_int, required=True)
     m.add_argument("--seed", type=_seed, default=0)
     m.add_argument("--csv", action="store_true",
                    help="stream per-batch partial results as CSV")
@@ -352,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("partition", help="configuration-space quadrature")
     add_metric_opts(pa, point_required=False)
-    pa.add_argument("--beta", type=_positive(float), required=True)
-    pa.add_argument("--M", type=_positive(int),
+    pa.add_argument("--beta", type=_positive_float, required=True)
+    pa.add_argument("--M", type=_positive_int,
                     help=f"mode cutoff of --sphere-D (default {_SPHERE_M})")
-    pa.add_argument("--sphere-D", type=_positive(int), dest="sphere_D",
+    pa.add_argument("--sphere-D", type=_positive_int, dest="sphere_D",
                     help="closed-form sphere-route partition function")
     pa.add_argument("--bounds", type=_bounds, help="box bounds lo:hi;lo:hi;...")
-    pa.add_argument("--polar", type=_positive(float), help="polar grid with this radial extent")
-    pa.add_argument("--nodes", type=_positive(int),
+    pa.add_argument("--polar", type=_positive_float, help="polar grid with this radial extent")
+    pa.add_argument("--nodes", type=_positive_int,
                     help=f"grid nodes per axis (default {_GRID_NODES})")
     pa.set_defaults(func=cmd_partition)
 

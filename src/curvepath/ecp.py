@@ -196,15 +196,6 @@ def sphere_area(D: int) -> float:
     return 2.0 * math.pi ** ((D + 1) / 2.0) / math.gamma((D + 1) / 2.0)
 
 
-def _node_fields(spec: MetricSpec, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(g) and R at every node, evaluated block by block."""
-    sqrt_g, R = [], []
-    for geom in geometry_blocks(spec, nodes):
-        sqrt_g.append(geom.sqrt_g)
-        R.append(geom.R)
-    return np.concatenate(sqrt_g), np.concatenate(R)
-
-
 @functools.lru_cache(maxsize=16)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The n-point Gauss-Legendre rule on [-1, 1], read-only and built once per n."""
@@ -229,10 +220,7 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
         # tensor-product nodes in C order, weights multiplied axis by axis
         nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, D)
         wt = functools.reduce(np.multiply.outer, weights).reshape(-1)
-        sqrt_g, R = _node_fields(spec, nodes)
-        return pref * float(np.sum(wt * sqrt_g * (1.0 - R * beta / 24.0)))
-
-    if grid.kind in ("polar", "sphere-polar"):
+    elif grid.kind in ("polar", "sphere-polar"):
         if D != 2:
             raise ValueError("polar grids are for two-dimensional charts")
         ntheta = 2 * grid.n
@@ -243,19 +231,19 @@ def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> f
             r_weights = 0.5 * grid.rmax * w * wtheta * r_nodes
         else:
             # r = sin(psi): r dr / sqrt(1 - r^2) = sin(psi) dpsi on the sphere chart
-            psi_nodes = 0.25 * math.pi * (x + 1.0)
-            r_nodes = np.sin(psi_nodes)
+            r_nodes = np.sin(0.25 * math.pi * (x + 1.0))
             r_weights = 0.25 * math.pi * w * wtheta * r_nodes
         nodes = np.stack([np.multiply.outer(r_nodes, np.cos(thetas)),
                           np.multiply.outer(r_nodes, np.sin(thetas))], axis=-1).reshape(-1, D)
-        sqrt_g, R = _node_fields(spec, nodes)
-        b = 1.0 - R * beta / 24.0
         wt = np.repeat(r_weights, ntheta)
-        # the sphere-polar substitution absorbs sqrt(g) into the radial weight
-        terms = wt * sqrt_g * b if grid.kind == "polar" else wt * b
-        return pref * float(np.sum(terms))
+    else:
+        raise ValueError(f"unknown grid kind {grid.kind!r}")
 
-    raise ValueError(f"unknown grid kind {grid.kind!r}")
+    fields = [(geom.sqrt_g, geom.R) for geom in geometry_blocks(spec, nodes)]  # bounded memory
+    sqrt_g, R = (np.concatenate(field) for field in zip(*fields))
+    b = 1.0 - R * beta / 24.0
+    # the sphere-polar substitution absorbs sqrt(g) into the radial weight
+    return pref * float(np.sum(wt * b if grid.kind == "sphere-polar" else wt * sqrt_g * b))
 
 
 def sphere_route_partition(D: int, beta: float, M: int) -> float:

@@ -332,17 +332,24 @@ def _execute(op: str, a, b, values: list, env: Mapping[str, object]):
 
 
 def compile_program(nodes: Sequence[Expression]) -> Program:
-    """The program of nodes, one root each; equal subtrees share a slot. A node
-    deeper than MAX_DEPTH is an EvalError whose root is its expression."""
+    """The program of nodes, one root each; equal subtrees share a slot. Each
+    node object is walked once, however many trees share it. A node deeper
+    than MAX_DEPTH is an EvalError whose root is its expression."""
     code: list[tuple[str, object, object]] = []
     owners: list[int] = []
     slots: dict[tuple, int] = {}
+    walked: dict[int, tuple] = {}  # id(node) -> (node, kept so the id stays its own; slot; height)
 
-    def visit(node: Expression, owner: int, depth: int = 1) -> int:
-        if depth > MAX_DEPTH:
+    def visit(node: Expression, owner: int, depth: int = 1) -> tuple[int, int]:
+        """The slot and the height of node, reached depth levels down."""
+        _, slot, height = walked.get(id(node), (None, None, 1))
+        if depth + height - 1 > MAX_DEPTH:  # a shared subtree is as tall as when first walked
             error = EvalError(f"expression nests deeper than {MAX_DEPTH} levels")
             error.root = owner
             raise error
+        if slot is not None:
+            return slot, height
+        height = 0  # of the tallest child
         if isinstance(node, Num):
             v = node.value
             instruction = ("num", v, None)
@@ -351,21 +358,26 @@ def compile_program(nodes: Sequence[Expression]) -> Program:
         elif isinstance(node, Var):
             key = instruction = ("var", node.name, None)
         elif isinstance(node, Neg):
-            key = instruction = ("neg", visit(node.arg, owner, depth + 1), None)
+            arg, height = visit(node.arg, owner, depth + 1)
+            key = instruction = ("neg", arg, None)
         elif isinstance(node, BinOp):
-            key = instruction = (node.op, visit(node.left, owner, depth + 1),
-                                 visit(node.right, owner, depth + 1))
+            (left, hl), (right, hr) = (visit(x, owner, depth + 1) for x in (node.left, node.right))
+            key = instruction = (node.op, left, right)
+            height = max(hl, hr)
         elif isinstance(node, Pow):
-            key = instruction = ("^", visit(node.base, owner, depth + 1), node.exponent)
+            base, height = visit(node.base, owner, depth + 1)
+            key = instruction = ("^", base, node.exponent)
         elif isinstance(node, Call):
-            key = instruction = ("call", visit(node.arg, owner, depth + 1), node.func)
+            arg, height = visit(node.arg, owner, depth + 1)
+            key = instruction = ("call", arg, node.func)
         else:
             raise TypeError(f"not an expression node: {node!r}")
         if key not in slots:
             slots[key] = len(code)
             code.append(instruction)
             owners.append(owner)
-        return slots[key]
+        walked[id(node)] = node, slots[key], height + 1
+        return slots[key], height + 1
 
-    roots = tuple(visit(node, owner) for owner, node in enumerate(nodes))
+    roots = tuple(visit(node, owner)[0] for owner, node in enumerate(nodes))
     return Program(tuple(code), roots, tuple(owners))

@@ -192,10 +192,9 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
         Riemann=Riemann, Ricci=Ricci, R=R, T=T, V=V, divV=divV, dg=dg, ddg=ddg)
 
 
-def divergence_identity_residual(spec: MetricSpec, q0: Sequence[float], h: float = 1e-3) -> float:
+def divergence_identity_residual(spec: MetricSpec, q0: Sequence[float]) -> float:
     """|g^{st} T_st - (1/sqrt g) d_mu(sqrt g V^mu)| with 4th-order differences."""
-    if not (1e-12 < h < 1e-1):
-        raise GeometryError(f"finite-difference step {h} out of sensible range")
+    h = 1e-3  # the step of the differences
     q0 = spec.check_domain(q0)
     D = spec.dim
     # the stencil q0 + a h e_k, a in (2, 1, -1, -2), rows ordered (a, k),

@@ -82,12 +82,15 @@ class MetricSpec:
         try:
             program = ex.compile_program([c for row in self.components for c in row])
         except ex.EvalError as exc:  # a component deeper than MAX_DEPTH
-            raise MetricError(f"component {divmod(exc.root, D)}: {exc}") from None
+            i, j = divmod(exc.root, D)
+            raise MetricError(f"component ({i + 1}, {j + 1}): {exc}") from None
         object.__setattr__(self, "program", program)
         for i in range(D):
-            for j in range(D):
+            for j in range(i + 1, D):
+                # equal subtrees share a slot, so the slots differ exactly when the trees do
                 if program.roots[i * D + j] != program.roots[j * D + i]:
-                    raise MetricError(f"component array not symmetric at ({i}, {j})")
+                    raise MetricError(
+                        f"components ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ")
         allowed = set(self.coords) | set(self.params)
         unknown = [(owner, name) for (op, name, _), owner in zip(program.code, program.owners)
                    if op == "var" and name not in allowed]
@@ -95,7 +98,7 @@ class MetricSpec:
             first = unknown[0][0]
             names = sorted(name for owner, name in unknown if owner == first)
             i, j = divmod(first, D)
-            raise MetricError(f"unknown identifier(s) {names} in component ({i}, {j})")
+            raise MetricError(f"unknown identifier(s) {names} in component ({i + 1}, {j + 1})")
 
     def __hash__(self) -> int:
         # the fields == compares, with params as sorted items (a mapping is
@@ -196,11 +199,6 @@ def parse_metric(source: str) -> MetricSpec:
                 parsed[i][j] = ex.parse(entry)
             except ex.ParseError as exc:
                 raise MetricError(f"component ({i + 1}, {j + 1}): {exc}") from None
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            if parsed[i][j] != parsed[j][i]:  # only a pair written out in full can differ
-                raise MetricError(
-                    f"components ({i + 1},{j + 1}) and ({j + 1},{i + 1}) differ explicitly")
     return MetricSpec(
         name=name, dim=dim, coords=tuple(coords),
         components=tuple(tuple(row) for row in parsed), params=params)

@@ -3,7 +3,9 @@
 Zero-mode-free periodic Gaussian paths are sampled directly in Fourier
 space: the real and imaginary parts of each positive-frequency coefficient
 are independent normals with variance 1/(2 beta omega_m^2), which
-reproduces the two-point kernel of the free action exactly.
+reproduces the two-point kernel of the free action exactly. Each call checks
+beta and M by building one PeriodicPropagator first, which gives the
+frequencies and the spread of the draw (mode_sd).
 
 Vertex integrals are exact, so the only error is statistical. Vertices with
 the same slots are summed into one term first, each coefficient times its
@@ -122,25 +124,21 @@ def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(s)) for s in seq.spawn(count)]
 
 
-def _omega(beta: float, M: int) -> np.ndarray:
-    """Matsubara frequencies omega_m = 2 pi m / beta, m = 1..M."""
-    return 2.0 * math.pi * np.arange(1, M + 1) / beta
-
-
-def _draw_modes(rng: np.random.Generator, beta: float, M: int, D: int,
+def _draw_modes(rng: np.random.Generator, p: PeriodicPropagator, D: int,
                 nbatch: int, out=None, normals=None) -> np.ndarray:
-    """(nbatch, D, M) complex modes, in out and via the float normals when given."""
-    sd = np.sqrt(1.0 / (2.0 * beta * _omega(beta, M)**2))
+    """(nbatch, D, M) complex modes at p's cutoff, in out and via normals when given."""
+    sd = p.mode_sd()
     # the same draws as rng.normal(0.0, sd), which scales one standard normal
     # per entry, without its slower per-entry broadcasting
-    modes = np.empty((nbatch, D, M), dtype=complex) if out is None else out
-    normals = np.empty((nbatch, D, M)) if normals is None else normals
+    modes = np.empty((nbatch, D, p.M), dtype=complex) if out is None else out
+    normals = np.empty((nbatch, D, p.M)) if normals is None else normals
     for part in (modes.real, modes.imag):
         np.multiply(rng.standard_normal(out=normals), sd, out=part)
     return modes
 
 
-def _to_grid(modes: np.ndarray, beta: float, K: int, out=None, spectrum=None) -> np.ndarray:
+def _to_grid(modes: np.ndarray, p: PeriodicPropagator, K: int, out=None,
+             spectrum=None) -> np.ndarray:
     """The field q and its derivative qd on the uniform grid tau_j = j beta / K,
     as one (2, nbatch, D, K) array (in out, when given).
 
@@ -155,7 +153,7 @@ def _to_grid(modes: np.ndarray, beta: float, K: int, out=None, spectrum=None) ->
     X = np.zeros((2, nbatch, D, K // 2 + 1), dtype=complex) if spectrum is None else spectrum
     field, derivative = X[..., 1:M + 1]
     np.conjugate(modes, out=field)
-    np.multiply(field, 1j * _omega(beta, M), out=derivative)  # conj(-i omega xi)
+    np.multiply(field, 1j * p.omega(np.arange(1, M + 1)), out=derivative)  # conj(-i omega xi)
     return np.fft.irfft(X, n=K, axis=-1, norm="forward", out=out)
 
 
@@ -299,24 +297,26 @@ def _vertex_action(slots: tuple, coeff: np.ndarray, spectrum: np.ndarray, fields
     return integral * (beta / K)
 
 
-def _chunk_action(terms, beta: float, M: int, modes: np.ndarray, spaces) -> np.ndarray:
+def _chunk_action(terms, p: PeriodicPropagator, modes: np.ndarray, spaces) -> np.ndarray:
     """Summed per-sample action of the _terms on one chunk of modes, from
     fields on the exact grid written to a _Workspace borrowed from the queue
     spaces."""
     n = len(modes)
     ws = spaces.get()
     try:
-        spectrum = ws.spectrum[:, :n]
-        fields = _to_grid(modes, beta, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
-        a = np.zeros(n)
-        for slots, coeff in terms:
-            a += _vertex_action(slots, coeff, spectrum, fields, beta, M, ws)
+        # an overflow at extreme beta ends as a non-finite variance, which the guard rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum = ws.spectrum[:, :n]
+            fields = _to_grid(modes, p, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
+            a = np.zeros(n)
+            for slots, coeff in terms:
+                a += _vertex_action(slots, coeff, spectrum, fields, p.beta, p.M, ws)
         return a
     finally:
         spaces.put(ws)
 
 
-def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: int,
+def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed: int,
              consume) -> None:
     """Pass consume the summed per-sample action of the vertices on each
     substream of the sample stream, in order.
@@ -327,8 +327,8 @@ def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: i
     arrays once: two slots of modes, used in turn (a slot is redrawn after
     its batch was consumed), and a _Workspace per worker that each task
     borrows, so the memory held does not depend on thread timing."""
-    terms = _terms(vertices, geom, beta, M)
-    D = geom.dim
+    M, D = p.M, geom.dim
+    terms = _terms(vertices, geom, p.beta, M)
     K = _grid_size(M)
     rows = max(1, _CHUNK_BYTES // (2 * D * K * 8))
     streams = _substreams(D, M, n, seed)
@@ -342,9 +342,9 @@ def _actions(vertices, geom: PointGeometry, beta: float, M: int, n: int, seed: i
         spaces.put(_Workspace(rows, D, M, K))
 
     def chunks(j, rng, size):
-        modes = _draw_modes(rng, beta, M, D, size, slots[j % len(slots), :size], normals[:size])
+        modes = _draw_modes(rng, p, D, size, slots[j % len(slots), :size], normals[:size])
         edges = [size * i // cuts[j] for i in range(cuts[j] + 1)]
-        return [functools.partial(_chunk_action, terms, beta, M, modes[lo:hi], spaces)
+        return [functools.partial(_chunk_action, terms, p, modes[lo:hi], spaces)
                 for lo, hi in zip(edges, edges[1:])]
 
     _in_order((chunks(j, rng, size) for j, (rng, size) in enumerate(streams)),
@@ -359,7 +359,7 @@ def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
     differs from the counter-table limit by the O(1/M) coincidence tail.
     """
     acc = _Moments()
-    _actions([v], geom, beta, M, n, seed, acc.add)
+    _actions([v], geom, PeriodicPropagator(beta, M), n, seed, acc.add)
     return McEstimate(mean=float(acc.mean), stderr=float(acc.stderr()),
                       n_samples=acc.count, seed=seed)
 
@@ -375,21 +375,24 @@ def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
     The guard rejects runs whose action variance makes reweighting useless.
     on_batch(count, mean, stderr), when given, streams running partials.
     """
+    p = PeriodicPropagator(beta, M)
     action = _Moments()
     weight = _Moments()
 
     def merge(a):
-        action.add(a)
-        weight.add(np.exp(-a))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _chunk_action
+            action.add(a)
+            weight.add(np.exp(-a))
         if on_batch is not None:
             on_batch(action.count, 1.0 - float(action.mean), float(action.stderr()))
 
-    _actions(vertex_catalog(geom, beta, route), geom, beta, M, n, seed, merge)
+    _actions(vertex_catalog(geom, beta, route), geom, p, n, seed, merge)
     var_a = float(action.variance())
-    if var_a >= _VARIANCE_GUARD:
-        raise ValueError(
-            f"action variance {var_a:.3f} >= {_VARIANCE_GUARD}: reweighting unreliable; "
-            "use a smaller beta or a larger cutoff")
+    if not var_a < _VARIANCE_GUARD:
+        size = (f"{var_a:.3f} >= {_VARIANCE_GUARD}" if math.isfinite(var_a)
+                else "leaves the float64 range")
+        raise ValueError(f"action variance {size}: reweighting unreliable; "
+                         "use a smaller beta or a larger cutoff")
     est = McEstimate(mean=1.0 - float(action.mean), stderr=float(action.stderr()),
                      n_samples=action.count, seed=seed)
     est.extras = {
@@ -408,8 +411,8 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     Probe times are rounded to the lattice tau_j = j beta / 8M, and the
     fields there are summed directly from the modes. Each substream, draw
     included, is one pool task."""
-    K = 8 * M
     p = PeriodicPropagator(beta, M)
+    K = 8 * M
     idx = np.array([(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
                     for t1, t2 in pairs]).reshape(-1, 2)
     # e^{-i omega_m tau_j} at each probe; the phase m j is reduced mod K first
@@ -417,7 +420,7 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     basis = np.exp(-2j * math.pi * phase / K)
 
     def products(rng, size):
-        modes = _draw_modes(rng, beta, M, D, size)
+        modes = _draw_modes(rng, p, D, size)
         q = 2.0 * np.matmul(modes, basis).real.reshape(size, D, len(idx), 2)
         return (q[..., 0] * q[..., 1]).sum(axis=1) / D
 

@@ -138,8 +138,8 @@ def measure_trlog(exp: NormalExpansion, xi) -> float:
     return float(lin + 0.5 * np.einsum("st,s,t->", quad, xi, xi))
 
 
-def deta_dq0_fd(spec: MetricSpec, q0, xi, h: float | None = None) -> np.ndarray:
-    """d eta^m / d q0^n by central differences over the base point.
+def deta_dq0_fd(spec: MetricSpec, q0, xi) -> np.ndarray:
+    """d eta^m / d q0^n by central differences of step 1e-5 max(1, |q0|_max).
 
     The bundles and series at the 2 D base points q0 +- h e_n are evaluated
     as one batch.
@@ -147,8 +147,7 @@ def deta_dq0_fd(spec: MetricSpec, q0, xi, h: float | None = None) -> np.ndarray:
     q0 = np.asarray(q0, dtype=float)
     xi = np.asarray(xi, dtype=float)
     D = q0.shape[0]
-    if h is None:
-        h = 1e-5 * max(1.0, float(np.max(np.abs(q0))))
+    h = 1e-5 * max(1.0, float(np.max(np.abs(q0))))
     # rows ordered (n, sign): q0 + h e_0, q0 - h e_0, q0 + h e_1, ...
     steps = (np.eye(D)[:, None, :] * np.array([h, -h])[:, None]).reshape(-1, D)
     eta = eta_of_xi(_expansion(spec, point_geometry(spec, q0 + steps)), xi).reshape(D, 2, D)
@@ -190,14 +189,14 @@ def _chart_gamma(exp: NormalExpansion, xi: np.ndarray, geom_q: PointGeometry) ->
     return 0.5 * np.einsum("...mn,...nst->...mst", ghat_inv, term)
 
 
-def _normal_chart_dgamma(exp: NormalExpansion, h: float = 1e-3) -> np.ndarray:
+def _normal_chart_dgamma(exp: NormalExpansion) -> np.ndarray:
     """d_k GammaHat^m_{ts}(0) of the normal chart constructed by exp, by differences.
 
     The chart is the composition q = q0 + eta(q0, xi); only the outer
     derivative d_k is numerical. The bundles at the 4 D stencil points come
     from one batched point_geometry call.
     """
-    D = exp.dim
+    D, h = exp.dim, 1e-3  # h: the step of the differences
     # xi = a h e_k for a in (2, 1, -1, -2), rows ordered (a, k)
     xis = (np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (h * np.eye(D))).reshape(-1, D)
     geom = point_geometry(exp.spec, exp.geom.q0 + eta_of_xi(exp, xis))
@@ -213,7 +212,7 @@ def _dJ_cubic(c3: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.einsum("...anm->...amn", s1 + s2 + s3)
 
 
-def normal_curvature_check(spec: MetricSpec, q0, h: float = 1e-3) -> float:
+def normal_curvature_check(spec: MetricSpec, q0) -> float:
     """Residual of the normal-coordinate derivative identity at the origin.
 
     In a chart geodesic at q0 the Christoffel derivatives reduce to pure
@@ -222,7 +221,7 @@ def normal_curvature_check(spec: MetricSpec, q0, h: float = 1e-3) -> float:
     from the truncated geodesic map (finite-difference outer derivative).
     """
     exp = normal_expansion(spec, q0)
-    dgh = _normal_chart_dgamma(exp, h=h)   # [k, m, t, s]
+    dgh = _normal_chart_dgamma(exp)         # [k, m, t, s]
     Rp = exp.geom.Riemann                   # [s, t, k, m]
     expected = -(1.0 / 3.0) * (np.einsum("tksm->kmts", Rp) + np.einsum("sktm->kmts", Rp))
     return float(np.max(np.abs(dgh - expected)))

@@ -16,6 +16,10 @@ the propagator) and N_all = 2M + 1 (all periodic eigenmodes, the count the
 invariant measure produces per time slice). A result is regularization
 independent exactly when the two counter coefficients cancel; the surviving
 finite part then picks up the unit offset N_all - N_prop = 1.
+
+The cutoff-M quantities live here only: the frequencies omega_m = 2 pi m /
+beta, the truncated mode sums, the sharp pair table (pair_truncated) and each
+mode's spread (mode_sd). The Wick sharp sums and the Monte Carlo read them.
 """
 from __future__ import annotations
 
@@ -150,17 +154,32 @@ class PeriodicPropagator:
 
     # mode sums -------------------------------------------------------------
 
+    def _inverse_squares(self) -> np.ndarray | None:
+        """1 / omega_m^2, m = 1..M, or None where the last underflows (beta
+        below about 1e-153 M) or their sum overflows (beta above about 6.6e154):
+        the mode sums and the draw's spread then take scaled forms."""
+        with np.errstate(over="ignore", divide="ignore"):
+            inverse_square = 1.0 / self.omega(np.arange(1, self.M + 1)) ** 2
+            total = np.sum(inverse_square)
+        normal = inverse_square[-1] >= np.finfo(float).tiny and total <= np.finfo(float).max
+        return inverse_square if normal else None
+
     def _mode_weights(self) -> tuple[float, np.ndarray]:
         """c and w_m, m = 1..M, with c w_m = (2 / beta) / omega_m^2: the mode
-        sums are c sum_m f_m w_m. They are 2 / beta and 1 / omega_m^2, except
-        where 1 / omega_M^2 underflows (beta below about 1e-153 M): there the
-        scaled form beta / (2 pi^2) and 1 / m^2 keeps the sums' magnitude."""
-        m = np.arange(1, self.M + 1, dtype=float)
-        with np.errstate(over="ignore"):
-            inverse_square = 1.0 / self.omega(m) ** 2
-        if inverse_square[-1] >= np.finfo(float).tiny:
+        sums are c sum_m f_m w_m. They are 2 / beta and 1 / omega_m^2, or
+        the scaled form beta / (2 pi^2) and 1 / m^2 (see _inverse_squares)."""
+        inverse_square = self._inverse_squares()
+        if inverse_square is not None:
             return 2.0 / self.beta, inverse_square
-        return self.beta / (2.0 * math.pi**2), 1.0 / m**2
+        return self.beta / (2.0 * math.pi**2), 1.0 / np.arange(1.0, self.M + 1) ** 2
+
+    def mode_sd(self) -> np.ndarray:
+        """Spread of the real and the imaginary part of each mode m = 1..M under the
+        free action, sqrt(1 / (2 beta omega_m^2)) or its scaled form sqrt(beta / 8) / (pi m)."""
+        m = np.arange(1, self.M + 1)
+        if self._inverse_squares() is None:
+            return math.sqrt(self.beta / 8.0) / (math.pi * m)
+        return np.sqrt(1.0 / (2.0 * self.beta * self.omega(m) ** 2))
 
     def green_modes(self, tau, taup=0.0):
         x = np.asarray(tau, dtype=float) - np.asarray(taup, dtype=float)
@@ -179,6 +198,11 @@ class PeriodicPropagator:
         """Equal-time value of the truncated mode sum, beta/12 - O(1/M)."""
         scale, weights = self._mode_weights()
         return float(scale * np.sum(weights))
+
+    def pair_truncated(self) -> dict[tuple[int, int], float]:
+        """pair_counters at the cutoff M, with the truncated green0 (no mixed
+        pair enters a plan): the sharp table of every cutoff-M Wick sum."""
+        return {(0, 0): self.green0_truncated(), (1, 1): 2 * self.M / self.beta}
 
     # the finite rule table ---------------------------------------------------
 

@@ -62,7 +62,7 @@ def suite_propagator() -> list[Row]:
     ortho_ok = True
     worst = 0.0
     for k in (1, 2, p.M // 2, p.M):
-        om = 2 * math.pi * k / beta
+        om = float(p.omega(k))
         N = 4 * (p.M + k)
         tgrid = beta * np.arange(N) / N
         modes_part = float(np.sum(p.green_modes(tgrid) * np.cos(om * tgrid)) * beta / N)

@@ -239,10 +239,8 @@ def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGe
     """
     if len(v.slots) % 2 == 1:
         return 0.0
-    pair_value = {(0, 0): CounterPolynomial(constant=p.green0_truncated()),
-                  (1, 1): CounterPolynomial(constant=2 * p.M / p.beta)}
     plan = _plan(geom.dim, tuple(v.slots))
-    total = _plan_sum(plan, _contractions(plan, (v.coeff,), geom.g_inv), pair_value)
+    total = _plan_sum(plan, _contractions(plan, (v.coeff,), geom.g_inv), p.pair_truncated())
     return total.constant * v.prefactor_truncated(p.beta, p.M) * p.beta
 
 
@@ -335,7 +333,7 @@ def cross_integral_modes(p: PeriodicPropagator, types: Sequence[tuple[int, int]]
     if K == 1:
         return 0.0
     ms = np.arange(-M, M + 1)
-    om = 2 * math.pi * ms / beta
+    om = p.omega(ms)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(ms == 0, 0.0, 1.0 / np.where(ms == 0, 1.0, om))
 
@@ -375,22 +373,15 @@ def richardson_limit(series: Sequence[tuple[int, float]]) -> tuple[float, float]
     return r2, abs(r2 - v2)
 
 
-def _second_order_prefactor(v1: Vertex, v2: Vertex, p: PeriodicPropagator) -> CounterPolynomial:
-    """The product of the two vertex prefactors, within the engine's limits."""
-    if len(v1.slots) + len(v2.slots) > 8:
-        raise EngineError("second-order slot count limited to 8")
-    if v1.measure_counter and v2.measure_counter:
-        raise EngineError("two measure-counter prefactors exceed the counter algebra")
-    return v1.prefactor(p.beta) * v2.prefactor(p.beta)
-
-
 def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
                                   geom: PointGeometry) -> CounterPolynomial:
     """Connected <A_1 A_2> over the free measure, from the rule-table cross
     integrals, as an exact counter polynomial."""
     if (len(v1.slots) + len(v2.slots)) % 2 == 1:
         return CounterPolynomial()
-    pref = _second_order_prefactor(v1, v2, p)
+    if v1.measure_counter and v2.measure_counter:
+        raise EngineError("two measure-counter prefactors exceed the counter algebra")
+    pref = v1.prefactor(p.beta) * v2.prefactor(p.beta)
     plan = _plan(geom.dim, tuple(v1.slots), tuple(v2.slots))
     total = _plan_sum(plan, _contractions(plan, (v1.coeff, v2.coeff), geom.g_inv),
                       p.pair_counters(), functools.partial(cross_integral_table, p.beta))
@@ -400,18 +391,19 @@ def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
 def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom: PointGeometry,
                              ms: Sequence[int]) -> list[tuple[int, float]]:
     """Connected <A_1 A_2> from sharp-cutoff Kronecker sums, as (M, value)
-    pairs at each cutoff of ms (a diagnostic; see the module docstring).
+    pairs at each cutoff of ms (a diagnostic; see the module docstring), with
+    the cutoff-M pair table and prefactors of expect_first_order_truncated.
     richardson_limit extrapolates a doubling series."""
-    pref = _second_order_prefactor(v1, v2, p)
     plan = _plan(geom.dim, tuple(v1.slots), tuple(v2.slots))
     values = _contractions(plan, (v1.coeff, v2.coeff), geom.g_inv)  # shared by every cutoff
     zero = np.zeros(geom.g_inv.shape[:-2])  # keeps the batch shape of a plan with no terms
     series = []
     for M in ms:
-        pair_value = {t: CounterPolynomial(constant=c.value_at(M)) for t, c in p.pair_counters().items()}
-        val = zero + _plan_sum(plan, values, pair_value, lambda cross: CounterPolynomial(
-            constant=cross_integral_modes(p, cross, M=M))).constant
-        series.append((M, val * (pref.value_at(M) * p.beta)))
+        at_M = PeriodicPropagator(p.beta, M)
+        val = zero + _plan_sum(plan, values, at_M.pair_truncated(), lambda cross: CounterPolynomial(
+            constant=cross_integral_modes(at_M, cross, M=M))).constant
+        pref = v1.prefactor_truncated(p.beta, M) * v2.prefactor_truncated(p.beta, M)
+        series.append((M, val * (pref * p.beta)))
     return series
 
 

@@ -111,7 +111,7 @@ def test_criterion_6_divergence_identity():
         spec = builtin(name, 2)
         for _ in range(20):
             q0 = 0.55 * rng.uniform(-1, 1, size=2)
-            worst = max(worst, divergence_identity_residual(spec, q0, h=1e-3))
+            worst = max(worst, divergence_identity_residual(spec, q0))
     announce(6, worst <= 1e-7,
              f"|tr T - div V| over 20 points x {len(CATALOG_2D)} metrics, max {worst:.2e}")
 

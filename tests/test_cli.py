@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from curvepath import cli
 
@@ -294,6 +294,9 @@ MC_SPHERE = ["mc", "--route", "sphere", "--D", "2", "--M", "8"]
     (["geometry", "--builtin", "flat:2", "--params", "a=1", "--point=0.1,0"], 1, "MetricError"),
     (["geometry", "--builtin", "conformal2d:2", "--params", "z=1", "--point=0.1,0"],
      1, "MetricError"),
+    # an int too large for a float once ended in an OverflowError traceback
+    (["propagator", "--beta", "1", "--M", "9" * 400], 2,
+     "argument --M: must be a finite int > 0, got '999"),
 ])
 def test_bad_arguments_rejected(capsys, argv, code, needle):
     try:
@@ -364,12 +367,16 @@ def _chart(**fields):
      "component (1, 2) must be an expression string"),
     (_chart(g=[["1 +", "0"], [None, "1"]]), "MetricError",
      "component (1, 1): unexpected end of input (line 1, col 4)"),
+    # the chart's own checks name a component as the parser does, 1-based
+    (_chart(g=[["1", "x"], ["y", "1"]]), "MetricError", "components (1, 2) and (2, 1) differ"),
+    (_chart(g=[["1", "0"], [None, "1 + z"]]), "MetricError",
+     "unknown identifier(s) ['z'] in component (2, 2)"),
     (_chart(g=[["1", "0"], [None, "1e-13"]]), "GeometryError",
      "metric nearly singular at [0.3, 0.2]"),
 ], ids=["dim-bool", "coords-repeated", "coords-shadowed", "json", "array", "no-g", "dim-0",
         "coords-length", "params-array", "params-0", "params-empty-array", "params-false",
         "params-empty-string", "params-null", "null-pair", "non-string", "unparsable",
-        "nearly-singular"])
+        "asymmetric", "unknown-identifier", "nearly-singular"])
 def test_metric_file_errors_end_as_one_json_error_document(tmp_path, capsys, text, error,
                                                            message):
     path = tmp_path / "metric.json"
@@ -550,6 +557,9 @@ def _argvs(draw):
 
 @given(_argvs())
 @settings(max_examples=150, deadline=None)
+# found by the fuzz: the draw's standard deviation once overflowed to 0 here
+@example(["mc", "--builtin=sphere:2", "--point=0.1,0.2", "--route=covariant", "--samples=1",
+          "--M=1", "--beta=1e-300"])
 def test_fuzzed_argv_ends_with_one_json_document(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
@@ -564,6 +574,14 @@ def test_fuzzed_argv_ends_with_one_json_document(argv):
         json.loads(out.getvalue())
 
 
+_MC_ROUTES = (["mc", "--route=sphere", "--D=2"],
+              ["mc", "--route=covariant", "--builtin=sphere:2", "--point=0.1,0.2"],
+              ["mc", "--route=eta", "--builtin=sphere:2", "--point=0.1,0.2"])
+# (beta, M, exit code); at 1.7e308 the action itself overflows, from M = 4 on every route
+_MC_EXTREMES = (("1e-300", 1, 0), ("1e-155", 1, 0), ("1e300", 1, 1), ("1.7e308", 4, 1),
+                ("1e-310", 1, 1))
+
+
 @pytest.mark.parametrize("argv,code", [
     (["propagator", "--M=1", "--beta=1e-300"], 0),
     (["propagator", "--beta=1e-300", "--M=1", "--tau=0", "--taup=1e300"], 1),
@@ -575,11 +593,21 @@ def test_fuzzed_argv_ends_with_one_json_document(argv):
     (["mc", "--M=1", "--beta=0.1", "--point=1e308,0", "--builtin=sphere:2", "--route=covariant",
       "--samples=1"], 1),
     (["partition", "--sphere-D", "3", "--beta", "1e-300"], 1),
+    # 1 / omega_1^2 overflows: the mode sums take their scaled form
+    (["propagator", "--beta=1e300", "--M=1", "--tau=0.5"], 0),
+    (["propagator", "--beta=1e160", "--M=1", "--tau=0.5"], 0),
+    # the Monte Carlo draws with the scaled standard deviation at either end
+    # of the range, its action (at 1.7e308) or its variance overflows at
+    # large beta, and its propagator rejects an omega_M that overflows
+    *(([*route, f"--M={M}", f"--beta={beta}", "--samples=4"], code)
+      for beta, M, code in _MC_EXTREMES for route in _MC_ROUTES),
 ], ids=["propagator", "propagator-phase", "propagator-omega", "ecp-mode-series", "ecp-seeley",
-        "mc-domain", "partition-sphere"])
+        "mc-domain", "partition-sphere", "propagator-large-beta", "propagator-beta-1e160",
+        *(f"mc-{route[1][8:]}-{beta}" for beta, _, _ in _MC_EXTREMES for route in _MC_ROUTES)])
 def test_extreme_values_end_without_a_warning(argv, code):
-    """Frequencies, phases and densities that leave the float64 range end
-    with one JSON document and nothing on stderr, found by the fuzz above."""
+    """Frequencies, phases, densities and Monte Carlo actions that leave the
+    float64 range end with one JSON document and nothing on stderr, found by
+    the fuzz above."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():

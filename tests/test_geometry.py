@@ -103,16 +103,11 @@ def test_divergence_identity_residual(name):
     rng = np.random.default_rng(abs(hash(name)) % 2**32)
     for _ in range(20):
         q0 = 0.55 * rng.uniform(-1, 1, size=2)
-        assert divergence_identity_residual(spec, q0, h=1e-3) <= 1e-7
+        assert divergence_identity_residual(spec, q0) <= 1e-7
 
 
 def test_divergence_identity_flat():
     assert divergence_identity_residual(builtin("flat", 2), [0.3, 0.7]) == 0.0
-
-
-def test_divergence_identity_bad_step():
-    with pytest.raises(GeometryError):
-        divergence_identity_residual(builtin("flat", 2), [0.0, 0.0], h=1.0)
 
 
 def test_non_positive_definite_rejected():

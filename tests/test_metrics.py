@@ -185,7 +185,8 @@ def test_sphere_builds_quickly_at_the_top_dimension():
     top = ex.MAX_DEPTH - 4
     start = time.perf_counter()
     spec = mx._builtin_spec.__wrapped__("sphere", top, ())  # not the cached spec
-    assert time.perf_counter() - start <= 5.0
+    # each component shares one denominator object, compiled once
+    assert time.perf_counter() - start <= 0.5
     assert spec.dim == top
 
 
@@ -206,9 +207,43 @@ def test_code_built_component_at_the_depth_bound_constructs_and_hashes():
 @pytest.mark.parametrize("height", [101, 500, 3000])
 def test_code_built_component_past_the_depth_bound_is_named(height):
     tall, one = _tall(height), ex.Num(1.0)
-    with pytest.raises(MetricError, match=r"^component \(0, 1\): expression nests deeper "
+    with pytest.raises(MetricError, match=r"^component \(1, 2\): expression nests deeper "
                                           r"than 100 levels$"):
         mx.MetricSpec(name="tall", dim=2, coords=("q1", "q2"), components=((one, tall), (tall, one)))
+
+
+def _signed(node, count):
+    """node under count signs."""
+    for _ in range(count):
+        node = ex.Neg(node)
+    return node
+
+
+@pytest.mark.parametrize("signs", [40, 41, 50])
+def test_shared_subtree_reached_too_deep_is_named(signs):
+    # one object t, 60 nodes tall, at the top of component (1, 1) and under
+    # the signs in (1, 2): it is compiled once, and still measured there
+    t, one = _tall(60), ex.Num(1.0)
+    deep = _signed(t, signs)
+    components = ((t, deep), (deep, one))
+    if signs + 60 <= 100:
+        mx.MetricSpec(name="t", dim=2, coords=("q1", "q2"), components=components)
+        return
+    with pytest.raises(MetricError, match=r"^component \(1, 2\): expression nests deeper "
+                                          r"than 100 levels$"):
+        mx.MetricSpec(name="t", dim=2, coords=("q1", "q2"), components=components)
+
+
+@pytest.mark.parametrize("components,message", [
+    (lambda one, q1, q2: ((one, q1), (q2, one)), "components (1, 2) and (2, 1) differ"),
+    (lambda one, q1, q2: ((one, q1), (q1, ex.Var("z"))),
+     "unknown identifier(s) ['z'] in component (2, 2)"),
+], ids=["asymmetric", "unknown-identifier"])
+def test_code_built_spec_names_components_1_based(components, message):
+    # as parse_metric and eval_metric_jet do
+    with pytest.raises(MetricError, match=f"^{re.escape(message)}$"):
+        mx.MetricSpec(name="c", dim=2, coords=("q1", "q2"),
+                      components=components(ex.Num(1.0), ex.Var("q1"), ex.Var("q2")))
 
 
 def test_sphere_domain_error():

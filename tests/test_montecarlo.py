@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,13 +27,14 @@ SPHERE0 = point_geometry(builtin("sphere", 2), [0.0, 0.0])
 def first_sample(beta, M, D, seed):
     """The modes, shape (D, M), of the first sample the stream of seed draws."""
     [(rng, _)] = _substreams(D, M, 1, seed)
-    return _draw_modes(rng, beta, M, D, 1)[0]
+    return _draw_modes(rng, PeriodicPropagator(beta, M), D, 1)[0]
 
 
 def grid_fields(modes, beta, K):
     """The half spectra (2, n, D, K//2+1) and grid fields (2, n, D, K) of q and qd."""
     spectrum = np.zeros((2, *modes.shape[:2], K // 2 + 1), dtype=complex)
-    return spectrum, _to_grid(modes, beta, K, spectrum=spectrum)
+    return spectrum, _to_grid(modes, PeriodicPropagator(beta, modes.shape[-1]), K,
+                              spectrum=spectrum)
 
 
 def vertex_action(v, geom, beta, M, spectrum, fields):
@@ -52,7 +54,7 @@ def test_sample_is_reproducible():
 def test_path_periodicity_and_zero_mean():
     beta, M = 0.9, 6
     modes = first_sample(beta, M, 2, seed=5)
-    grid = _to_grid(modes[np.newaxis], beta, _grid_size(M))[0, 0]
+    grid = _to_grid(modes[np.newaxis], PeriodicPropagator(beta, M), _grid_size(M))[0, 0]
     # uniform grid of a trigonometric polynomial with no constant term
     assert abs(grid.sum(axis=1)).max() < 1e-12
     # tau = 0 equals tau = beta by periodic reconstruction
@@ -64,7 +66,7 @@ def test_grid_values_match_direct_sum():
     beta, M = 0.7, 5
     modes = first_sample(beta, M, 1, seed=9)[0]
     K = 8 * M
-    grid, deriv = _to_grid(modes[np.newaxis, np.newaxis], beta, K)[:, 0, 0]
+    grid, deriv = _to_grid(modes[np.newaxis, np.newaxis], PeriodicPropagator(beta, M), K)[:, 0, 0]
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     tgrid = beta * np.arange(K) / K
     direct = sum(2 * (modes[m].real * np.cos(omega[m] * tgrid)
@@ -80,7 +82,7 @@ def test_grid_values_match_direct_sum():
 def test_mode_variances():
     beta, M, n = 0.5, 4, 100000
     rng = np.random.Generator(np.random.Philox(77))
-    modes = _draw_modes(rng, beta, M, 1, n)
+    modes = _draw_modes(rng, PeriodicPropagator(beta, M), 1, n)
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     for m in range(M):
         emp = np.mean(np.abs(modes[:, 0, m])**2)
@@ -114,7 +116,7 @@ def test_vertex_estimates_match_engine():
     done = 0
     while done < n:
         take = min(4096, n - done)
-        modes = _draw_modes(rng, beta, M, geom.dim, take)
+        modes = _draw_modes(rng, PeriodicPropagator(beta, M), geom.dim, take)
         fields = grid_fields(modes, beta, K)
         for k, v in enumerate(vertices):
             vals = vertex_action(v, geom, beta, M, *fields)
@@ -157,6 +159,28 @@ def test_boltzmann_estimates_and_guard(monkeypatch):
     monkeypatch.setattr(montecarlo, "_VARIANCE_GUARD", 1e-9)
     with pytest.raises(ValueError, match="variance"):
         mc_boltzmann("sphere", SPHERE0, 0.1, 16, 2000, seed=52)
+
+
+@pytest.mark.parametrize("beta,M", [(1e-300, 1), (1e-155, 1), (1e300, 1), (1.7e308, 4),
+                                    (1e-310, 1)])
+@pytest.mark.parametrize("route", ["sphere", "covariant", "eta"])
+def test_extreme_beta_ends_as_an_estimate_or_a_value_error(route, beta, M):
+    """At beta 1e-300 and 1e-155, 1 / omega_1^2 underflows and the draw
+    keeps its spread in the scaled form; at 1e300 the action variance, and
+    at 1.7e308 the action itself, leaves the float64 range; at 1e-310 the
+    propagator rejects omega_M. No warning is raised, on the pool (1024
+    samples make four chunks) or without it."""
+    geom = SPHERE0 if route == "sphere" else point_geometry(builtin("sphere", 2), [0.1, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if beta > 1 or beta < 1e-308:
+            match = "action variance leaves" if beta > 1 else "omega_M = 2 pi M / beta"
+            with pytest.raises(ValueError, match=match):
+                mc_boltzmann(route, geom, beta, M, 1024, seed=3)
+            return
+        est = mc_boltzmann(route, geom, beta, M, 1024, seed=3)
+    # the paths are not all zero, as they were when the spread underflowed
+    assert est.extras["action_mean"] != 0.0 and math.isfinite(est.stderr)
 
 
 def test_boltzmann_consistent_with_vertex_sums():
@@ -228,7 +252,7 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
                 im = rng.normal(0.0, sd[::-1], size=(bs, 2, M))[:, :, ::-1]
                 modes = re + 1j * im
             else:
-                modes = _draw_modes(rng, beta, M, 2, bs)
+                modes = _draw_modes(rng, PeriodicPropagator(beta, M), 2, bs)
             out.append(vertex_action(v, geom, beta, M, *grid_fields(modes, beta, K)).mean())
         return np.array(out)
 
@@ -308,7 +332,8 @@ def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
     catalogs: the exact grid reproduces the 8M grid per sample, and a
     quadratic vertex by Parseval equals its grid integral."""
     beta, M, n = 0.1, 16, 300
-    modes = _draw_modes(np.random.Generator(np.random.Philox(5)), beta, M, geom.dim, n)
+    modes = _draw_modes(np.random.Generator(np.random.Philox(5)), PeriodicPropagator(beta, M),
+                        geom.dim, n)
     fields = {K: grid_fields(modes, beta, K) for K in (_grid_size(M), 8 * M)}
     vertices = vertex_catalog(geom, beta, route)
     assert {len(v.slots) for v in vertices} >= {2, 4}
@@ -327,7 +352,8 @@ def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
 @pytest.mark.parametrize("geom,route", _catalog_cases())
 def test_one_term_per_slot_signature_sums_the_vertex_actions(geom, route):
     beta, M, n = 0.1, 16, 300
-    modes = _draw_modes(np.random.Generator(np.random.Philox(6)), beta, M, geom.dim, n)
+    modes = _draw_modes(np.random.Generator(np.random.Philox(6)), PeriodicPropagator(beta, M),
+                        geom.dim, n)
     fields = grid_fields(modes, beta, _grid_size(M))
     vertices = vertex_catalog(geom, beta, route)
     terms = _terms(vertices, geom, beta, M)
@@ -347,14 +373,15 @@ def test_padded_transform_is_the_irfft_of_the_modes(M):
     workspace = montecarlo._Workspace(40, 3, M, K)
     rng = np.random.Generator(np.random.Philox(M))
     for n in (40, 17):
-        modes = _draw_modes(rng, beta, M, 3, n)
+        modes = _draw_modes(rng, PeriodicPropagator(beta, M), 3, n)
         spectrum = np.concatenate([np.zeros((n, 3, 1)), np.conjugate(modes)], axis=2)
         ref = [np.fft.irfft(spectrum, n=K, axis=2, norm="forward"),
                np.fft.irfft(spectrum * (1j * 2 * math.pi * np.arange(M + 1) / beta),
                             n=K, axis=2, norm="forward")]
-        got = _to_grid(modes, beta, K, workspace.fields[:, :n], workspace.spectrum[:, :n])
+        p = PeriodicPropagator(beta, M)
+        got = _to_grid(modes, p, K, workspace.fields[:, :n], workspace.spectrum[:, :n])
         assert K in (72, 144, 288) and np.array_equal(got, ref)
-        assert np.array_equal(_to_grid(modes, beta, K), ref)
+        assert np.array_equal(_to_grid(modes, p, K), ref)
 
 
 @pytest.mark.parametrize("route,geom,terms", [("sphere", SPHERE0, 2),
@@ -387,7 +414,7 @@ def test_substreams_are_cut_into_equal_chunks_two_per_worker(monkeypatch, worker
     sizes = []
     real = montecarlo._chunk_action
     monkeypatch.setattr(montecarlo, "_chunk_action",
-                        lambda *args: sizes.append(len(args[3])) or real(*args))
+                        lambda *args: sizes.append(len(args[2])) or real(*args))
     hyper = _catalog_cases()[0][0]
     runs = [("sphere", SPHERE0, 16, 2048), ("covariant", hyper, 16, 1024),
             ("sphere", SPHERE0, 16, 300), ("sphere", SPHERE0, 64, 4096)]
@@ -400,7 +427,8 @@ def test_substreams_are_cut_into_equal_chunks_two_per_worker(monkeypatch, worker
 def test_coarse_grid_is_rejected_for_a_quartic_vertex():
     beta, M = 0.1, 8
     v = next(x for x in vertex_catalog(SPHERE0, beta, "sphere") if len(x.slots) == 4)
-    modes = _draw_modes(np.random.Generator(np.random.Philox(1)), beta, M, 2, 4)
+    modes = _draw_modes(np.random.Generator(np.random.Philox(1)), PeriodicPropagator(beta, M),
+                        2, 4)
     fields = grid_fields(modes, beta, 4 * M)
     with pytest.raises(ValueError, match="too coarse"):
         vertex_action(v, SPHERE0, beta, M, *fields)

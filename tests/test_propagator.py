@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,27 @@ def test_mode_sums_keep_their_magnitude_where_one_over_omega_squared_underflows(
         q = PeriodicPropagator(beta, 3)
         assert q.green0_truncated() == pytest.approx(beta / (2 * math.pi**2) * (1 + 1 / 4 + 1 / 9),
                                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 2.5e-153, 3.5e-153, 6e154, 8.3e154, 1e160, 1e300])
+def test_scaled_forms_hold_at_both_ends_of_the_range(beta):
+    # the last 1 / omega_m^2 underflows below about 1e-153 M, and their sum
+    # overflows above about 7e154 at M = 3 (1e160 and 1e300: 1 / omega_1^2
+    # alone does); on either side the mode sums and the Monte Carlo draw's
+    # spread keep their magnitude, and no warning is raised
+    m = np.arange(1, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = PeriodicPropagator(beta, 3)
+        sums, spread, modes = p.green0_truncated(), p.mode_sd(), p.green_modes(0.25 * beta)
+    scale = beta / (2 * math.pi**2)
+    assert sums == pytest.approx(scale * np.sum(1.0 / m**2), rel=1e-13)
+    assert modes == pytest.approx(scale * np.sum(np.cos(0.5 * math.pi * m) / m**2), rel=1e-13)
+    assert np.allclose(spread, math.sqrt(beta / 8) / (math.pi * m), rtol=1e-13, atol=0)
+
+
+def test_mode_sd_keeps_its_bits_in_range():
+    beta, M = 0.37, 64
+    p = PeriodicPropagator(beta, M)
+    omega = 2.0 * math.pi * np.arange(1, M + 1) / beta
+    assert np.array_equal(p.mode_sd(), np.sqrt(1.0 / (2.0 * beta * omega**2)))

@@ -160,6 +160,27 @@ def test_truncated_value_approaches_counter_value():
 
 # --- second order -----------------------------------------------------------------
 
+def test_sharp_sums_take_the_truncated_equal_time_pair():
+    """The first order and the sharp series read one cutoff-M pair table: a
+    field pair takes the truncated sum green0_truncated, not beta/12 (3.7%
+    above it at M = 16). Against a quadratic vertex, the twelve live
+    pairings of a quartic one each hold one equal-time pair and two cross
+    field lines."""
+    beta = 0.5
+    flat1 = point_geometry(builtin("flat", 1), [0.0])
+    quadratic = Vertex("phi2", np.ones((1, 1)), (0, 0))
+    quartic = Vertex("phi4", np.ones((1, 1, 1, 1)), (0, 0, 0, 0))
+    series = second_order_mode_series(quadratic, quartic, PeriodicPropagator(beta, 16), flat1,
+                                      [1, 4, 16])
+    for M, value in series:
+        p = PeriodicPropagator(beta, M)
+        g0 = p.green0_truncated()
+        assert value == pytest.approx(beta * 12 * g0 * cross_integral_modes(p, [(0, 0)] * 2, M),
+                                      rel=1e-14)
+        assert expect_first_order_truncated(quartic, p, flat1) == pytest.approx(
+            beta * 3 * g0**2, rel=1e-14)
+
+
 def test_second_order_quadratic_zeta4():
     """Two identity-coefficient quadratic vertices: the connected value is
     2 tr(1) * beta * integral G^2 = D beta^4 / 360, the zeta(4) channel."""
