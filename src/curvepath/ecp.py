@@ -134,12 +134,17 @@ def boltzmann(route: str, geom: PointGeometry, beta: float, M: int, include_fp: 
     return report if geom.q0.ndim == 2 else report.row(())
 
 
+@functools.lru_cache(maxsize=16)
 def sphere_geometry(D: int) -> PointGeometry:
     """The unit D-sphere at the origin of its embedding chart, where the
-    sphere route runs."""
+    sphere route runs; read-only and built once per D."""
     if D < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {D}")
-    return point_geometry(builtin("sphere", D), np.zeros(D))
+    geom = point_geometry(builtin("sphere", D), np.zeros(D))
+    for array in vars(geom).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return geom
 
 
 def _free_density(beta: float, D: int) -> float:

@@ -288,11 +288,14 @@ class Program:
     def run(self, env: Mapping[str, object]) -> list:
         """Each expression's value over floats or Jet2, depending on what env
         holds. Literals stay plain floats; Jet2 arithmetic takes them as
-        constants. No operation changes an operand, so a slot can feed many."""
+        constants. No operation changes an operand, so a slot can feed many.
+        A Jet2 divisor's reciprocal is taken once per run, however many
+        divisions read its slot."""
         values: list = []
+        reciprocals: dict[int, Jet2] = {}  # divisor slot -> its reciprocal
         for k, (op, a, b) in enumerate(self.code):
             try:
-                values.append(_execute(op, a, b, values, env))
+                values.append(_execute(op, a, b, values, env, reciprocals))
             except EvalError as exc:
                 exc.root = self.owners[k]
                 raise
@@ -302,7 +305,8 @@ class Program:
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
-def _execute(op: str, a, b, values: list, env: Mapping[str, object]):
+def _execute(op: str, a, b, values: list, env: Mapping[str, object],
+             reciprocals: dict[int, Jet2]):
     if op == "num":
         return a
     if op == "var":
@@ -326,6 +330,11 @@ def _execute(op: str, a, b, values: list, env: Mapping[str, object]):
         except OverflowError:
             raise EvalError("overflow during evaluation") from None
     try:
+        if op == "/" and isinstance(values[b], Jet2):
+            # Jet2 division is x * y._reciprocal(), so sharing y's reciprocal keeps the bits
+            if b not in reciprocals:
+                reciprocals[b] = values[b]._reciprocal()
+            return values[a] * reciprocals[b]
         return _BINARY[op](values[a], values[b])
     except ZeroDivisionError:
         raise EvalError("division by zero during evaluation") from None

@@ -95,13 +95,16 @@ class _Moments:
         self.m2 = 0.0
 
     def add(self, x: np.ndarray) -> None:
+        """Merge a batch; samples beyond the float64 range at extreme beta
+        give a non-finite mean or m2, which callers reject or report."""
         n = x.shape[0]
-        mean = x.mean(axis=0)
-        m2 = np.square(x - mean).sum(axis=0)
         total = self.count + n
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (n / total)
-        self.m2 = self.m2 + m2 + delta**2 * (self.count * n / total)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            m2 = np.square(x - mean).sum(axis=0)
+            delta = mean - self.mean
+            self.mean = self.mean + delta * (n / total)
+            self.m2 = self.m2 + m2 + delta**2 * (self.count * n / total)
         self.count = total
 
     def variance(self):
@@ -380,8 +383,8 @@ def mc_boltzmann(route: str, geom: PointGeometry, beta: float, M: int, n: int,
     weight = _Moments()
 
     def merge(a):
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _chunk_action
-            action.add(a)
+        action.add(a)
+        with np.errstate(over="ignore"):  # exp(-a) of a large negative action
             weight.add(np.exp(-a))
         if on_batch is not None:
             on_batch(action.count, 1.0 - float(action.mean), float(action.stderr()))

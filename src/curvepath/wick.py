@@ -38,7 +38,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -144,14 +145,34 @@ class _Plan(NamedTuple):
     steps: tuple[tuple[int, int, str], ...]
 
 
+def _live_pairings(*slot_groups: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The live pairings of one vertex or two, as (pairing, equal_time,
+    cross): no equal-time pair joins a field to a velocity (that coincidence
+    value vanishes), and two vertices share at least two cross lines (the
+    cumulant removes disconnected pieces, and a single cross line integrates
+    to zero), an even number of them field-velocity lines (an odd number is
+    odd under x -> -x, so both schemes give zero)."""
+    n1, slots = len(slot_groups[0]), sum(slot_groups, ())
+    live = []
+    for pairing in pairings(len(slots)):
+        cross = tuple(sorted((slots[i], slots[j]) for i, j in pairing if i < n1 <= j))
+        internal = tuple((slots[i], slots[j]) for i, j in pairing if not i < n1 <= j)
+        if any(a != b for a, b in internal) or len(slot_groups) == 2 and (
+                len(cross) < 2 or sum(a != b for a, b in cross) % 2):
+            continue
+        live.append((pairing, internal, cross))
+    return tuple(live)
+
+
+@functools.lru_cache(maxsize=None)
+def _cross_signatures(*slot_groups: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The distinct cross signatures of the live pairings, in pairing order."""
+    return tuple(dict.fromkeys(cross for *_, cross in _live_pairings(*slot_groups)))
+
+
 @functools.lru_cache(maxsize=None)
 def _plan(D: int, *slot_groups: tuple[int, ...]) -> _Plan:
-    """The live pairings of one vertex or two at dimension D: no equal-time
-    pair joins a field to a velocity (that coincidence value vanishes), and
-    two vertices share at least two cross lines (the cumulant removes
-    disconnected pieces, and a single cross line integrates to zero), an
-    even number of them field-velocity lines (an odd number is odd under
-    x -> -x, so both schemes give zero).
+    """The live pairings of one vertex or two at dimension D, compiled.
 
     Each term contracts in the pairwise order einsum_path("optimal") picks,
     D^4 per point for the eta cubic square instead of D^6; an intermediate
@@ -159,15 +180,9 @@ def _plan(D: int, *slot_groups: tuple[int, ...]) -> _Plan:
     order. A step is keyed by its operands and its spec with the letters
     renamed in order of first appearance: a step an earlier term takes is
     not repeated."""
-    n1, slots = len(slot_groups[0]), sum(slot_groups, ())
-    groups = [_LETTERS[s:s + len(g)] for s, g in zip((0, n1), slot_groups)]
+    groups = [_LETTERS[s:s + len(g)] for s, g in zip((0, len(slot_groups[0])), slot_groups)]
     terms, positions = [], {}  # step key -> (position of its result, step)
-    for pairing in pairings(len(slots)):
-        cross = tuple(sorted((slots[i], slots[j]) for i, j in pairing if i < n1 <= j))
-        internal = tuple((slots[i], slots[j]) for i, j in pairing if not i < n1 <= j)
-        if any(a != b for a, b in internal) or len(slot_groups) == 2 and (
-                len(cross) < 2 or sum(a != b for a, b in cross) % 2):
-            continue
+    for pairing, internal, cross in _live_pairings(*slot_groups):
         lines = [_LETTERS[i] + _LETTERS[j] for i, j in pairing]
         path, _ = np.einsum_path(",".join(groups + lines) + "->",
                                  *(np.empty((D,) * len(s)) for s in groups + lines),
@@ -198,18 +213,18 @@ def _contractions(plan: _Plan, coeffs: Sequence[np.ndarray], g_inv: np.ndarray) 
     return operands
 
 
+_NO_CROSS_LINES = MappingProxyType({(): CounterPolynomial(constant=1.0)})
+
+
 def _plan_sum(plan: _Plan, values: Sequence, pair_value: dict,
-              cross_value=lambda cross: CounterPolynomial(constant=1.0)) -> CounterPolynomial:
-    """Sum over the plan of cross_value(cross lines) x equal-time pair values x
+              cross_values: Mapping = _NO_CROSS_LINES) -> CounterPolynomial:
+    """Sum over the plan of cross_values[cross lines] x equal-time pair values x
     the term's contraction, read from values (the plan's _contractions), in
     plan order. The values are counter polynomials, constant ones at a single
-    cutoff; each cross signature is evaluated once (first order has none)."""
-    crosses: dict = {}
+    cutoff; cross_values holds one per cross signature (first order has none)."""
     total = CounterPolynomial()
     for term in plan.terms:
-        if term.cross not in crosses:
-            crosses[term.cross] = cross_value(term.cross)
-        value = crosses[term.cross]
+        value = cross_values[term.cross]
         try:
             for t in term.equal_time:
                 value = value * pair_value[t]
@@ -382,9 +397,12 @@ def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
     if v1.measure_counter and v2.measure_counter:
         raise EngineError("two measure-counter prefactors exceed the counter algebra")
     pref = v1.prefactor(p.beta) * v2.prefactor(p.beta)
-    plan = _plan(geom.dim, tuple(v1.slots), tuple(v2.slots))
+    groups = tuple(v1.slots), tuple(v2.slots)
+    # the rule table rejects a channel it lacks before any contraction path is searched
+    crosses = {cross: cross_integral_table(p.beta, cross) for cross in _cross_signatures(*groups)}
+    plan = _plan(geom.dim, *groups)
     total = _plan_sum(plan, _contractions(plan, (v1.coeff, v2.coeff), geom.g_inv),
-                      p.pair_counters(), functools.partial(cross_integral_table, p.beta))
+                      p.pair_counters(), crosses)
     return (total * pref).scaled(p.beta)
 
 
@@ -394,14 +412,16 @@ def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom
     pairs at each cutoff of ms (a diagnostic; see the module docstring), with
     the cutoff-M pair table and prefactors of expect_first_order_truncated.
     richardson_limit extrapolates a doubling series."""
-    plan = _plan(geom.dim, tuple(v1.slots), tuple(v2.slots))
+    groups = tuple(v1.slots), tuple(v2.slots)
+    plan = _plan(geom.dim, *groups)
     values = _contractions(plan, (v1.coeff, v2.coeff), geom.g_inv)  # shared by every cutoff
     zero = np.zeros(geom.g_inv.shape[:-2])  # keeps the batch shape of a plan with no terms
     series = []
     for M in ms:
         at_M = PeriodicPropagator(p.beta, M)
-        val = zero + _plan_sum(plan, values, at_M.pair_truncated(), lambda cross: CounterPolynomial(
-            constant=cross_integral_modes(at_M, cross, M=M))).constant
+        crosses = {cross: CounterPolynomial(constant=cross_integral_modes(at_M, cross, M=M))
+                   for cross in _cross_signatures(*groups)}
+        val = zero + _plan_sum(plan, values, at_M.pair_truncated(), crosses).constant
         pref = v1.prefactor_truncated(p.beta, M) * v2.prefactor_truncated(p.beta, M)
         series.append((M, val * (pref * p.beta)))
     return series

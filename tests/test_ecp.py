@@ -248,6 +248,19 @@ def test_partitions_build_each_gauss_legendre_rule_once(monkeypatch):
         assert np.array_equal(x, leggauss(n)[0]) and np.array_equal(w, leggauss(n)[1])
 
 
+def test_sphere_geometry_is_built_once_per_dimension_and_read_only():
+    geom = sphere_geometry(3)
+    assert sphere_geometry(3) is geom
+    with pytest.raises(ValueError, match="read-only"):
+        geom.g[0, 0] = 2.0
+    assert all(not array.flags.writeable for array in vars(geom).values()
+               if isinstance(array, np.ndarray))
+    for _ in range(2):  # a rejected dimension is not cached, and leaves the cache working
+        with pytest.raises(ValueError, match="sphere dimension must be >= 1"):
+            sphere_geometry(0)
+    assert sphere_geometry(3) is geom and sphere_geometry(2).dim == 2
+
+
 def test_partition_polar_matches_box():
     spec = builtin("hyperbolic-ball", 2)
     beta = 0.2
@@ -366,6 +379,23 @@ def test_outputs_are_byte_identical_to_the_recorded_ones(case):
     eta --mode-series at one and two cutoffs and covariant pieces without a
     limit, recorded while each report piece was still a wrapper object."""
     assert _cli_stdout(case["argv"]) == case["stdout"]
+
+
+_SPHERE_CASES = [case for case in GOLDEN["exact"] if "sphere" in case["argv"][:3]]
+
+
+def test_sphere_outputs_keep_their_bytes_after_a_cache_hit(monkeypatch):
+    """The recorded sphere-route ecp and mc outputs, from a fresh bundle and
+    again from the cached one, which no call rebuilds or changes."""
+    ecp.sphere_geometry.cache_clear()
+    assert [case["argv"][0] for case in _SPHERE_CASES] == ["ecp"] * 5 + ["mc"]
+    for case in _SPHERE_CASES:
+        assert _cli_stdout(case["argv"]) == case["stdout"]
+    built = []
+    monkeypatch.setattr(ecp, "point_geometry", lambda *args: built.append(args))
+    for case in _SPHERE_CASES:
+        assert _cli_stdout(case["argv"]) == case["stdout"]
+    assert built == []
 
 
 @pytest.mark.parametrize("route,chart,point", [

@@ -291,6 +291,34 @@ def test_program_matches_the_tree_walk_bit_for_bit(nodes, q1, q2, alpha):
             assert not failing and [outcome(lambda v=v: v) for v in values] == expected
 
 
+# one divisor, read by the / of three roots: a Jet2 numerator, a float one, a
+# float divisor beside it; root 0 divides nothing
+SHARED_DIVISOR = ["q1 * q2 + alpha", "q1 / (1 - q1*q1 - q2*q2) + q2 / alpha",
+                  "2 / (1 - q1*q1 - q2*q2)", "(q1 * q2) / (1 - q1*q1 - q2*q2)"]
+
+
+@pytest.mark.parametrize("q1,q2,alpha", [(0.3, -0.4, 1.5), (-0.75, 0.5, -0.25),
+                                         (1.0, 0.0, 2.0)])
+def test_shared_divisor_matches_the_tree_walk_bit_for_bit(q1, q2, alpha):
+    """The program takes one reciprocal of the shared divisor and keeps the
+    tree walk's bits; at q = (1, 0) the divisor is zero (in the three-point
+    environment at two of its points) and the first root that divides names
+    the failure."""
+    nodes = [ex.parse(source) for source in SHARED_DIVISOR]
+    program = ex.compile_program(nodes)
+    divisors = [b for op, _, b in program.code if op == "/"]
+    assert len(divisors) == 4 and len(set(divisors)) == 2  # three reads of one slot
+    for env in environments(q1, q2, alpha):
+        expected = [outcome(lambda node=node: walk(node, env)) for node in nodes]
+        if q1 == 1.0:
+            assert [kind for kind, _ in expected[1:]] == ["EvalError"] * 3
+            with pytest.raises(ex.EvalError) as exc:
+                program.run(env)
+            assert exc.value.root == 1 and ("EvalError", str(exc.value)) == expected[1]
+        else:
+            assert [outcome(lambda v=v: v) for v in program.run(env)] == expected
+
+
 FAILING = ["1 / (q1 - q1)", "alpha / (q2 - q2) + q1", "sqrt(-exp(q1))", "log(q1 - q1)",
            "sqrt(q1) * log(q2)", "q1 + (q2 - q2)^-2", "sin(q1) / (sin(q1) - sin(q1))"]
 

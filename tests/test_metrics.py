@@ -11,6 +11,7 @@ import time
 from curvepath import expressions as ex
 from curvepath import metrics as mx
 from curvepath.geometry import point_geometry
+from curvepath.jets import Jet2
 from curvepath.metrics import (DomainError, MetricError, builtin,
                                embedding_to_stereographic, eval_metric_jet, parse_metric)
 
@@ -300,6 +301,24 @@ def test_compiled_program_shares_repeated_subtrees():
     assert np.signbit(dg[:, 0, 0]).tolist() == [False, False]
     assert np.signbit(dg[:, 1, 1]).tolist() == [True, True]
     assert np.signbit(metric_values(spec, [0.5, 0.25])[0, 1])
+
+
+@pytest.mark.parametrize("name,point,divisions", [
+    ("sphere:4", [0.1, 0.2, -0.1, 0.05], 10), ("sphere:2", [0.3, 0.1], 3),
+    ("hyperbolic-ball:3", [0.25, 0.1, -0.2], 1)])
+def test_one_reciprocal_per_divisor(monkeypatch, name, point, divisions):
+    """Every division of the chart's program reads one shared divisor slot
+    (1 - |q|^2); one evaluation takes its reciprocal once, not once per
+    division."""
+    chart, _, dim = name.partition(":")
+    spec = builtin(chart, int(dim))
+    divisors = [b for op, _, b in spec.program.code if op == "/"]
+    assert len(divisors) == divisions and len(set(divisors)) == 1
+    calls = []
+    reciprocal = Jet2._reciprocal
+    monkeypatch.setattr(Jet2, "_reciprocal", lambda self: calls.append(1) or reciprocal(self))
+    eval_metric_jet(spec, point)
+    assert len(calls) == 1
 
 
 def test_sphere_d1_jets():

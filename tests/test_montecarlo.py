@@ -183,6 +183,20 @@ def test_extreme_beta_ends_as_an_estimate_or_a_value_error(route, beta, M):
     assert est.extras["action_mean"] != 0.0 and math.isfinite(est.stderr)
 
 
+def test_estimators_without_a_guard_merge_extreme_batches_without_a_warning():
+    """Each batch merge ignores overflow itself, so the vertex and two-point
+    estimates at extreme beta end as estimates, non-finite where the samples
+    leave the float64 range, and raise no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        estimates = [mc_vertex_expectation(v, sphere_geometry(2), 1.7e308, 4, 64, 1)
+                     for v in vertex_catalog(sphere_geometry(2), 1.7e308, "sphere")]
+        [row] = mc_two_point(1e300, 2, 2, 64, 1, [(0.1, 0.2)])
+    assert [est.n_samples for est in estimates] == [64] * 3
+    assert not any(math.isfinite(est.mean) for est in estimates)
+    assert math.isfinite(row["mean"]) and row["mean"] > 0 and math.isnan(row["stderr"])
+
+
 def test_boltzmann_consistent_with_vertex_sums():
     # first-order dominance: 1 - sum of vertex means reproduces the
     # Boltzmann estimate within combined errors (independent streams)

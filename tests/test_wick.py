@@ -237,6 +237,17 @@ def test_second_order_slot_guard():
     assert expect_second_order_connected(v4, v3, p, FLAT2) == CounterPolynomial()  # odd
 
 
+def test_rule_table_rejects_a_channel_before_any_path_search(monkeypatch):
+    """The square of two doubly-dotted quartics needs a cross integral the
+    rule table lacks; it is rejected before its 96-term plan is compiled."""
+    monkeypatch.setattr(np, "einsum_path",
+                        lambda *args, **kwargs: pytest.fail("a contraction path was searched"))
+    dd = Vertex("dd", np.full((3,) * 4, 1.0), (1, 1, 1, 1))
+    flat3 = point_geometry(builtin("flat", 3), [0.0, 0.0, 0.0])
+    with pytest.raises(EngineError, match="rule table"):
+        expect_second_order_connected(dd, dd, PeriodicPropagator(0.5, 4), flat3)
+
+
 def _dg_contractions(geom):
     """Independent evaluation of the two Christoffel-squared scalars."""
     dg, gi = geom.dg, geom.g_inv
