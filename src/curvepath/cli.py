@@ -8,9 +8,11 @@ shortest round-trip repr (up to 17 significant digits), which is lossless.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -410,12 +412,21 @@ def main(argv=None) -> int:
         if getattr(args, "metric", None) is not None and getattr(args, dest) is not None:
             ap.error(f"--{dest} does not apply to a --metric chart")
     try:
-        return args.func(args)
-    except _FAILURE_TYPES as exc:
-        # NumPy raises a private subclass of MemoryError; report the public name
-        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-        json.dump({"error": name, "message": str(exc)}, sys.stdout)
-        sys.stdout.write("\n")
+        try:
+            status = args.func(args)
+        except BrokenPipeError:
+            raise
+        except _FAILURE_TYPES as exc:
+            # NumPy raises a private subclass of MemoryError; report the public name
+            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            json.dump({"error": name, "message": str(exc)}, sys.stdout)
+            sys.stdout.write("\n")
+            status = 1
+        sys.stdout.flush()  # a reader that has gone fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:  # write nothing more, and send the flush at exit to devnull
+        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -192,18 +192,27 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
         Riemann=Riemann, Ricci=Ricci, R=R, T=T, V=V, divV=divV, dg=dg, ddg=ddg)
 
 
+_FD_STEP = 1e-3  # the step h of the five-point differences
+
+
+def _five_point_offsets(D: int) -> np.ndarray:
+    """The offsets a h e_k, a in (2, 1, -1, -2), as a (4, D, D) array ordered (a, k)."""
+    return np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (_FD_STEP * np.eye(D))
+
+
+def _five_point_derivative(f: np.ndarray) -> np.ndarray:
+    """(-f(2h) + 8 f(h) - 8 f(-h) + f(-2h)) / 12h, f stacked over the four offsets."""
+    return (-f[0] + 8 * f[1] - 8 * f[2] + f[3]) / (12 * _FD_STEP)
+
+
 def divergence_identity_residual(spec: MetricSpec, q0: Sequence[float]) -> float:
     """|g^{st} T_st - (1/sqrt g) d_mu(sqrt g V^mu)| with 4th-order differences."""
-    h = 1e-3  # the step of the differences
     q0 = spec.check_domain(q0)
     D = spec.dim
-    # the stencil q0 + a h e_k, a in (2, 1, -1, -2), rows ordered (a, k),
-    # evaluated in one batch with q0 itself in row 0
-    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (h * np.eye(D))
-    geom = point_geometry(spec, np.vstack([q0[None], (q0 + steps).reshape(-1, D)]))
+    # the stencil points, evaluated in one batch with q0 itself in row 0
+    geom = point_geometry(spec, np.vstack([q0[None], (q0 + _five_point_offsets(D)).reshape(-1, D)]))
     density = geom.sqrt_g[1:, None] * geom.V[1:]     # sqrt(g) V^mu at the stencil points
-    f2p, f1p, f1m, f2m = np.diagonal(density.reshape(4, D, D), axis1=1, axis2=2)
-    div = float(np.sum((-f2p + 8 * f1p - 8 * f1m + f2m) / (12 * h)))
+    div = float(np.sum(_five_point_derivative(np.einsum("akk->ak", density.reshape(4, D, D)))))
     div /= geom.sqrt_g[0]
     trT = float(np.einsum("st,st->", geom.g_inv[0], geom.T[0]))
     return abs(trT - div)

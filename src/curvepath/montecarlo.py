@@ -193,16 +193,12 @@ def _in_order(batches, workers: int, consume, ahead: int = 1) -> None:
     concatenated, in batch order, so the bits never depend on the worker count.
 
     batches yields one list of zero-argument tasks per substream; producing
-    a list is the main thread's share of the work. With more than one worker
-    the tasks run on a pool of that many threads, and the main thread
-    produces the next batch while at most ahead batches wait to be consumed:
-    batch j + ahead + 1 is produced only after batch j was consumed, so its
-    tasks have all returned. One worker starts no thread.
+    a list is the main thread's share of the work. The tasks run on a pool
+    of workers threads, one thread included, and the main thread produces
+    the next batch while at most ahead batches wait to be consumed: batch
+    j + ahead + 1 is produced only after batch j was consumed, so its tasks
+    have all returned.
     """
-    if workers == 1:
-        for tasks in batches:
-            consume(np.concatenate([task() for task in tasks]))
-        return
     from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(workers)
     try:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointGeometry, point_geometry
+from .geometry import PointGeometry, _five_point_derivative, _five_point_offsets, point_geometry
 from .metrics import MetricSpec
 
 __all__ = [
@@ -196,12 +196,11 @@ def _normal_chart_dgamma(exp: NormalExpansion) -> np.ndarray:
     derivative d_k is numerical. The bundles at the 4 D stencil points come
     from one batched point_geometry call.
     """
-    D, h = exp.dim, 1e-3  # h: the step of the differences
-    # xi = a h e_k for a in (2, 1, -1, -2), rows ordered (a, k)
-    xis = (np.array([2.0, 1.0, -1.0, -2.0])[:, None, None] * (h * np.eye(D))).reshape(-1, D)
+    D = exp.dim
+    xis = _five_point_offsets(D).reshape(-1, D)
     geom = point_geometry(exp.spec, exp.geom.q0 + eta_of_xi(exp, xis))
-    gp2, gp1, gm1, gm2 = _chart_gamma(exp, xis, geom).reshape(4, D, D, D, D)
-    return (-gp2 + 8 * gp1 - 8 * gm1 + gm2) / (12 * h)  # [k, m, t, s]
+    gammas = _chart_gamma(exp, xis, geom).reshape(4, D, D, D, D)
+    return _five_point_derivative(gammas)  # [k, m, t, s]
 
 
 def _dJ_cubic(c3: np.ndarray, xi: np.ndarray) -> np.ndarray:

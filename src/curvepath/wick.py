@@ -238,8 +238,6 @@ def _plan_sum(plan: _Plan, values: Sequence, pair_value: dict,
 
 def expect_first_order(v: Vertex, p: PeriodicPropagator, geom: PointGeometry) -> CounterPolynomial:
     """<integral of the vertex> under the free measure, as a counter polynomial."""
-    if len(v.slots) % 2 == 1:
-        return CounterPolynomial()
     plan = _plan(geom.dim, tuple(v.slots))
     total = _plan_sum(plan, _contractions(plan, (v.coeff,), geom.g_inv), p.pair_counters())
     return (total * v.prefactor(p.beta)).scaled(p.beta)  # beta from the time integral
@@ -252,8 +250,6 @@ def expect_first_order_truncated(v: Vertex, p: PeriodicPropagator, geom: PointGe
     to; it differs from the counter-table value by the O(1/M) tail of the
     equal-time propagator.
     """
-    if len(v.slots) % 2 == 1:
-        return 0.0
     plan = _plan(geom.dim, tuple(v.slots))
     total = _plan_sum(plan, _contractions(plan, (v.coeff,), geom.g_inv), p.pair_truncated())
     return total.constant * v.prefactor_truncated(p.beta, p.M) * p.beta
@@ -392,8 +388,6 @@ def expect_second_order_connected(v1: Vertex, v2: Vertex, p: PeriodicPropagator,
                                   geom: PointGeometry) -> CounterPolynomial:
     """Connected <A_1 A_2> over the free measure, from the rule-table cross
     integrals, as an exact counter polynomial."""
-    if (len(v1.slots) + len(v2.slots)) % 2 == 1:
-        return CounterPolynomial()
     if v1.measure_counter and v2.measure_counter:
         raise EngineError("two measure-counter prefactors exceed the counter algebra")
     pref = v1.prefactor(p.beta) * v2.prefactor(p.beta)

@@ -677,3 +677,25 @@ def test_memory_error_is_one_json_error_document(argv):
     doc = json.loads(done.stdout)
     assert doc["error"] == "MemoryError"
     assert doc["message"].startswith("Unable to allocate")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [
+    ["propagator", "--beta", "1", "--M", "4"],
+    ["verify", "propagator"],
+    ["sweep", "--builtin", "sphere:2", "--points", "0.1,0;0.3,0", "--beta", "0.1"],
+], ids=["propagator", "verify", "sweep"])
+def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
+    """The reader of stdout has gone before the first write: the command
+    writes nothing more and exits 1, and the flush at exit stays quiet."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "curvepath.cli", *argv], env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

@@ -513,26 +513,40 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     assert results[1] == results[2] == results[3]
 
 
-class _CountingPool(concurrent.futures.ThreadPoolExecutor):
-    made = 0
+class _SizedPool(concurrent.futures.ThreadPoolExecutor):
+    sizes = []
 
-    def __init__(self, *args, **kwargs):
-        type(self).made += 1
-        super().__init__(*args, **kwargs)
+    def __init__(self, max_workers=None, *args, **kwargs):
+        type(self).sizes.append(max_workers)
+        super().__init__(max_workers, *args, **kwargs)
 
 
-def test_work_of_one_chunk_starts_no_thread(monkeypatch):
+def test_each_call_builds_one_pool_of_at_most_one_thread_per_chunk(monkeypatch):
     monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
-    monkeypatch.setattr(_CountingPool, "made", 0)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SizedPool)
+    monkeypatch.setattr(_SizedPool, "sizes", [])
     # below twice the 256-sample floor a substream is one chunk; a two-point
     # task is a whole substream of 8192 samples at D = 2, M = 16
     mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=1)
     mc_two_point(0.5, 16, 2, 8000, seed=1, pairs=[(0.1, 0.3)])
-    assert _CountingPool.made == 0
     mc_boltzmann("sphere", SPHERE0, 0.02, 16, 512, seed=1)
     mc_two_point(0.5, 16, 2, 9000, seed=1, pairs=[(0.1, 0.3)])
-    assert _CountingPool.made == 2
+    assert _SizedPool.sizes == [1, 1, 2, 2]
+
+
+def test_one_chunk_calls_run_on_a_pool_of_one_with_the_same_bits(monkeypatch):
+    """A call of one chunk, or of one two-point substream, runs on a pool of
+    one thread at any worker count, and gives the same bits at each."""
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SizedPool)
+    results = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
+        monkeypatch.setattr(_SizedPool, "sizes", [])
+        results[workers] = repr((
+            mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=3).as_dict(),
+            mc_two_point(0.5, 16, 2, 8000, seed=3, pairs=[(0.1, 0.3), (0.2, 0.2)])))
+        assert _SizedPool.sizes == [1, 1]
+    assert results[1] == results[2] == results[3]
 
 
 @pytest.mark.parametrize("workers", [1, 3])

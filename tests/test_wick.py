@@ -237,6 +237,25 @@ def test_second_order_slot_guard():
     assert expect_second_order_connected(v4, v3, p, FLAT2) == CounterPolynomial()  # odd
 
 
+def test_odd_parity_is_zero_on_a_batched_bundle():
+    """An odd slot list has no pairing, so its plan has no terms and every
+    sum over it is +0.0, at each point of a batch as at one point."""
+    geom = point_geometry(builtin("sphere", 2), [[0.2, -0.3], [0.1, 0.4], [-0.5, 0.0]])
+    catalog = {v.label: v for v in vertex_catalog(geom, 0.3, "eta")}
+    cubic = catalog["cubic-kinetic"]
+    p = PeriodicPropagator(0.3, 8)
+    assert cubic.coeff.shape == (3, 2, 2, 2)
+    assert wick._plan(2, cubic.slots).terms == ()
+    zeros = [expect_first_order(cubic, p, geom)]
+    zeros += [expect_second_order_connected(cubic, catalog[label], p, geom)
+              for label in ("quartic-kinetic", "measure", "faddeev-popov")]
+    for zero in zeros:
+        assert zero == CounterPolynomial()
+        assert all(math.copysign(1.0, c) == 1.0 for c in zero.coefficients())
+    truncated = expect_first_order_truncated(cubic, p, geom)
+    assert truncated == 0.0 and math.copysign(1.0, truncated) == 1.0
+
+
 def test_rule_table_rejects_a_channel_before_any_path_search(monkeypatch):
     """The square of two doubly-dotted quartics needs a cross integral the
     rule table lacks; it is rejected before its 96-term plan is compiled."""
