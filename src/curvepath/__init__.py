@@ -7,7 +7,8 @@ Faddeev-Popov correction, and the homogeneous-sphere expansion), with the
 mode-counting regularization made explicit and checkable.
 """
 from .metrics import MetricSpec, builtin, parse_metric, eval_metric_jet
-from .geometry import PointGeometry, point_geometry, divergence_identity_residual
+from .geometry import (PointGeometry, point_geometry, vector_divergence,
+                       divergence_identity_residual)
 from .normal_coords import (NormalExpansion, normal_expansion, eta_of_xi, xi_of_eta,
                             connection_Q, jacobian_trlog, measure_trlog,
                             normal_curvature_check)
@@ -22,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "MetricSpec", "builtin", "parse_metric", "eval_metric_jet",
-    "PointGeometry", "point_geometry", "divergence_identity_residual",
+    "PointGeometry", "point_geometry", "vector_divergence", "divergence_identity_residual",
     "NormalExpansion", "normal_expansion", "eta_of_xi", "xi_of_eta",
     "connection_Q", "jacobian_trlog", "measure_trlog", "normal_curvature_check",
     "CounterPolynomial", "PeriodicPropagator",

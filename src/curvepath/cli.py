@@ -21,7 +21,8 @@ import numpy as np
 from . import __version__
 from .ecp import (QuadratureGrid, boltzmann, partition_function, seeley_density,
                   sphere_geometry, sphere_route_partition)
-from .geometry import GeometryError, PointGeometry, geometry_blocks, point_geometry
+from .geometry import (GeometryError, PointGeometry, geometry_blocks, point_geometry,
+                       vector_divergence)
 from .metrics import BUILTIN_NAMES, MetricError, builtin, parse_metric
 from .montecarlo import mc_boltzmann
 from .propagator import CounterPolynomial, PeriodicPropagator
@@ -130,6 +131,7 @@ def _emit(payload: dict, args) -> None:
 def cmd_geometry(args) -> int:
     spec = _resolve_metric(args)
     geom = point_geometry(spec, _parse_point(args.point))
+    V, divV = vector_divergence(geom)
     _emit({
         "schema": "curvepath/geometry-v1",
         "name": spec.name,
@@ -142,8 +144,8 @@ def cmd_geometry(args) -> int:
         "Ricci": geom.Ricci.tolist(),
         "R": geom.R,
         "T": geom.T.tolist(),
-        "V": geom.V.tolist(),
-        "divV": geom.divV,
+        "V": V.tolist(),
+        "divV": float(divV),
         "trace_T": float(np.einsum("st,st->", geom.g_inv, geom.T)),
     }, args)
     return 0
@@ -399,9 +401,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _quiet_stdout() -> None:
+    """Point the stdout descriptor at devnull, so that the flush at exit stays
+    quiet once the reader has gone."""
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     ap = _parser()
-    args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    try:
+        args = ap.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    except SystemExit:  # --help, --version or a usage error, with argparse's own status
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            _quiet_stdout()
+        raise
     for dest, subcommands, kinds, scope in _OPTION_SCOPES:
         if args.subcommand in subcommands and getattr(args, dest) not in (None, False):
             others = [kind for kind in _call_kinds(args) if kind not in kinds]
@@ -424,9 +440,8 @@ def main(argv=None) -> int:
             status = 1
         sys.stdout.flush()  # a reader that has gone fails here, not in the flush at exit
         return status
-    except BrokenPipeError:  # write nothing more, and send the flush at exit to devnull
-        with contextlib.suppress(AttributeError, OSError, ValueError):  # no descriptor
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # write nothing more
+        _quiet_stdout()
         return 1
 
 

@@ -17,8 +17,10 @@ normal-coordinate expansion of the metric carries the quadratic coefficient
                         + Gamma[m, k, m] Gamma[k, s, t], symmetric part
   V[m]                  g^{st} Gamma[m, s, t]; divV is its covariant divergence
 
-With these conventions the trace identity g^{st} T[s, t] = divV holds
-identically; divergence_identity_residual checks it by finite differences.
+The bundle holds what the routes read; V and divV come from
+vector_divergence, not from the bundle. With these conventions the trace
+identity g^{st} T[s, t] = divV holds identically;
+divergence_identity_residual checks it by finite differences.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 from .metrics import MetricSpec, eval_metric_jet
 
 __all__ = ["PointGeometry", "GeometryError", "point_geometry", "geometry_blocks",
-           "divergence_identity_residual"]
+           "vector_divergence", "divergence_identity_residual"]
 
 # A geometry block holds at most BLOCK_ENTRIES // D^2 points (512 at D = 2,
 # 128 at D = 4), so a D x D field of a block has at most BLOCK_ENTRIES
@@ -53,7 +55,7 @@ class GeometryError(ValueError):
 @dataclass(frozen=True)
 class PointGeometry:
     """The tensor bundle at one point, or at N points with a leading axis of N
-    on every field (sqrt_g, R and divV are then arrays of shape (N,))."""
+    on every field (sqrt_g and R are then arrays of shape (N,))."""
 
     q0: np.ndarray
     g: np.ndarray
@@ -65,8 +67,6 @@ class PointGeometry:
     Ricci: np.ndarray
     R: float
     T: np.ndarray
-    V: np.ndarray
-    divV: float
     # metric derivatives kept for the noncovariant route's vertex catalog
     dg: np.ndarray          # [s, m, n]
     ddg: np.ndarray         # [s, t, m, n]
@@ -78,7 +78,7 @@ class PointGeometry:
     def row(self, k: int) -> "PointGeometry":
         """The one-point bundle at point k of a batched bundle."""
         parts = {f.name: getattr(self, f.name)[k] for f in fields(self)}
-        for name in ("sqrt_g", "R", "divV"):
+        for name in ("sqrt_g", "R"):
             parts[name] = float(parts[name])
         return PointGeometry(**parts)
 
@@ -114,8 +114,8 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     point axis last and contiguous (names ending in _p), so each einsum loops
     over the points innermost rather than over index blocks of 2 to 4 entries
     one point at a time. Each field is turned once into its point-first
-    array. R, V, dV and divV stay point-first: point-last, a batch of one
-    collapses its trailing axis and numpy sums their reductions with another
+    array. R stays point-first: point-last, a batch of one
+    collapses its trailing axis and numpy sums its reduction with another
     kernel than in a larger batch, so batch rows would no longer carry the
     bits of one-point calls.
     """
@@ -175,21 +175,27 @@ def _batch_geometry(spec: MetricSpec, q0: np.ndarray) -> PointGeometry:
     ddg = np.ascontiguousarray(ddg_p.transpose(4, 0, 1, 2, 3))
     Gamma = np.ascontiguousarray(Gamma_p.transpose(3, 0, 1, 2))
     dGamma = np.ascontiguousarray(dGamma_p.transpose(4, 0, 1, 2, 3))
-    dg_inv = np.ascontiguousarray(dg_inv_p.transpose(3, 0, 1, 2))
     r_std = np.ascontiguousarray(r_std_p.transpose(4, 0, 2, 3, 1)).transpose(0, 1, 4, 2, 3)
     Riemann = np.einsum("...mkst->...stkm", r_std)
     Ricci = np.ascontiguousarray(Ricci_p.transpose(2, 0, 1))
     T = np.ascontiguousarray(T_p.transpose(2, 0, 1))
 
     R = np.einsum("...nb,...nb->...", g_inv, Ricci)
-    V = np.einsum("...st,...mst->...m", g_inv, Gamma)
-    dV = (np.einsum("...kst,...mst->...km", dg_inv, Gamma)
-          + np.einsum("...st,...kmst->...km", g_inv, dGamma))
-    divV = np.trace(dV, axis1=-2, axis2=-1) + np.einsum("...mmk,...k->...", Gamma, V)
 
     return PointGeometry(
         q0=q0, g=g, g_inv=g_inv, sqrt_g=sqrt_g, Gamma=Gamma, dGamma=dGamma,
-        Riemann=Riemann, Ricci=Ricci, R=R, T=T, V=V, divV=divV, dg=dg, ddg=ddg)
+        Riemann=Riemann, Ricci=Ricci, R=R, T=T, dg=dg, ddg=ddg)
+
+
+def vector_divergence(geom: PointGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """(V, divV) of a one-point or batched bundle: V^m = g^{st} Gamma^m_st and
+    its covariant divergence d_m V^m + Gamma^m_mk V^k."""
+    dg_inv = -np.einsum("...ma,...kab,...bn->...kmn", geom.g_inv, geom.dg, geom.g_inv)
+    V = np.einsum("...st,...mst->...m", geom.g_inv, geom.Gamma)
+    dV = (np.einsum("...kst,...mst->...km", dg_inv, geom.Gamma)
+          + np.einsum("...st,...kmst->...km", geom.g_inv, geom.dGamma))
+    divV = np.trace(dV, axis1=-2, axis2=-1) + np.einsum("...mmk,...k->...", geom.Gamma, V)
+    return V, divV
 
 
 _FD_STEP = 1e-3  # the step h of the five-point differences
@@ -211,7 +217,7 @@ def divergence_identity_residual(spec: MetricSpec, q0: Sequence[float]) -> float
     D = spec.dim
     # the stencil points, evaluated in one batch with q0 itself in row 0
     geom = point_geometry(spec, np.vstack([q0[None], (q0 + _five_point_offsets(D)).reshape(-1, D)]))
-    density = geom.sqrt_g[1:, None] * geom.V[1:]     # sqrt(g) V^mu at the stencil points
+    density = geom.sqrt_g[1:, None] * vector_divergence(geom)[0][1:]  # sqrt(g) V^mu, stencil
     div = float(np.sum(_five_point_derivative(np.einsum("akk->ak", density.reshape(4, D, D)))))
     div /= geom.sqrt_g[0]
     trT = float(np.einsum("st,st->", geom.g_inv[0], geom.T[0]))

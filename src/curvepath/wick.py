@@ -332,14 +332,14 @@ def cross_integral_table(beta: float, types: Sequence[tuple[int, int]]) -> Count
     raise EngineError("distribution product with %d G'' lines not in the rule table" % n11)
 
 
-def cross_integral_modes(p: PeriodicPropagator, types: Sequence[tuple[int, int]], M: int) -> float:
-    """Sharp-cutoff evaluation at cutoff M: Kronecker-constrained mode sum over the lines.
+def cross_integral_modes(p: PeriodicPropagator, types: Sequence[tuple[int, int]]) -> float:
+    """Sharp-cutoff evaluation at p's cutoff M: Kronecker-constrained mode sum over the lines.
 
     Exact at finite M; see the module docstring for why this scheme fails to
     converge for the two tabled singular channels. A sum that leaves the
     float64 range (beta below about 1e-100) raises EngineError.
     """
-    beta = p.beta
+    beta, M = p.beta, p.M
     K = len(types)
     if K == 1:
         return 0.0
@@ -413,7 +413,7 @@ def second_order_mode_series(v1: Vertex, v2: Vertex, p: PeriodicPropagator, geom
     series = []
     for M in ms:
         at_M = PeriodicPropagator(p.beta, M)
-        crosses = {cross: CounterPolynomial(constant=cross_integral_modes(at_M, cross, M=M))
+        crosses = {cross: CounterPolynomial(constant=cross_integral_modes(at_M, cross))
                    for cross in _cross_signatures(*groups)}
         val = zero + _plan_sum(plan, values, at_M.pair_truncated(), crosses).constant
         pref = v1.prefactor_truncated(p.beta, M) * v2.prefactor_truncated(p.beta, M)
@@ -496,7 +496,9 @@ def check_divergence_cancellation(route: str, geom: PointGeometry,
     For the covariant route the cancellation happens within first order; for
     the displacement route the coincidence-counter parts of the first- and
     second-order pieces cancel against each other, with the closed-form
-    Christoffel-squared coefficient reproduced on both sides.
+    Christoffel-squared coefficient reproduced on both sides. On a batched
+    bundle every computed field carries its batch shape, and cancels is a
+    bool array over the batch.
     """
     if route not in ("covariant", "eta"):
         raise RouteError(f"route must be covariant or eta, got {route!r}")
@@ -508,12 +510,12 @@ def check_divergence_cancellation(route: str, geom: PointGeometry,
     if route == "covariant":
         slope = first.divergent_weight()
         values = {M: first.value_at(M) for M in (1, 2, 5, 50)}
-        spread = max(values.values()) - min(values.values())
+        stacked = np.array(list(values.values()))
         report.update({
             "slope": slope,
             "values_at_M": values,
-            "value_spread": spread,
-            "cancels": abs(slope) <= 1e-12 * max(1.0, abs(first.constant)),
+            "value_spread": stacked.max(axis=0) - stacked.min(axis=0),
+            "cancels": abs(slope) <= 1e-12 * np.maximum(1.0, abs(first.constant)),
         })
         return report
 
@@ -522,18 +524,19 @@ def check_divergence_cancellation(route: str, geom: PointGeometry,
     d0_first = -beta * first.divergent_weight()
     d0_second = beta * second.divergent_weight()
     gi, G = geom.g_inv, geom.Gamma
-    GammaL = np.einsum("kd,dtm->tmk", geom.g, G)
-    A = float(np.einsum("st,mn,tmk,ksn->", gi, gi, GammaL, G))
-    B = float(np.einsum("st,ntm,msn->", gi, G, G))
+    GammaL = np.einsum("...kd,...dtm->...tmk", geom.g, G)
+    A = np.einsum("...st,...mn,...tmk,...ksn->...", gi, gi, GammaL, G)
+    B = np.einsum("...st,...ntm,...msn->...", gi, G, G)
     closed_form = beta**2 / 24.0 * (A + B)
     residual = abs(d0_first + d0_second)
-    scale = max(abs(d0_first), abs(d0_second), 1.0)
+    scale = np.maximum(np.maximum(abs(d0_first), abs(d0_second)), 1.0)
+    bound = 1e-10 * np.maximum(closed_form, 1.0)
     report.update({
         "delta0_first_order": d0_first,
         "delta0_second_order": d0_second,
         "closed_form_coefficient": closed_form,
-        "first_matches_closed_form": abs(d0_first + closed_form) <= 1e-10 * max(closed_form, 1.0),
-        "second_matches_closed_form": abs(d0_second - closed_form) <= 1e-10 * max(closed_form, 1.0),
+        "first_matches_closed_form": abs(d0_first + closed_form) <= bound,
+        "second_matches_closed_form": abs(d0_second - closed_form) <= bound,
         "residual": residual,
         "cancels": residual <= 1e-12 * scale,
     })

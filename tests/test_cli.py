@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from curvepath import cli
+from curvepath import cli, geometry
+from curvepath.geometry import vector_divergence
 
 
 def run_cli(capsys, argv):
@@ -119,6 +120,37 @@ def test_partition_subcommand(capsys):
     import math
     doc = json.loads(out)
     assert doc["Z"] == pytest.approx(6 / (2 * math.pi * 0.3), rel=1e-10)
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["partition", "--builtin", "sphere:2", "--beta", "0.1", "--nodes", "8"], 0),
+    (["partition", "--builtin", "hyperbolic-ball:2", "--beta", "0.1",
+      "--bounds=-0.5:0.5;-0.5:0.5", "--nodes", "8"], 0),
+    (["sweep", "--builtin", "sphere:2", "--points", "0.1,0;0.2,0.1", "--beta", "0.1",
+      "--routes", "covariant,eta"], 0),
+    (["ecp", "--route", "covariant", "--builtin", "sphere:2", "--point", "0.3,0.1",
+      "--beta", "0.1"], 0),
+    (["ecp", "--route", "eta", "--builtin", "sphere:2", "--point", "0.3,0.1", "--beta", "0.1"], 0),
+    (["ecp", "--route", "sphere", "--D", "3", "--beta", "0.1"], 0),
+    (["mc", "--route", "covariant", "--builtin", "hyperbolic-ball:3", "--point=0.25,0.1,-0.2",
+      "--beta", "0.1", "--M", "8", "--samples", "1024", "--seed", "1"], 0),
+    (["geometry", "--builtin", "sphere:2", "--point", "0.3,0.1"], 1),
+], ids=["partition-polar", "partition-box", "sweep", "ecp-covariant", "ecp-eta", "ecp-sphere",
+        "mc", "geometry"])
+def test_only_geometry_computes_V_and_divV(capsys, monkeypatch, argv, calls):
+    """The bundle no longer carries V and divV; of the commands, only
+    geometry computes them, once."""
+    seen = []
+
+    def recording(geom):
+        seen.append(geom)
+        return vector_divergence(geom)
+
+    for module in (cli, geometry):
+        monkeypatch.setattr(module, "vector_divergence", recording)
+    code, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("argv,kind", [
@@ -688,14 +720,29 @@ def test_memory_error_is_one_json_error_document(argv):
 def test_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
     """The reader of stdout has gone before the first write: the command
     writes nothing more and exits 1, and the flush at exit stays quiet."""
+    done = _run_with_closed_stdout(argv, unbuffered)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [["sweep", "--help"], ["--version"]], ids=["help", "version"])
+def test_help_and_version_to_a_closed_stdout_exit_0_quietly(argv, unbuffered):
+    """argparse prints these and exits while parsing; buffered, the text
+    would otherwise fail only in the flush at exit."""
+    done = _run_with_closed_stdout(argv, unbuffered)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def _run_with_closed_stdout(argv, unbuffered):
+    """The command line in a new process whose stdout pipe has no reader."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                PYTHONUNBUFFERED=unbuffered)
     read, write = os.pipe()
     os.close(read)
     try:
-        done = subprocess.run([sys.executable, "-m", "curvepath.cli", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", "curvepath.cli", *argv], env=env,
                               stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
     finally:
         os.close(write)
-    assert done.returncode == 1, done.stderr
-    assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr

@@ -6,7 +6,7 @@ import pytest
 
 from curvepath import geometry
 from curvepath.geometry import (GeometryError, divergence_identity_residual,
-                                geometry_blocks, point_geometry)
+                                geometry_blocks, point_geometry, vector_divergence)
 from curvepath.metrics import (DomainError, MetricError, builtin,
                                embedding_to_stereographic, parse_metric)
 
@@ -16,9 +16,10 @@ CATALOG_2D = ("sphere", "sphere-stereographic", "hyperbolic-ball", "conformal2d"
 def test_flat_everything_vanishes():
     geom = point_geometry(builtin("flat", 3), [1.0, -0.5, 2.0])
     assert geom.R == 0.0
-    for arr in (geom.Gamma, geom.dGamma, geom.Riemann, geom.Ricci, geom.T, geom.V):
+    V, divV = vector_divergence(geom)
+    for arr in (geom.Gamma, geom.dGamma, geom.Riemann, geom.Ricci, geom.T, V):
         assert np.all(arr == 0.0)
-    assert geom.divV == 0.0
+    assert divV == 0.0
 
 
 def test_metric_inverse_and_sqrt():
@@ -94,7 +95,7 @@ def test_trace_T_equals_divV_analytically():
     for name in CATALOG_2D:
         geom = point_geometry(builtin(name, 2), [0.3, 0.15])
         trT = float(np.einsum("st,st->", geom.g_inv, geom.T))
-        assert geom.divV == pytest.approx(trT, abs=1e-11)
+        assert vector_divergence(geom)[1] == pytest.approx(trT, abs=1e-11)
 
 
 @pytest.mark.parametrize("name", CATALOG_2D)
@@ -134,22 +135,25 @@ def _chart(g):
                                     ("conformal2d", 2), ("hyperbolic-ball", 3), ("sphere", 4)])
 def test_batch_matches_single_points(name, D):
     # one block plus one point: the rows of a full block, of the block
-    # after it and of the whole batch all carry the one-point bits
+    # after it and of the whole batch all carry the one-point bits, and so
+    # do V and divV computed from them
     spec = _chart("1 + q1^2 + 0.3*sin(q1)") if name == "file" else builtin(name, D)
     size = geometry.block_points(D)
     qs = np.random.default_rng(23).uniform(-0.35, 0.35, size=(size + 1, D))
-    batch = point_geometry(spec, qs)
-    blocks = list(geometry_blocks(spec, qs))
-    assert [len(b.q0) for b in blocks] == [size, 1]
-    for field in dataclasses.fields(batch):
-        whole = getattr(batch, field.name)
-        assert np.array_equal(np.concatenate([getattr(b, field.name) for b in blocks]),
-                              whole), field.name
+
+    def parts(geom):
+        V, divV = vector_divergence(geom)
+        return {**{f.name: getattr(geom, f.name) for f in dataclasses.fields(geom)},
+                "V": V, "divV": divV}
+
+    batch = parts(point_geometry(spec, qs))
+    blocks = [parts(b) for b in geometry_blocks(spec, qs)]
+    assert [len(b["q0"]) for b in blocks] == [size, 1]
+    for key, whole in batch.items():
+        assert np.array_equal(np.concatenate([b[key] for b in blocks]), whole), key
     for k, q in enumerate(qs):
-        one = point_geometry(spec, q)
-        for field in dataclasses.fields(one):
-            assert np.array_equal(getattr(batch, field.name)[k], getattr(one, field.name)), \
-                (field.name, k)
+        for key, value in parts(point_geometry(spec, q)).items():
+            assert np.array_equal(batch[key][k], value), (key, k)
 
 
 @pytest.mark.parametrize("D", [1, 2, 3, 4, 5])

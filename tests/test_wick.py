@@ -175,7 +175,7 @@ def test_sharp_sums_take_the_truncated_equal_time_pair():
     for M, value in series:
         p = PeriodicPropagator(beta, M)
         g0 = p.green0_truncated()
-        assert value == pytest.approx(beta * 12 * g0 * cross_integral_modes(p, [(0, 0)] * 2, M),
+        assert value == pytest.approx(beta * 12 * g0 * cross_integral_modes(p, [(0, 0)] * 2),
                                       rel=1e-14)
         assert expect_first_order_truncated(quartic, p, flat1) == pytest.approx(
             beta * 3 * g0**2, rel=1e-14)
@@ -335,6 +335,28 @@ def test_divergence_cancellation_flat_trivial():
     assert rep["residual"] == 0.0
 
 
+@pytest.mark.parametrize("route", ["covariant", "eta"])
+def test_divergence_cancellation_on_a_batched_bundle(route):
+    """Every field carries the batch axis, and each row carries the bits of
+    the one-point report."""
+    spec, points = builtin("sphere", 2), [[0.3, 0.1], [0.2, -0.4], [0.0, 0.0]]
+    p = PeriodicPropagator(0.4, 16)
+    batched = check_divergence_cancellation(route, point_geometry(spec, points), p)
+    assert batched["cancels"].shape == (3,) and batched["cancels"].all()
+    for k, q0 in enumerate(points):
+        one = check_divergence_cancellation(route, point_geometry(spec, q0), p)
+        assert batched.keys() == one.keys()
+        for key, value in one.items():
+            if key in ("route", "beta"):
+                assert batched[key] == value
+            elif isinstance(value, dict):
+                for M, at_M in value.items():
+                    assert np.asarray(batched[key][M])[k].tobytes() == np.asarray(at_M).tobytes()
+            else:
+                assert np.shape(batched[key]) == (3,), key
+                assert batched[key][k].tobytes() == np.asarray(value).tobytes(), key
+
+
 def _jsonable(report):
     """A check_divergence_cancellation dict as the golden file holds it."""
     if isinstance(report, dict):
@@ -375,20 +397,19 @@ def test_sharp_cutoff_anomaly_in_singular_channels():
     counter-table value, and the G' G' G'' sum converges to 0 instead of
     -1/24. This is why the engine's default scheme is the rule table."""
     beta = 1.0
-    p = PeriodicPropagator(beta, 8)
     for M in (64, 128, 256):
-        sharp = cross_integral_modes(p, [(0, 0), (1, 1), (1, 1)], M=M)
+        sharp = cross_integral_modes(PeriodicPropagator(beta, M), [(0, 0), (1, 1), (1, 1)])
         table = cross_integral_table(beta, [(0, 0), (1, 1), (1, 1)]).value_at(M)
         H = sum(1.0 / k for k in range(1, M + 1))
         predicted_gap = -(H + 2) / (2 * math.pi**2) - 1.0 / 8.0
         assert sharp - table == pytest.approx(predicted_gap, abs=5e-3)
-    gap_64 = (cross_integral_modes(p, [(0, 0), (1, 1), (1, 1)], M=64)
+    gap_64 = (cross_integral_modes(PeriodicPropagator(beta, 64), [(0, 0), (1, 1), (1, 1)])
               - cross_integral_table(beta, [(0, 0), (1, 1), (1, 1)]).value_at(64))
-    gap_256 = (cross_integral_modes(p, [(0, 0), (1, 1), (1, 1)], M=256)
+    gap_256 = (cross_integral_modes(PeriodicPropagator(beta, 256), [(0, 0), (1, 1), (1, 1)])
                - cross_integral_table(beta, [(0, 0), (1, 1), (1, 1)]).value_at(256))
     assert abs(gap_256) > abs(gap_64)  # the gap grows: no extrapolation can fix it
 
-    sharp_2 = cross_integral_modes(p, [(0, 1), (1, 0), (1, 1)], M=512)
+    sharp_2 = cross_integral_modes(PeriodicPropagator(beta, 512), [(0, 1), (1, 0), (1, 1)])
     assert abs(sharp_2) < 2e-3  # converges to 0 ...
     table_2 = cross_integral_table(beta, [(0, 1), (1, 0), (1, 1)]).value_at(512)
     assert table_2 == pytest.approx(-1.0 / 24.0)  # ... but the consistent value is -1/24
@@ -396,10 +417,9 @@ def test_sharp_cutoff_anomaly_in_singular_channels():
 
 def test_clean_channels_agree_between_schemes():
     beta = 0.9
-    p = PeriodicPropagator(beta, 8)
     for types, tol in ((((0, 0), (0, 0)), 1e-6), (((0, 0), (0, 0), (0, 0)), 1e-6),
                        (((0, 0), (0, 1), (1, 0)), 1e-3), (((0, 0), (0, 0), (1, 1)), 1e-3)):
-        sharp = cross_integral_modes(p, list(types), M=4096)
+        sharp = cross_integral_modes(PeriodicPropagator(beta, 4096), list(types))
         table = cross_integral_table(beta, list(types)).value_at(4096)
         assert sharp == pytest.approx(table, rel=tol, abs=1e-10 * beta**2)
 
@@ -481,7 +501,7 @@ def test_odd_field_velocity_cross_lines_integrate_to_zero(beta):
     for types in _ODD_CROSSES:
         assert cross_integral_table(beta, types) == CounterPolynomial(), types
         for M in (1, 7, 16, 64, 128):
-            assert cross_integral_modes(PeriodicPropagator(beta, M), types, M) == 0.0, (types, M)
+            assert cross_integral_modes(PeriodicPropagator(beta, M), types) == 0.0, (types, M)
     plan = wick._plan(2, (0, 0), (0, 1))
     assert plan.terms == () and plan.steps == ()
 
