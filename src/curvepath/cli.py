@@ -223,16 +223,26 @@ def cmd_sweep(args) -> int:
 
 def cmd_mc(args) -> int:
     geom = _route_geometry(args)
-    on_batch = None
     if args.csv:
-        sys.stdout.write("n,mean,stderr\n")
+        rows = []
 
         def on_batch(count, mean, stderr):
+            if not rows:
+                sys.stdout.write("n,mean,stderr\n")
+            rows.append(count)
             sys.stdout.write(f"{count},{mean!r},{stderr!r}\n")
-    est = mc_boltzmann(args.route, geom, args.beta, args.M, args.samples, args.seed,
-                       on_batch=on_batch)
-    if args.csv:
+        try:
+            mc_boltzmann(args.route, geom, args.beta, args.M, args.samples, args.seed,
+                         on_batch=on_batch)
+        except BrokenPipeError:
+            raise
+        except _FAILURE_TYPES as exc:
+            if not rows:  # nothing written yet: the error document is stdout's one output
+                raise
+            _report(exc, sys.stderr)  # stdout holds CSV from the header on
+            return 1
         return 0
+    est = mc_boltzmann(args.route, geom, args.beta, args.M, args.samples, args.seed)
     payload = {"schema": "curvepath/mc-v1", "route": args.route}
     payload.update(est.as_dict())
     payload["B_reference"] = 1.0 - geom.R * args.beta / 24.0
@@ -408,6 +418,14 @@ def _quiet_stdout() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _report(exc: BaseException, stream) -> None:
+    """Write the JSON error document of a failure to stream."""
+    # NumPy raises a private subclass of MemoryError; report the public name
+    name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+    json.dump({"error": name, "message": str(exc)}, stream)
+    stream.write("\n")
+
+
 def main(argv=None) -> int:
     ap = _parser()
     try:
@@ -433,10 +451,7 @@ def main(argv=None) -> int:
         except BrokenPipeError:
             raise
         except _FAILURE_TYPES as exc:
-            # NumPy raises a private subclass of MemoryError; report the public name
-            name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
-            json.dump({"error": name, "message": str(exc)}, sys.stdout)
-            sys.stdout.write("\n")
+            _report(exc, sys.stdout)
             status = 1
         sys.stdout.flush()  # a reader that has gone fails here, not in the flush at exit
         return status

@@ -5,7 +5,10 @@ space: the real and imaginary parts of each positive-frequency coefficient
 are independent normals with variance 1/(2 beta omega_m^2), which
 reproduces the two-point kernel of the free action exactly. Each call checks
 beta and M by building one PeriodicPropagator first, which gives the
-frequencies and the spread of the draw (mode_sd).
+frequencies and the spread of the draw (mode_sd). A block of samples is drawn
+as unscaled standard normals into one float array, the real parts of every
+mode first and the imaginary parts second; the spread is applied where the
+half spectra are built (_to_grid), or where complex modes are formed (_modes).
 
 Vertex integrals are exact, so the only error is statistical. Vertices with
 the same slots are summed into one term first, each coefficient times its
@@ -14,8 +17,11 @@ is a product of at most four trigonometric polynomials of degree M, with
 frequencies up to 4M, so a uniform grid of any K > 4M points integrates it
 exactly; the grid is the smallest such K whose only prime factors are 2 and
 3 (72, 144, 288 points at M = 16, 32, 64), a fast FFT length. q and qd come
-from one inverse FFT of their zero-padded half spectra. The coefficient is
-applied as a D^2 x D^2 (or D^2 x D) matrix to pair products of the fields.
+from one inverse FFT of their zero-padded half spectra, written from the
+normals by four real products (sd re and -sd im for q, omega sd im and
+omega sd re for qd), each rounded once, as conj(xi) and conj(-i omega xi)
+would be. The coefficient is applied as a D^2 x D^2 (or D^2 x D) matrix to
+pair products of the fields.
 A quadratic term needs no grid at all: by Parseval,
 int q^a q^b = 2 beta sum_m Re xi^a_m conj(xi^b_m), one real sum over the
 (Re, Im) float view of the modes.
@@ -27,16 +33,19 @@ of batch size. Means and variances are merged batch by batch (Chan et al.),
 which keeps the variance accurate when the mean is large against the spread.
 
 The samples run as a pipeline on every CPU of the process's affinity mask.
-The main thread draws each substream's modes in order and cuts them into
+The main thread draws each substream's normals in order and cuts them into
 equal chunks of at most about 2 MB of field, two per worker where each keeps
-256 samples; pool threads transform each chunk to the grid and contract
-every term on it (NumPy releases the GIL in the FFT, matmul and einsum),
-and the per-sample actions are merged in substream order. Each sample's
+256 samples; pool threads build each chunk's spectra, transform them to the
+grid and contract every term on it (NumPy releases the GIL in the FFT,
+matmul and einsum), and the per-sample actions are merged in substream
+order, while the main thread draws the next substream. Each sample's
 action is computed by the same operations whatever its chunk or thread, so
-the output is bit-identical at any worker count, and the fields are held one
-chunk per worker, never for a whole substream. The main thread
-allocates every large array once per call and the chunks reuse them, so the
-memory a run holds does not depend on how its threads interleave.
+the output is bit-identical at any worker count, and the fields are held
+one chunk per worker, never for a whole substream. The main thread
+allocates every large array once per call, two float slots of normals and
+a workspace per worker sized to the largest chunk, and the chunks reuse
+them, so the memory a run holds does not depend on how its threads
+interleave.
 """
 from __future__ import annotations
 
@@ -127,36 +136,51 @@ def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.Philox(s)) for s in seq.spawn(count)]
 
 
-def _draw_modes(rng: np.random.Generator, p: PeriodicPropagator, D: int,
-                nbatch: int, out=None, normals=None) -> np.ndarray:
-    """(nbatch, D, M) complex modes at p's cutoff, in out and via normals when given."""
+def _draw_modes(rng: np.random.Generator, nbatch: int, D: int, M: int,
+                out=None) -> np.ndarray:
+    """(2, nbatch, D, M) standard normals, in out when given: the real parts of
+    the modes of nbatch samples, then their imaginary parts. Mode m is
+    mode_sd()[m] times re + i im (_modes); _to_grid applies the spread itself."""
+    block = np.empty((2, nbatch, D, M)) if out is None else out
+    for half in block:
+        rng.standard_normal(out=half)
+    return block
+
+
+def _modes(normals: np.ndarray, p: PeriodicPropagator) -> np.ndarray:
+    """The (nbatch, D, M) complex modes of a _draw_modes block: each normal
+    times its mode's spread, as rng.normal(0.0, sd) would scale it."""
     sd = p.mode_sd()
-    # the same draws as rng.normal(0.0, sd), which scales one standard normal
-    # per entry, without its slower per-entry broadcasting
-    modes = np.empty((nbatch, D, p.M), dtype=complex) if out is None else out
-    normals = np.empty((nbatch, D, p.M)) if normals is None else normals
-    for part in (modes.real, modes.imag):
-        np.multiply(rng.standard_normal(out=normals), sd, out=part)
+    modes = np.empty(normals.shape[1:], dtype=complex)
+    for part, half in zip((modes.real, modes.imag), normals):
+        np.multiply(half, sd, out=part)
     return modes
 
 
-def _to_grid(modes: np.ndarray, p: PeriodicPropagator, K: int, out=None,
+def _to_grid(normals: np.ndarray, p: PeriodicPropagator, K: int, out=None,
              spectrum=None) -> np.ndarray:
     """The field q and its derivative qd on the uniform grid tau_j = j beta / K,
-    as one (2, nbatch, D, K) array (in out, when given).
+    as one (2, nbatch, D, K) array (in out, when given), from the (2, nbatch,
+    D, M) normals of _draw_modes.
 
     xi(tau) = sum_{m>0} [xi_m e^{-i omega_m tau} + conj], realized by one
     half-spectrum inverse FFT of both fields; the derivative multiplies modes
     by -i omega_m. spectrum, when given, is a (2, nbatch, D, K//2+1) array
     zero outside m = 1..M, so only the modes are written to it.
     """
-    nbatch, D, M = modes.shape
+    _, nbatch, D, M = normals.shape
     if K < 2 * M + 2:
         raise ValueError("grid too coarse for the mode content")
     X = np.zeros((2, nbatch, D, K // 2 + 1), dtype=complex) if spectrum is None else spectrum
+    sd = p.mode_sd()
+    omega = p.omega(np.arange(1, M + 1))
     field, derivative = X[..., 1:M + 1]
-    np.conjugate(modes, out=field)
-    np.multiply(field, 1j * p.omega(np.arange(1, M + 1)), out=derivative)  # conj(-i omega xi)
+    # conj(xi) = sd re - i sd im and conj(-i omega xi) = omega sd im + i omega sd re,
+    # each part one rounded product, as the complex conjugate and product give
+    np.multiply(normals[0], sd, out=field.real)
+    np.multiply(normals[1], -sd, out=field.imag)
+    np.multiply(field.imag, -omega, out=derivative.real)
+    np.multiply(field.real, omega, out=derivative.imag)
     return np.fft.irfft(X, n=K, axis=-1, norm="forward", out=out)
 
 
@@ -214,14 +238,12 @@ def _in_order(batches, workers: int, consume, ahead: int = 1) -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def _frame_coeff(coeff: np.ndarray, geom: PointGeometry) -> np.ndarray:
+def _frame_coeff(coeff: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Convert a coordinate-frame coefficient tensor to the orthonormal frame.
 
     Sampled fields carry unit two-point kernel; coordinate fields are
-    xi^mu = (L^-T)^mu_a xi^a with L the Cholesky factor of the metric.
+    xi^mu = E^mu_a xi^a with E = L^-T and L the Cholesky factor of the metric.
     """
-    L = np.linalg.cholesky(geom.g)
-    E = np.linalg.inv(L.T)  # E[mu, a]
     out = coeff
     for axis in range(coeff.ndim):
         out = np.tensordot(out, E, axes=(0, 0))
@@ -257,9 +279,10 @@ def _terms(vertices, geom: PointGeometry, beta: float, M: int) -> list:
     """The vertices as one (slots, coefficient) term per slot signature: each
     vertex's orthonormal-frame coefficient (_frame_coeff) times its truncated
     prefactor, summed over the vertices with those slots."""
+    E = np.linalg.inv(np.linalg.cholesky(geom.g).T)  # E[mu, a], once per call
     terms = {}
     for v in vertices:
-        coeff = v.prefactor_truncated(beta, M) * _frame_coeff(v.coeff, geom)
+        coeff = v.prefactor_truncated(beta, M) * _frame_coeff(v.coeff, E)
         terms[v.slots] = terms[v.slots] + coeff if v.slots in terms else coeff
     return list(terms.items())
 
@@ -296,17 +319,17 @@ def _vertex_action(slots: tuple, coeff: np.ndarray, spectrum: np.ndarray, fields
     return integral * (beta / K)
 
 
-def _chunk_action(terms, p: PeriodicPropagator, modes: np.ndarray, spaces) -> np.ndarray:
-    """Summed per-sample action of the _terms on one chunk of modes, from
-    fields on the exact grid written to a _Workspace borrowed from the queue
-    spaces."""
-    n = len(modes)
+def _chunk_action(terms, p: PeriodicPropagator, normals: np.ndarray, spaces) -> np.ndarray:
+    """Summed per-sample action of the _terms on one chunk, the (2, n, D, M)
+    normals of its modes, from fields on the exact grid written to a
+    _Workspace borrowed from the queue spaces."""
+    n = normals.shape[1]
     ws = spaces.get()
     try:
         # an overflow at extreme beta ends as a non-finite variance, which the guard rejects
         with np.errstate(over="ignore", invalid="ignore"):
             spectrum = ws.spectrum[:, :n]
-            fields = _to_grid(modes, p, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
+            fields = _to_grid(normals, p, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
             a = np.zeros(n)
             for slots, coeff in terms:
                 a += _vertex_action(slots, coeff, spectrum, fields, p.beta, p.M, ws)
@@ -320,12 +343,13 @@ def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed:
     """Pass consume the summed per-sample action of the vertices on each
     substream of the sample stream, in order.
 
-    The main thread draws each substream's modes and cuts them into chunks
-    (see _CHUNK_BYTES); the pool transforms and contracts the chunks
+    The main thread draws each substream's normals and cuts them into chunks
+    (see _CHUNK_BYTES); the pool scales, transforms and contracts the chunks
     of one substream while the next is drawn. The main thread allocates the
-    arrays once: two slots of modes, used in turn (a slot is redrawn after
-    its batch was consumed), and a _Workspace per worker that each task
-    borrows, so the memory held does not depend on thread timing."""
+    arrays once: two float slots of normals, used in turn (a slot is redrawn
+    after its batch was consumed), and a _Workspace per worker, sized to the
+    largest chunk, that each task borrows, so the memory held does not
+    depend on thread timing."""
     M, D = p.M, geom.dim
     terms = _terms(vertices, geom, p.beta, M)
     K = _grid_size(M)
@@ -334,16 +358,16 @@ def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed:
     available = _workers()
     cuts = [max(-(-size // rows), min(2 * available, size // _MIN_CHUNK)) for _, size in streams]
     workers = min(available, sum(cuts))
-    slots = np.empty((min(2, len(streams)), streams[0][1], D, M), dtype=complex)
-    normals = np.empty(slots.shape[1:])
+    largest = max(-(-size // cut) for (_, size), cut in zip(streams, cuts))
+    slots = np.empty((min(2, len(streams)), 2, streams[0][1], D, M))
     spaces = queue.SimpleQueue()
     for _ in range(workers):
-        spaces.put(_Workspace(rows, D, M, K))
+        spaces.put(_Workspace(largest, D, M, K))
 
     def chunks(j, rng, size):
-        modes = _draw_modes(rng, p, D, size, slots[j % len(slots), :size], normals[:size])
+        normals = _draw_modes(rng, size, D, M, slots[j % len(slots), :, :size])
         edges = [size * i // cuts[j] for i in range(cuts[j] + 1)]
-        return [functools.partial(_chunk_action, terms, p, modes[lo:hi], spaces)
+        return [functools.partial(_chunk_action, terms, p, normals[:, lo:hi], spaces)
                 for lo, hi in zip(edges, edges[1:])]
 
     _in_order((chunks(j, rng, size) for j, (rng, size) in enumerate(streams)),
@@ -419,7 +443,7 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     basis = np.exp(-2j * math.pi * phase / K)
 
     def products(rng, size):
-        modes = _draw_modes(rng, p, D, size)
+        modes = _modes(_draw_modes(rng, size, D, M), p)
         q = 2.0 * np.matmul(modes, basis).real.reshape(size, D, len(idx), 2)
         return (q[..., 0] * q[..., 1]).sum(axis=1) / D
 

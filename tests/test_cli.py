@@ -100,6 +100,29 @@ def test_mc_csv_streams_partials(capsys):
     assert int(lines[-1].split(",")[0]) == 9000
 
 
+def _mc_csv(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["mc", "--route", "sphere", "--D", "2", *argv, "--seed", "1", "--csv"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_mc_csv_failure_leaves_stdout_csv_and_reports_on_stderr():
+    """Once the header is written, a failure of the variance guard still exits
+    1, but its JSON error document goes to stderr: stdout holds CSV only. A
+    failure before the first row leaves the error document alone on stdout."""
+    code, out, err = _mc_csv("--M", "64", "--beta", "5", "--samples", "5000")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "n,mean,stderr" and [line.split(",")[0] for line in lines[1:]] == [
+        "4096", "5000"]
+    assert all(len([float(x) for x in line.split(",")]) == 3 for line in lines[1:])
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and doc["message"].startswith("action variance")
+    code, out, err = _mc_csv("--M", "4", "--beta", "1e-310", "--samples", "10")
+    assert code == 1 and err == "" and "overflows" in json.loads(out)["message"]
+
+
 def test_sweep_csv(capsys):
     code, out = run_cli(capsys, ["sweep", "--builtin", "sphere:2",
                                  "--points", "0.1,0;0.2,0.1", "--beta", "0.1",

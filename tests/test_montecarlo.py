@@ -15,8 +15,8 @@ from curvepath.cli import main
 from curvepath.ecp import sphere_geometry
 from curvepath.geometry import point_geometry
 from curvepath.metrics import builtin
-from curvepath.montecarlo import (_Moments, _draw_modes, _grid_size, _substreams, _terms,
-                                  _to_grid, _vertex_action, mc_boltzmann, mc_two_point,
+from curvepath.montecarlo import (_Moments, _draw_modes, _grid_size, _modes, _substreams,
+                                  _terms, _to_grid, _vertex_action, mc_boltzmann, mc_two_point,
                                   mc_vertex_expectation)
 from curvepath.propagator import PeriodicPropagator
 from curvepath.wick import expect_first_order_truncated, vertex_catalog
@@ -24,16 +24,17 @@ from curvepath.wick import expect_first_order_truncated, vertex_catalog
 SPHERE0 = point_geometry(builtin("sphere", 2), [0.0, 0.0])
 
 
-def first_sample(beta, M, D, seed):
-    """The modes, shape (D, M), of the first sample the stream of seed draws."""
+def first_sample(M, D, seed):
+    """The normals, shape (2, 1, D, M), of the first sample the stream of seed draws."""
     [(rng, _)] = _substreams(D, M, 1, seed)
-    return _draw_modes(rng, PeriodicPropagator(beta, M), D, 1)[0]
+    return _draw_modes(rng, 1, D, M)
 
 
-def grid_fields(modes, beta, K):
-    """The half spectra (2, n, D, K//2+1) and grid fields (2, n, D, K) of q and qd."""
-    spectrum = np.zeros((2, *modes.shape[:2], K // 2 + 1), dtype=complex)
-    return spectrum, _to_grid(modes, PeriodicPropagator(beta, modes.shape[-1]), K,
+def grid_fields(normals, beta, K):
+    """The half spectra (2, n, D, K//2+1) and grid fields (2, n, D, K) of q and
+    qd, from the (2, n, D, M) normals of the modes."""
+    spectrum = np.zeros((2, *normals.shape[1:3], K // 2 + 1), dtype=complex)
+    return spectrum, _to_grid(normals, PeriodicPropagator(beta, normals.shape[-1]), K,
                               spectrum=spectrum)
 
 
@@ -44,17 +45,19 @@ def vertex_action(v, geom, beta, M, spectrum, fields):
 
 
 def test_sample_is_reproducible():
-    a = first_sample(0.5, 8, 2, seed=123)
-    b = first_sample(0.5, 8, 2, seed=123)
+    a = first_sample(8, 2, seed=123)
+    b = first_sample(8, 2, seed=123)
     assert np.array_equal(a, b)
-    c = first_sample(0.5, 8, 2, seed=124)
+    c = first_sample(8, 2, seed=124)
     assert not np.array_equal(a, c)
 
 
 def test_path_periodicity_and_zero_mean():
     beta, M = 0.9, 6
-    modes = first_sample(beta, M, 2, seed=5)
-    grid = _to_grid(modes[np.newaxis], PeriodicPropagator(beta, M), _grid_size(M))[0, 0]
+    p = PeriodicPropagator(beta, M)
+    normals = first_sample(M, 2, seed=5)
+    modes = _modes(normals, p)[0]
+    grid = _to_grid(normals, p, _grid_size(M))[0, 0]
     # uniform grid of a trigonometric polynomial with no constant term
     assert abs(grid.sum(axis=1)).max() < 1e-12
     # tau = 0 equals tau = beta by periodic reconstruction
@@ -64,9 +67,11 @@ def test_path_periodicity_and_zero_mean():
 
 def test_grid_values_match_direct_sum():
     beta, M = 0.7, 5
-    modes = first_sample(beta, M, 1, seed=9)[0]
+    p = PeriodicPropagator(beta, M)
+    normals = first_sample(M, 1, seed=9)
+    modes = _modes(normals, p)[0, 0]
     K = 8 * M
-    grid, deriv = _to_grid(modes[np.newaxis, np.newaxis], PeriodicPropagator(beta, M), K)[:, 0, 0]
+    grid, deriv = _to_grid(normals, p, K)[:, 0, 0]
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     tgrid = beta * np.arange(K) / K
     direct = sum(2 * (modes[m].real * np.cos(omega[m] * tgrid)
@@ -82,7 +87,7 @@ def test_grid_values_match_direct_sum():
 def test_mode_variances():
     beta, M, n = 0.5, 4, 100000
     rng = np.random.Generator(np.random.Philox(77))
-    modes = _draw_modes(rng, PeriodicPropagator(beta, M), 1, n)
+    modes = _modes(_draw_modes(rng, n, 1, M), PeriodicPropagator(beta, M))
     omega = 2 * math.pi * np.arange(1, M + 1) / beta
     for m in range(M):
         emp = np.mean(np.abs(modes[:, 0, m])**2)
@@ -116,8 +121,7 @@ def test_vertex_estimates_match_engine():
     done = 0
     while done < n:
         take = min(4096, n - done)
-        modes = _draw_modes(rng, PeriodicPropagator(beta, M), geom.dim, take)
-        fields = grid_fields(modes, beta, K)
+        fields = grid_fields(_draw_modes(rng, take, geom.dim, M), beta, K)
         for k, v in enumerate(vertices):
             vals = vertex_action(v, geom, beta, M, *fields)
             sums[k] += vals.sum()
@@ -254,20 +258,16 @@ def test_estimates_invariant_under_relabeling_and_grid_refinement():
     beta, M, nb, bs = 0.3, 8, 40, 500
     geom = SPHERE0
     v = next(x for x in vertex_catalog(geom, beta, "sphere") if x.label == "(q.qdot)^2")
-    omega = 2 * math.pi * np.arange(1, M + 1) / beta
-    sd = np.sqrt(1.0 / (2 * beta * omega**2))
 
     def batch_means(seed, relabel=False, K=_grid_size(M)):
         rng = np.random.Generator(np.random.Philox(seed))
         out = []
         for _ in range(nb):
-            if relabel:
-                re = rng.normal(0.0, sd[::-1], size=(bs, 2, M))[:, :, ::-1]
-                im = rng.normal(0.0, sd[::-1], size=(bs, 2, M))[:, :, ::-1]
-                modes = re + 1j * im
+            if relabel:  # the stream's normals given to the modes in reverse order
+                normals = rng.standard_normal(size=(2, bs, 2, M))[..., ::-1]
             else:
-                modes = _draw_modes(rng, PeriodicPropagator(beta, M), 2, bs)
-            out.append(vertex_action(v, geom, beta, M, *grid_fields(modes, beta, K)).mean())
+                normals = _draw_modes(rng, bs, 2, M)
+            out.append(vertex_action(v, geom, beta, M, *grid_fields(normals, beta, K)).mean())
         return np.array(out)
 
     base = batch_means(900)
@@ -346,9 +346,8 @@ def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
     catalogs: the exact grid reproduces the 8M grid per sample, and a
     quadratic vertex by Parseval equals its grid integral."""
     beta, M, n = 0.1, 16, 300
-    modes = _draw_modes(np.random.Generator(np.random.Philox(5)), PeriodicPropagator(beta, M),
-                        geom.dim, n)
-    fields = {K: grid_fields(modes, beta, K) for K in (_grid_size(M), 8 * M)}
+    normals = _draw_modes(np.random.Generator(np.random.Philox(5)), n, geom.dim, M)
+    fields = {K: grid_fields(normals, beta, K) for K in (_grid_size(M), 8 * M)}
     vertices = vertex_catalog(geom, beta, route)
     assert {len(v.slots) for v in vertices} >= {2, 4}
     for v in vertices:
@@ -366,9 +365,8 @@ def test_exact_grid_and_parseval_match_the_8M_grid(geom, route):
 @pytest.mark.parametrize("geom,route", _catalog_cases())
 def test_one_term_per_slot_signature_sums_the_vertex_actions(geom, route):
     beta, M, n = 0.1, 16, 300
-    modes = _draw_modes(np.random.Generator(np.random.Philox(6)), PeriodicPropagator(beta, M),
-                        geom.dim, n)
-    fields = grid_fields(modes, beta, _grid_size(M))
+    normals = _draw_modes(np.random.Generator(np.random.Philox(6)), n, geom.dim, M)
+    fields = grid_fields(normals, beta, _grid_size(M))
     vertices = vertex_catalog(geom, beta, route)
     terms = _terms(vertices, geom, beta, M)
     assert [len(slots) for slots, _ in terms].count(2) == 1
@@ -381,21 +379,24 @@ def test_one_term_per_slot_signature_sums_the_vertex_actions(geom, route):
 
 @pytest.mark.parametrize("M", [16, 32, 64])
 def test_padded_transform_is_the_irfft_of_the_modes(M):
-    """One transform of the zero-padded spectra of q and qd, in a workspace
-    reused at two chunk sizes, gives the bits of irfft on the M + 1 modes."""
+    """One transform of a chunk's normals, scaled into the zero-padded spectra
+    of q and qd in a workspace reused at two chunk sizes, gives the bits of
+    irfft on the M + 1 conjugate modes and on their i omega multiple."""
     beta, K = 0.3, _grid_size(M)
-    workspace = montecarlo._Workspace(40, 3, M, K)
+    p = PeriodicPropagator(beta, M)
     rng = np.random.Generator(np.random.Philox(M))
-    for n in (40, 17):
-        modes = _draw_modes(rng, PeriodicPropagator(beta, M), 3, n)
-        spectrum = np.concatenate([np.zeros((n, 3, 1)), np.conjugate(modes)], axis=2)
-        ref = [np.fft.irfft(spectrum, n=K, axis=2, norm="forward"),
-               np.fft.irfft(spectrum * (1j * 2 * math.pi * np.arange(M + 1) / beta),
-                            n=K, axis=2, norm="forward")]
-        p = PeriodicPropagator(beta, M)
-        got = _to_grid(modes, p, K, workspace.fields[:, :n], workspace.spectrum[:, :n])
-        assert K in (72, 144, 288) and np.array_equal(got, ref)
-        assert np.array_equal(_to_grid(modes, p, K), ref)
+    for D in (1, 2, 3, 4):
+        workspace = montecarlo._Workspace(40, D, M, K)
+        for n in (40, 17):
+            normals = _draw_modes(rng, n, D, M)
+            spectrum = np.concatenate([np.zeros((n, D, 1)), np.conjugate(_modes(normals, p))],
+                                      axis=2)
+            ref = [np.fft.irfft(spectrum, n=K, axis=2, norm="forward"),
+                   np.fft.irfft(spectrum * (1j * 2 * math.pi * np.arange(M + 1) / beta),
+                                n=K, axis=2, norm="forward")]
+            got = _to_grid(normals, p, K, workspace.fields[:, :n], workspace.spectrum[:, :n])
+            assert K in (72, 144, 288) and np.array_equal(got, ref)
+            assert np.array_equal(_to_grid(normals, p, K), ref)
 
 
 @pytest.mark.parametrize("route,geom,terms", [("sphere", SPHERE0, 2),
@@ -423,27 +424,96 @@ def test_each_chunk_makes_one_transform_and_one_action_per_term(monkeypatch, rou
 def test_substreams_are_cut_into_equal_chunks_two_per_worker(monkeypatch, workers, counts):
     """A chunk holds at most 910 samples at D = 2, M = 16, 606 at D = 3,
     M = 16 and 227 at D = 2, M = 64; more chunks are cut for the workers
-    only while each keeps 256 samples."""
+    only while each keeps 256 samples. Each worker's workspace holds the
+    largest chunk, not the 2 MB bound."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-    sizes = []
+    sizes, rows = [], []
     real = montecarlo._chunk_action
     monkeypatch.setattr(montecarlo, "_chunk_action",
-                        lambda *args: sizes.append(len(args[2])) or real(*args))
+                        lambda *args: sizes.append(args[2].shape[1]) or real(*args))
+    real_workspace = montecarlo._Workspace
+    monkeypatch.setattr(montecarlo, "_Workspace",
+                        lambda n, *args: rows.append(n) or real_workspace(n, *args))
     hyper = _catalog_cases()[0][0]
     runs = [("sphere", SPHERE0, 16, 2048), ("covariant", hyper, 16, 1024),
             ("sphere", SPHERE0, 16, 300), ("sphere", SPHERE0, 64, 4096)]
     for (route, geom, M, n), count in zip(runs, counts):
         sizes.clear()
+        rows.clear()
         mc_boltzmann(route, geom, 0.02, M, n, seed=1)
         assert len(sizes) == count and sum(sizes) == n and max(sizes) - min(sizes) <= 1
+        assert rows == [max(sizes)] * min(workers, count)
+
+
+def test_each_substream_is_drawn_once_and_each_chunk_transformed_once(monkeypatch):
+    """Three substreams of 8192, 8192 and 3616 samples at D = 2, M = 16: one
+    draw of float normals each, and one transform to a grid array per chunk."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    results = collections.defaultdict(list)
+
+    def recording(name):
+        real = getattr(montecarlo, name)
+
+        def call(*args):
+            result = real(*args)
+            results[name].append(result)
+            return result
+        return call
+
+    for name in ("_draw_modes", "_to_grid", "_chunk_action"):
+        monkeypatch.setattr(montecarlo, name, recording(name))
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1)
+    assert [block.shape for block in results["_draw_modes"]] == [
+        (2, 8192, 2, 16), (2, 8192, 2, 16), (2, 3616, 2, 16)]
+    assert all(block.dtype == float for block in results["_draw_modes"])
+    grids = results["_to_grid"]
+    assert len(grids) == len(results["_chunk_action"]) > 3
+    assert all(type(g) is np.ndarray and (g.shape[0], *g.shape[2:]) == (2, 2, 72) for g in grids)
+    assert sum(g.shape[1] for g in grids) == 20000
+
+
+def test_working_set_holds_float_slots_of_normals(monkeypatch):
+    """Two float slots of a substream's 4096 samples' normals (16.8 MB) and two
+    workspaces of 216-sample chunks (9.7 MB) peaked at 26.4 MB; complex mode
+    slots beside a normals temporary peaked at 31.0 MB."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    geom = sphere_geometry(2)
+    mc_boltzmann("sphere", geom, 0.02, 16, 300, 1)  # imports and caches, outside the trace
+    tracemalloc.start()
+    try:
+        mc_boltzmann("sphere", geom, 0.04, 64, 8192, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27.5 * 2**20
+
+
+@pytest.mark.parametrize("geom,route", _catalog_cases())
+def test_terms_build_the_frame_once_and_keep_their_bits(monkeypatch, geom, route):
+    """One Cholesky factor per call, and the bits of a frame built per vertex."""
+    beta, M = 0.1, 16
+    vertices = vertex_catalog(geom, beta, route)
+    expected = {}
+    for v in vertices:
+        coeff = v.coeff
+        for _ in range(coeff.ndim):
+            coeff = np.tensordot(coeff, np.linalg.inv(np.linalg.cholesky(geom.g).T), axes=(0, 0))
+        coeff = v.prefactor_truncated(beta, M) * coeff
+        expected[v.slots] = expected[v.slots] + coeff if v.slots in expected else coeff
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or real(a))
+    terms = _terms(vertices, geom, beta, M)
+    assert len(calls) == 1 < len(vertices)
+    assert [slots for slots, _ in terms] == list(expected)
+    assert all(np.array_equal(coeff, expected[slots]) for slots, coeff in terms)
 
 
 def test_coarse_grid_is_rejected_for_a_quartic_vertex():
     beta, M = 0.1, 8
     v = next(x for x in vertex_catalog(SPHERE0, beta, "sphere") if len(x.slots) == 4)
-    modes = _draw_modes(np.random.Generator(np.random.Philox(1)), PeriodicPropagator(beta, M),
-                        2, 4)
-    fields = grid_fields(modes, beta, 4 * M)
+    fields = grid_fields(_draw_modes(np.random.Generator(np.random.Philox(1)), 4, 2, M),
+                         beta, 4 * M)
     with pytest.raises(ValueError, match="too coarse"):
         vertex_action(v, SPHERE0, beta, M, *fields)
 
