@@ -28,24 +28,28 @@ int q^a q^b = 2 beta sum_m Re xi^a_m conj(xi^b_m), one real sum over the
 
 Estimates are reproducible: streams derive from a counter-based Philox
 generator keyed by the user seed, and batch substreams are spawned
-deterministically, so a fixed seed gives bit-identical results regardless
-of batch size. Means and variances are merged batch by batch (Chan et al.),
-which keeps the variance accurate when the mean is large against the spread.
+deterministically, each made only when the pipeline reaches it, so a fixed
+seed gives bit-identical results regardless of batch size. Means and
+variances are merged batch by batch (Chan et al.), which keeps the variance
+accurate when the mean is large against the spread.
 
-The samples run as a pipeline on every CPU of the process's affinity mask.
-The main thread draws each substream's normals in order and cuts them into
-equal chunks of at most about 2 MB of field, two per worker where each keeps
-256 samples; pool threads build each chunk's spectra, transform them to the
-grid and contract every term on it (NumPy releases the GIL in the FFT,
-matmul and einsum), and the per-sample actions are merged in substream
-order, while the main thread draws the next substream. Each sample's
-action is computed by the same operations whatever its chunk or thread, so
-the output is bit-identical at any worker count, and the fields are held
-one chunk per worker, never for a whole substream. The main thread
-allocates every large array once per call, two float slots of normals and
-a workspace per worker sized to the largest chunk, and the chunks reuse
-them, so the memory a run holds does not depend on how its threads
-interleave.
+The samples run as a pipeline on every CPU of the process's affinity mask,
+on the calling thread and one helper thread fewer than the CPUs or chunks.
+The calling thread draws each substream's normals in order and cuts them
+into equal chunks of at most about 2 MB of field, two per worker where each
+keeps 256 samples. Once it has drawn the next substream, it and the helpers
+each take the next chunk not yet taken, build its spectra, transform them
+to the grid and contract every term on it (NumPy releases the GIL in the
+FFT, matmul and einsum); when the substream's chunks are done, the calling
+thread merges its per-sample actions in substream order. So at most one
+thread per CPU computes, and a call of one chunk, or on one CPU, starts no
+thread. Each sample's action is computed by the same operations whatever
+its chunk or thread, so the output is bit-identical at any worker count,
+and the fields are held one chunk per computing thread, never for a whole
+substream. The calling thread allocates every large array once per call,
+two float slots of normals and a workspace per computing thread sized to
+the largest chunk, and the chunks reuse them, so the memory a run holds
+does not depend on how its threads interleave.
 """
 from __future__ import annotations
 
@@ -54,6 +58,8 @@ import functools
 import math
 import os
 import queue
+import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,11 +137,6 @@ def _block_size(D: int, M: int) -> int:
     return max(128, min(8192, (1 << 22) // max(1, D * 8 * M)))
 
 
-def _rng_streams(seed: int, count: int) -> list[np.random.Generator]:
-    seq = np.random.SeedSequence(seed)
-    return [np.random.Generator(np.random.Philox(s)) for s in seq.spawn(count)]
-
-
 def _draw_modes(rng: np.random.Generator, nbatch: int, D: int, M: int,
                 out=None) -> np.ndarray:
     """(2, nbatch, D, M) standard normals, in out when given: the real parts of
@@ -185,57 +186,116 @@ def _to_grid(normals: np.ndarray, p: PeriodicPropagator, K: int, out=None,
 
 
 # Bytes of field, q and qd together, per chunk of samples (2 MB). A chunk is
-# one pool task: its modes are transformed and every vertex is contracted on
-# them at once, so the fields of a whole substream are never held. A substream
-# is cut into chunks of equal size, at least two per worker where each still
-# holds _MIN_CHUNK samples, so that the last chunks keep every worker busy.
+# one task of _in_order: its modes are transformed and every vertex is
+# contracted on them at once, so the fields of a whole substream are never
+# held. A substream is cut into chunks of equal size, at least two per worker
+# where each still holds _MIN_CHUNK samples, so that the last chunks keep
+# every worker busy.
 _CHUNK_BYTES = 1 << 21
 _MIN_CHUNK = 256
 _VARIANCE_GUARD = 1.0  # mc_boltzmann rejects a run whose action variance reaches it
 
 
 def _workers() -> int:
-    """Pool threads for the sample stream: the CPUs this process may run on."""
+    """Threads that compute the sample stream, the calling thread included:
+    the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
         return os.cpu_count() or 1
 
 
-def _substreams(D: int, M: int, n: int, seed: int) -> list[tuple[np.random.Generator, int]]:
+def _substreams(D: int, M: int, n: int, seed: int) -> Iterator[tuple[np.random.Generator, int]]:
     """The sample stream as (Philox substream of the seed, sample count)
-    pairs: _block_size(D, M) samples each and the rest in the last."""
+    pairs, _block_size(D, M) samples each and the rest in the last, each
+    made only when it is reached: substream j is keyed by the j-th child
+    that SeedSequence(seed).spawn gives."""
     if n < 1:
         raise ValueError("sample count must be >= 1")
     batch = _block_size(D, M)
-    sizes = [min(batch, n - lo) for lo in range(0, n, batch)]
-    return list(zip(_rng_streams(seed, len(sizes)), sizes))
+    return ((np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,)))),
+             min(batch, n - lo)) for j, lo in enumerate(range(0, n, batch)))
 
 
-def _in_order(batches, workers: int, consume, ahead: int = 1) -> None:
+def _in_order(batches, threads: int, consume, ahead: int = 1) -> None:
     """Run the tasks of each batch and pass consume each batch's results,
-    concatenated, in batch order, so the bits never depend on the worker count.
+    concatenated, in batch order, so the bits never depend on the thread count.
 
     batches yields one list of zero-argument tasks per substream; producing
-    a list is the main thread's share of the work. The tasks run on a pool
-    of workers threads, one thread included, and the main thread produces
-    the next batch while at most ahead batches wait to be consumed: batch
-    j + ahead + 1 is produced only after batch j was consumed, so its tasks
-    have all returned.
+    a list is the calling thread's share of the work. The calling thread and
+    threads - 1 helper threads each claim the next unclaimed task of the
+    oldest pending batch, so at most threads compute at once, and a call of
+    one thread starts none. The calling thread produces batch j + ahead,
+    then runs tasks until batch j is done and consumes it: batch j + ahead + 1
+    is produced only after batch j was consumed, so its tasks have all
+    returned. After a task or consume raises, no task is claimed, and every
+    helper has returned before the exception leaves this call.
     """
-    from concurrent.futures import ThreadPoolExecutor
-    pool = ThreadPoolExecutor(workers)
+    cond = threading.Condition()
+    todo = collections.deque()  # (batch, index, task) of each unclaimed task, oldest batch first
+    failed = []                 # what a helper's task raised: once set, nothing is claimed
+    stopped = False
+
+    def finish(batch, i, result):
+        with cond:
+            batch[0][i] = result
+            batch[1] -= 1
+            if not batch[1]:
+                cond.notify_all()
+
+    def helper():
+        while True:
+            with cond:
+                while not (stopped or failed or todo):
+                    cond.wait()
+                if stopped or failed:
+                    return
+                batch, i, task = todo.popleft()
+            try:
+                result = task()
+            except BaseException as exc:  # raised again on the calling thread
+                with cond:
+                    failed.append(exc)
+                    cond.notify_all()
+                return
+            finish(batch, i, result)
+
+    def complete(batch):
+        """Run unclaimed tasks on the calling thread until batch is done."""
+        while True:
+            with cond:
+                while not (failed or not batch[1] or todo):
+                    cond.wait()
+                if failed:
+                    raise failed[0]
+                if not batch[1]:
+                    return np.concatenate(batch[0])
+                claimed, i, task = todo.popleft()
+            finish(claimed, i, task())
+
+    helpers = []
     try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=helper)
+            thread.start()
+            helpers.append(thread)
         pending = collections.deque()
         for tasks in batches:
-            pending.append([pool.submit(task) for task in tasks])
+            batch = [[None] * len(tasks), len(tasks)]  # results, tasks not yet done
+            with cond:
+                todo.extend((batch, i, task) for i, task in enumerate(tasks))
+                cond.notify_all()
+            pending.append(batch)
             if len(pending) > ahead:
-                consume(np.concatenate([f.result() for f in pending.popleft()]))
+                consume(complete(pending.popleft()))
         while pending:
-            consume(np.concatenate([f.result() for f in pending.popleft()]))
+            consume(complete(pending.popleft()))
     finally:
-        # after an error, queued tasks are dropped and running ones finish
-        pool.shutdown(cancel_futures=True)
+        with cond:
+            stopped = True
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 def _frame_coeff(coeff: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -343,35 +403,42 @@ def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed:
     """Pass consume the summed per-sample action of the vertices on each
     substream of the sample stream, in order.
 
-    The main thread draws each substream's normals and cuts them into chunks
-    (see _CHUNK_BYTES); the pool scales, transforms and contracts the chunks
-    of one substream while the next is drawn. The main thread allocates the
-    arrays once: two float slots of normals, used in turn (a slot is redrawn
-    after its batch was consumed), and a _Workspace per worker, sized to the
-    largest chunk, that each task borrows, so the memory held does not
-    depend on thread timing."""
+    The calling thread draws each substream's normals and cuts them into
+    chunks (see _CHUNK_BYTES); it and the helpers of _in_order scale,
+    transform and contract the chunks of one substream once the next is
+    drawn. The calling thread allocates the arrays once: two float slots of
+    normals, used in turn (a slot is redrawn after its batch was consumed),
+    and a _Workspace per computing thread, sized to the largest chunk, that
+    each task borrows, so the memory held does not depend on thread timing."""
     M, D = p.M, geom.dim
+    streams = _substreams(D, M, n, seed)
     terms = _terms(vertices, geom, p.beta, M)
     K = _grid_size(M)
     rows = max(1, _CHUNK_BYTES // (2 * D * K * 8))
-    streams = _substreams(D, M, n, seed)
     available = _workers()
-    cuts = [max(-(-size // rows), min(2 * available, size // _MIN_CHUNK)) for _, size in streams]
-    workers = min(available, sum(cuts))
-    largest = max(-(-size // cut) for (_, size), cut in zip(streams, cuts))
-    slots = np.empty((min(2, len(streams)), 2, streams[0][1], D, M))
+
+    def cut(size):
+        """Chunks of a substream of size samples."""
+        return max(-(-size // rows), min(2 * available, size // _MIN_CHUNK))
+
+    batch = _block_size(D, M)
+    full, rest = divmod(n, batch)
+    sizes = [batch] * (full > 0) + [rest] * (rest > 0)  # every substream has one of these
+    largest = max(-(-size // cut(size)) for size in sizes)
+    threads = min(available, full * cut(batch) + (rest > 0) * cut(rest))
+    slots = np.empty((min(2, full + (rest > 0)), 2, sizes[0], D, M))
     spaces = queue.SimpleQueue()
-    for _ in range(workers):
+    for _ in range(threads):
         spaces.put(_Workspace(largest, D, M, K))
 
     def chunks(j, rng, size):
         normals = _draw_modes(rng, size, D, M, slots[j % len(slots), :, :size])
-        edges = [size * i // cuts[j] for i in range(cuts[j] + 1)]
+        edges = [size * i // cut(size) for i in range(cut(size) + 1)]
         return [functools.partial(_chunk_action, terms, p, normals[:, lo:hi], spaces)
                 for lo, hi in zip(edges, edges[1:])]
 
     _in_order((chunks(j, rng, size) for j, (rng, size) in enumerate(streams)),
-              workers, consume, ahead=1)
+              threads, consume, ahead=1)
 
 
 def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
@@ -433,7 +500,7 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
 
     Probe times are rounded to the lattice tau_j = j beta / 8M, and the
     fields there are summed directly from the modes. Each substream, draw
-    included, is one pool task."""
+    included, is one task of _in_order."""
     p = PeriodicPropagator(beta, M)
     K = 8 * M
     idx = np.array([(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
@@ -449,9 +516,10 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
 
     acc = _Moments()
     streams = _substreams(D, M, n, seed)
-    # one task per substream, so keep one per worker in flight
+    # one task per substream, so keep one per computing thread in flight
+    threads = min(_workers(), -(-n // _block_size(D, M)))
     _in_order(([functools.partial(products, rng, size)] for rng, size in streams),
-              min(_workers(), len(streams)), acc.add, ahead=_workers() - 1)
+              threads, acc.add, ahead=threads - 1)
     means, stderrs = acc.mean, acc.stderr()
     return [{"tau": t1, "taup": t2, "mean": float(means[k]), "stderr": float(stderrs[k]),
              "expected": p.green_modes((i1 - i2) * beta / K)}

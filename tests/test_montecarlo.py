@@ -1,9 +1,9 @@
 import collections
-import concurrent.futures
 import json
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -583,40 +583,142 @@ def test_results_do_not_depend_on_the_worker_count(monkeypatch):
     assert results[1] == results[2] == results[3]
 
 
-class _SizedPool(concurrent.futures.ThreadPoolExecutor):
-    sizes = []
+class _CountedThread(threading.Thread):
+    started = []
 
-    def __init__(self, max_workers=None, *args, **kwargs):
-        type(self).sizes.append(max_workers)
-        super().__init__(max_workers, *args, **kwargs)
+    def start(self):
+        type(self).started.append(self)
+        super().start()
 
 
-def test_each_call_builds_one_pool_of_at_most_one_thread_per_chunk(monkeypatch):
+def _helpers_started(monkeypatch, call):
+    """Threads started while call() runs."""
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_CountedThread, "started", [])
+    call()
+    return len(_CountedThread.started)
+
+
+def test_each_call_starts_one_helper_fewer_than_its_computing_threads(monkeypatch):
+    """The calling thread computes beside min(workers, chunks) - 1 helpers."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SizedPool)
-    monkeypatch.setattr(_SizedPool, "sizes", [])
     # below twice the 256-sample floor a substream is one chunk; a two-point
     # task is a whole substream of 8192 samples at D = 2, M = 16
-    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=1)
-    mc_two_point(0.5, 16, 2, 8000, seed=1, pairs=[(0.1, 0.3)])
-    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 512, seed=1)
-    mc_two_point(0.5, 16, 2, 9000, seed=1, pairs=[(0.1, 0.3)])
-    assert _SizedPool.sizes == [1, 1, 2, 2]
+    calls = [lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=1),
+             lambda: mc_two_point(0.5, 16, 2, 8000, seed=1, pairs=[(0.1, 0.3)]),
+             lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 512, seed=1),
+             lambda: mc_two_point(0.5, 16, 2, 9000, seed=1, pairs=[(0.1, 0.3)]),
+             lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1),
+             lambda: mc_two_point(0.5, 16, 2, 40000, seed=1, pairs=[(0.1, 0.3)])]
+    assert [_helpers_started(monkeypatch, call) for call in calls] == [0, 0, 1, 1, 3, 3]
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
+    assert [_helpers_started(monkeypatch, call) for call in calls] == [0] * 6
 
 
-def test_one_chunk_calls_run_on_a_pool_of_one_with_the_same_bits(monkeypatch):
-    """A call of one chunk, or of one two-point substream, runs on a pool of
-    one thread at any worker count, and gives the same bits at each."""
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _SizedPool)
+def test_one_chunk_calls_start_no_thread_and_keep_their_bits(monkeypatch):
+    """A call of one chunk, or of one two-point substream, runs on the calling
+    thread alone at any worker count, and gives the same bits at each."""
     results = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
-        monkeypatch.setattr(_SizedPool, "sizes", [])
-        results[workers] = repr((
-            mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=3).as_dict(),
-            mc_two_point(0.5, 16, 2, 8000, seed=3, pairs=[(0.1, 0.3), (0.2, 0.2)])))
-        assert _SizedPool.sizes == [1, 1]
+
+        def call():
+            results[workers] = repr((
+                mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=3).as_dict(),
+                mc_two_point(0.5, 16, 2, 8000, seed=3, pairs=[(0.1, 0.3), (0.2, 0.2)])))
+
+        assert _helpers_started(monkeypatch, call) == 0
     assert results[1] == results[2] == results[3]
+
+
+def test_at_most_workers_threads_compute_and_the_caller_is_one(monkeypatch):
+    """At two workers, the draw of the next substream and the chunks of the
+    last one run on at most two threads, the calling thread among them; a
+    pool of two threads beside a drawing main thread reached three."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    lock = threading.Lock()
+    inside, peak, chunk_threads = [0], [0], set()
+
+    def busy(name, wait):
+        real = getattr(montecarlo, name)
+
+        def call(*args):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+                if name == "_chunk_action":
+                    chunk_threads.add(threading.get_ident())
+            try:
+                time.sleep(wait)  # widen the overlaps a third thread would make
+                return real(*args)
+            finally:
+                with lock:
+                    inside[0] -= 1
+        return call
+
+    monkeypatch.setattr(montecarlo, "_draw_modes", busy("_draw_modes", 0.02))
+    monkeypatch.setattr(montecarlo, "_chunk_action", busy("_chunk_action", 0.005))
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1)
+    assert peak[0] == 2
+    assert threading.get_ident() in chunk_threads
+
+
+@pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch"])
+def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure):
+    """Whichever thread a failing chunk runs on, or when on_batch raises, the
+    exception reaches the caller, no chunk starts afterwards, and every
+    helper thread has ended."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    threads = threading.active_count()
+    caller = threading.get_ident()
+    starts = []
+    real = montecarlo._chunk_action
+
+    def chunk(*args):
+        starts.append(threading.get_ident())
+        on_caller = threading.get_ident() == caller
+        if len(starts) >= 5 and failure != "on_batch" and on_caller == (failure != "helper chunk"):
+            raise RuntimeError(failure)
+        return real(*args)
+
+    def on_batch(count, mean, stderr):
+        if failure == "on_batch":
+            raise RuntimeError(failure)
+
+    monkeypatch.setattr(montecarlo, "_chunk_action", chunk)
+    with pytest.raises(RuntimeError, match=failure):
+        mc_boltzmann("sphere", SPHERE0, 0.02, 16, 40000, seed=1, on_batch=on_batch)
+    seen = len(starts)
+    time.sleep(0.05)
+    # the call has 48 chunks, 10 in each of the first two substreams
+    assert len(starts) == seen <= 20
+    assert threading.active_count() == threads
+
+
+def test_substreams_are_spawned_children_made_as_they_are_reached():
+    """Substream j is the j-th child of SeedSequence(seed).spawn, bit for bit."""
+    lazy = _substreams(2, 16, 7 * 8192, 11)
+    eager = np.random.SeedSequence(11).spawn(7)
+    for (rng, size), child in zip(lazy, eager, strict=True):
+        assert size == 8192
+        assert np.array_equal(rng.standard_normal(1000),
+                              np.random.Generator(np.random.Philox(child)).standard_normal(1000))
+
+
+def test_a_stopped_call_makes_only_the_substreams_it_reached(monkeypatch):
+    """10^8 samples at D = 2, M = 16 are 12208 substreams; a call that stops
+    at its first batch makes at most three generators, where an eager spawn
+    made all 12208 before the first draw."""
+    made = []
+    real = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *args: made.append(1) or real(*args))
+
+    def stop(count, mean, stderr):
+        raise KeyError(f"stopped at {count}")
+
+    with pytest.raises(KeyError, match="stopped at 8192"):
+        mc_boltzmann("sphere", SPHERE0, 0.02, 16, 10**8, seed=1, on_batch=stop)
+    assert 1 <= len(made) <= 3
 
 
 @pytest.mark.parametrize("workers", [1, 3])
