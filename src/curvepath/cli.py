@@ -79,8 +79,11 @@ def _bounds(text: str) -> str:
 def _parse_point(text: str | None) -> np.ndarray:
     if text is None:
         raise MetricError("--point is required for this route")
+    fields = text.split(",")
+    if any(x.strip() == "" for x in fields):
+        raise MetricError(f"point {text!r} has an empty coordinate")
     try:
-        q = np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        q = np.array([float(x) for x in fields])
     except ValueError:
         raise MetricError(f"cannot parse point {text!r}") from None
     if not np.all(np.isfinite(q)):

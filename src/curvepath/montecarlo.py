@@ -37,13 +37,18 @@ The samples run as a pipeline on every CPU of the process's affinity mask,
 on the calling thread and one helper thread fewer than the CPUs or chunks.
 The calling thread draws each substream's normals in order and cuts them
 into equal chunks of at most about 2 MB of field, two per worker where each
-keeps 256 samples. Once it has drawn the next substream, it and the helpers
-each take the next chunk not yet taken, build its spectra, transform them
-to the grid and contract every term on it (NumPy releases the GIL in the
-FFT, matmul and einsum); when the substream's chunks are done, the calling
-thread merges its per-sample actions in substream order. So at most one
-thread per CPU computes, and a call of one chunk, or on one CPU, starts no
-thread. Each sample's action is computed by the same operations whatever
+keeps 256 samples. It draws the real parts of a whole substream first, then
+the imaginary parts one chunk's rows at a time, and each chunk may be taken
+as soon as its rows are drawn: the helpers take the chunks of a substream
+while the calling thread still draws it. Only the real half of the first
+substream is drawn while no chunk can run. After drawing substream j + 1,
+the calling thread, beside the helpers, takes the next chunk not yet taken
+(oldest substream first) until substream j is done. A chunk's spectra are
+built, transformed to the grid and contracted with every term on it (NumPy
+releases the GIL in the draw, FFT, matmul and einsum); the calling thread
+merges each substream's per-sample actions in substream order. So at most
+one thread per CPU computes, and a call of one chunk, or on one CPU, starts
+no thread. Each sample's action is computed by the same operations whatever
 its chunk or thread, so the output is bit-identical at any worker count,
 and the fields are held one chunk per computing thread, never for a whole
 substream. The calling thread allocates every large array once per call,
@@ -138,13 +143,22 @@ def _block_size(D: int, M: int) -> int:
 
 
 def _draw_modes(rng: np.random.Generator, nbatch: int, D: int, M: int,
-                out=None) -> np.ndarray:
+                out=None, edges=None, ready=None) -> np.ndarray:
     """(2, nbatch, D, M) standard normals, in out when given: the real parts of
     the modes of nbatch samples, then their imaginary parts. Mode m is
-    mode_sd()[m] times re + i im (_modes); _to_grid applies the spread itself."""
+    mode_sd()[m] times re + i im (_modes); _to_grid applies the spread itself.
+
+    With edges, the imaginary parts are drawn rows edges[i]:edges[i + 1] at
+    a time, and ready(lo, hi), when given, is called as soon as rows lo:hi
+    of both halves are drawn. Each draw continues the Philox stream of the
+    last, so the normals keep their bits whatever the edges."""
     block = np.empty((2, nbatch, D, M)) if out is None else out
-    for half in block:
-        rng.standard_normal(out=half)
+    rng.standard_normal(out=block[0])
+    edges = (0, nbatch) if edges is None else edges
+    for lo, hi in zip(edges, edges[1:]):
+        rng.standard_normal(out=block[1, lo:hi])
+        if ready is not None:
+            ready(lo, hi)
     return block
 
 
@@ -221,20 +235,31 @@ def _in_order(batches, threads: int, consume, ahead: int = 1) -> None:
     """Run the tasks of each batch and pass consume each batch's results,
     concatenated, in batch order, so the bits never depend on the thread count.
 
-    batches yields one list of zero-argument tasks per substream; producing
-    a list is the calling thread's share of the work. The calling thread and
-    threads - 1 helper threads each claim the next unclaimed task of the
-    oldest pending batch, so at most threads compute at once, and a call of
-    one thread starts none. The calling thread produces batch j + ahead,
-    then runs tasks until batch j is done and consumes it: batch j + ahead + 1
-    is produced only after batch j was consumed, so its tasks have all
-    returned. After a task or consume raises, no task is claimed, and every
-    helper has returned before the exception leaves this call.
+    batches yields one producer per batch, a callable that the calling thread
+    runs with publish: it calls publish(task) for each zero-argument task of
+    its batch, in order, and each task may be claimed as soon as it is
+    published, while the producer goes on; so only the first producer's work
+    before its first publish (in _actions, the draw of the first substream's
+    real half) has no task to run beside it. The calling thread and threads - 1
+    helper threads each claim the next unclaimed task of the oldest pending
+    batch, so at most threads compute at once, and a call of one thread
+    starts none. The calling thread produces batch j + ahead, then runs tasks
+    until batch j is done and consumes it: batch j + ahead + 1 is produced
+    only after batch j was consumed, so its tasks have all returned. After a
+    producer, a task or consume raises, no task is claimed, and every helper
+    has returned before the exception leaves this call.
     """
     cond = threading.Condition()
     todo = collections.deque()  # (batch, index, task) of each unclaimed task, oldest batch first
     failed = []                 # what a helper's task raised: once set, nothing is claimed
     stopped = False
+
+    def publish(batch, task):
+        with cond:
+            todo.append((batch, len(batch[0]), task))
+            batch[0].append(None)
+            batch[1] += 1
+            cond.notify()  # only helpers wait while the calling thread produces
 
     def finish(batch, i, result):
         with cond:
@@ -261,7 +286,8 @@ def _in_order(batches, threads: int, consume, ahead: int = 1) -> None:
             finish(batch, i, result)
 
     def complete(batch):
-        """Run unclaimed tasks on the calling thread until batch is done."""
+        """Run unclaimed tasks on the calling thread until batch, whose
+        producer has returned, is done."""
         while True:
             with cond:
                 while not (failed or not batch[1] or todo):
@@ -280,12 +306,10 @@ def _in_order(batches, threads: int, consume, ahead: int = 1) -> None:
             thread.start()
             helpers.append(thread)
         pending = collections.deque()
-        for tasks in batches:
-            batch = [[None] * len(tasks), len(tasks)]  # results, tasks not yet done
-            with cond:
-                todo.extend((batch, i, task) for i, task in enumerate(tasks))
-                cond.notify_all()
+        for produce in batches:
+            batch = [[], 0]  # results in publishing order, tasks published and not yet done
             pending.append(batch)
+            produce(functools.partial(publish, batch))
             if len(pending) > ahead:
                 consume(complete(pending.popleft()))
         while pending:
@@ -404,9 +428,10 @@ def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed:
     substream of the sample stream, in order.
 
     The calling thread draws each substream's normals and cuts them into
-    chunks (see _CHUNK_BYTES); it and the helpers of _in_order scale,
-    transform and contract the chunks of one substream once the next is
-    drawn. The calling thread allocates the arrays once: two float slots of
+    chunks (see _CHUNK_BYTES), publishing each chunk to _in_order once its
+    imaginary parts are drawn; the helpers scale, transform and contract the
+    chunks from then on, and the calling thread, once it has drawn the next
+    substream. The calling thread allocates the arrays once: two float slots of
     normals, used in turn (a slot is redrawn after its batch was consumed),
     and a _Workspace per computing thread, sized to the largest chunk, that
     each task borrows, so the memory held does not depend on thread timing."""
@@ -431,13 +456,15 @@ def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed:
     for _ in range(threads):
         spaces.put(_Workspace(largest, D, M, K))
 
-    def chunks(j, rng, size):
-        normals = _draw_modes(rng, size, D, M, slots[j % len(slots), :, :size])
+    def draw(j, rng, size, publish):
+        """Draw substream j into its slot, publishing each chunk's task as
+        soon as its imaginary parts are drawn."""
+        normals = slots[j % len(slots), :, :size]
         edges = [size * i // cut(size) for i in range(cut(size) + 1)]
-        return [functools.partial(_chunk_action, terms, p, normals[:, lo:hi], spaces)
-                for lo, hi in zip(edges, edges[1:])]
+        _draw_modes(rng, size, D, M, normals, edges, lambda lo, hi: publish(
+            functools.partial(_chunk_action, terms, p, normals[:, lo:hi], spaces)))
 
-    _in_order((chunks(j, rng, size) for j, (rng, size) in enumerate(streams)),
+    _in_order((functools.partial(draw, j, rng, size) for j, (rng, size) in enumerate(streams)),
               threads, consume, ahead=1)
 
 
@@ -518,7 +545,11 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     streams = _substreams(D, M, n, seed)
     # one task per substream, so keep one per computing thread in flight
     threads = min(_workers(), -(-n // _block_size(D, M)))
-    _in_order(([functools.partial(products, rng, size)] for rng, size in streams),
+
+    def substream(rng, size, publish):
+        publish(functools.partial(products, rng, size))
+
+    _in_order((functools.partial(substream, rng, size) for rng, size in streams),
               threads, acc.add, ahead=threads - 1)
     means, stderrs = acc.mean, acc.stderr()
     return [{"tau": t1, "taup": t2, "mean": float(means[k]), "stderr": float(stderrs[k]),

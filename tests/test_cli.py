@@ -136,6 +136,13 @@ def test_sweep_csv(capsys):
     assert float(first[4]) == pytest.approx(1.0 / 12.0, rel=1e-9)
 
 
+def test_sweep_skips_blank_points_between_semicolons(capsys):
+    argv = ["sweep", "--builtin", "sphere:2", "--beta", "0.1", "--routes", "covariant"]
+    plain = run_cli(capsys, argv + ["--points", "0.1,0;0.2,0.1"])
+    assert plain[0] == 0
+    assert run_cli(capsys, argv + ["--points", ";0.1,0;; ;0.2,0.1;"]) == plain
+
+
 def test_partition_subcommand(capsys):
     code, out = run_cli(capsys, ["partition", "--builtin", "flat:2", "--beta", "0.3",
                                  "--bounds", "0:2;0:3", "--nodes", "8"])
@@ -373,6 +380,13 @@ ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
     (ECP + ["--builtin", "sphere:2", "--point=a,b"], "MetricError", "cannot parse point 'a,b'"),
     (ECP + ["--builtin", "sphere:2", "--point=nan,0"],
      "MetricError", "point 'nan,0' is not finite"),
+    # an empty coordinate once dropped, so these ran at (0.1, 0.2) and exited 0
+    (["geometry", "--builtin", "sphere:2", "--point=0.1,,0.2"],
+     "MetricError", "point '0.1,,0.2' has an empty coordinate"),
+    (["geometry", "--builtin", "sphere:2", "--point=0.1,0.2,"],
+     "MetricError", "point '0.1,0.2,' has an empty coordinate"),
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0;0.2, ", "--beta", "0.1"],
+     "MetricError", "point '0.2, ' has an empty coordinate"),
     (ECP + ["--builtin", "conformal2d:2", "--params", "a", "--point=0,0"],
      "MetricError", "cannot parse parameter assignment 'a'"),
     (ECP + ["--builtin", "sphere", "--point=0,0"],
@@ -385,7 +399,8 @@ ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
      "MetricError", "conformal2d requires D = 2"),
     (ECP + ["--builtin", "conformal2d:2", "--params", "a=1,e=0.1, a=0.2", "--point=0.1,0"],
      "MetricError", "parameter 'a' is given more than once"),
-], ids=["point-text", "point-nan", "params-text", "builtin-no-dim", "sweep-route",
+], ids=["point-text", "point-nan", "point-empty-inner", "point-empty-last",
+        "sweep-point-empty", "params-text", "builtin-no-dim", "sweep-route",
         "sweep-point-dim", "conformal2d-dim", "params-repeated"])
 def test_input_errors_end_as_one_json_error_document(capsys, argv, error, message):
     code, out = run_cli(capsys, argv)

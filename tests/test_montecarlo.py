@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import math
 import sys
@@ -663,11 +664,63 @@ def test_at_most_workers_threads_compute_and_the_caller_is_one(monkeypatch):
     assert threading.get_ident() in chunk_threads
 
 
-@pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch"])
+def _hook_draws(monkeypatch, hook):
+    """Run hook(k) before the k-th standard_normal call (k from 0) on the
+    substreams of the calls that follow."""
+    real = montecarlo._substreams
+    calls = itertools.count()
+
+    class Hooked:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, *args, **kwargs):
+            hook(next(calls))
+            return self.rng.standard_normal(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_substreams",
+                        lambda *args: ((Hooked(rng), size) for rng, size in real(*args)))
+
+
+def test_a_helper_computes_a_chunk_while_its_substream_is_drawn(monkeypatch):
+    """At two workers, each of the four chunks of one 2048-sample substream is
+    published once its imaginary parts are drawn, so a helper enters the
+    first chunk before the draw returns: the last chunk's draw waits for it.
+    Publishing the chunks after the whole draw fails here, without the wait."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    caller = threading.get_ident()
+    entered = threading.Event()
+    order = []
+
+    def before(k):
+        if k == 4:  # the real parts, then the imaginary parts of chunks 0 to 3
+            entered.wait(timeout=10)
+
+    real_chunk, real_draw = montecarlo._chunk_action, montecarlo._draw_modes
+
+    def chunk(*args):
+        if threading.get_ident() != caller and not entered.is_set():
+            order.append("helper chunk")
+            entered.set()
+        return real_chunk(*args)
+
+    def draw(*args):
+        result = real_draw(*args)
+        order.append("draw returned")
+        return result
+
+    _hook_draws(monkeypatch, before)
+    monkeypatch.setattr(montecarlo, "_chunk_action", chunk)
+    monkeypatch.setattr(montecarlo, "_draw_modes", draw)
+    mc_boltzmann("sphere", SPHERE0, 0.02, 16, 2048, seed=1)
+    assert order == ["helper chunk", "draw returned"]
+
+
+@pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch", "draw"])
 def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure):
-    """Whichever thread a failing chunk runs on, or when on_batch raises, the
-    exception reaches the caller, no chunk starts afterwards, and every
-    helper thread has ended."""
+    """Whichever thread a failing chunk runs on, or when on_batch or a draw
+    raises, the exception reaches the caller, no chunk starts afterwards, and
+    every helper thread has ended."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     threads = threading.active_count()
     caller = threading.get_ident()
@@ -677,7 +730,7 @@ def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure)
     def chunk(*args):
         starts.append(threading.get_ident())
         on_caller = threading.get_ident() == caller
-        if len(starts) >= 5 and failure != "on_batch" and on_caller == (failure != "helper chunk"):
+        if len(starts) >= 5 and failure.endswith("chunk") and on_caller == (failure != "helper chunk"):
             raise RuntimeError(failure)
         return real(*args)
 
@@ -685,6 +738,13 @@ def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure)
         if failure == "on_batch":
             raise RuntimeError(failure)
 
+    def before(k):
+        # the third chunk's draw in the second substream: the ten chunks of
+        # the first and two of the second are published by then
+        if failure == "draw" and k == 14:
+            raise RuntimeError(failure)
+
+    _hook_draws(monkeypatch, before)
     monkeypatch.setattr(montecarlo, "_chunk_action", chunk)
     with pytest.raises(RuntimeError, match=failure):
         mc_boltzmann("sphere", SPHERE0, 0.02, 16, 40000, seed=1, on_batch=on_batch)
