@@ -112,9 +112,11 @@ def _resolve_metric(args):
             return parse_metric(fh.read())
     if getattr(args, "builtin", None):
         name, _, dim = args.builtin.partition(":")
-        if not dim:
-            raise MetricError("--builtin needs the form name:D, e.g. sphere:2")
-        return builtin(name, int(dim), _parse_params(getattr(args, "params", None)))
+        try:
+            D = int(dim)
+        except ValueError:  # no dimension, or not an integer, as in sphere:x or sphere:2.0
+            raise MetricError("--builtin needs the form name:D, e.g. sphere:2") from None
+        return builtin(name, D, _parse_params(getattr(args, "params", None)))
     raise MetricError("a metric is required: --metric FILE or --builtin name:D")
 
 
@@ -204,6 +206,8 @@ def cmd_sweep(args) -> int:
         if route not in ("covariant", "eta"):
             raise RouteError(f"sweep supports covariant and eta routes, not {route!r}")
     points = [_parse_point(p) for p in args.points.split(";") if p.strip()]
+    if not points:
+        raise MetricError(f"--points {args.points!r} names no point")
     for q0 in points:
         if q0.shape != (spec.dim,):
             raise MetricError(f"point {q0.tolist()} has wrong dimension, expected {spec.dim}")

@@ -33,28 +33,31 @@ seed gives bit-identical results regardless of batch size. Means and
 variances are merged batch by batch (Chan et al.), which keeps the variance
 accurate when the mean is large against the spread.
 
-The samples run as a pipeline on every CPU of the process's affinity mask,
-on the calling thread and one helper thread fewer than the CPUs or chunks.
-The calling thread draws each substream's normals in order and cuts them
-into equal chunks of at most about 2 MB of field, two per worker where each
-keeps 256 samples. It draws the real parts of a whole substream first, then
-the imaginary parts one chunk's rows at a time, and each chunk may be taken
-as soon as its rows are drawn: the helpers take the chunks of a substream
-while the calling thread still draws it. Only the real half of the first
-substream is drawn while no chunk can run. After drawing substream j + 1,
-the calling thread, beside the helpers, takes the next chunk not yet taken
-(oldest substream first) until substream j is done. A chunk's spectra are
-built, transformed to the grid and contracted with every term on it (NumPy
-releases the GIL in the draw, FFT, matmul and einsum); the calling thread
-merges each substream's per-sample actions in substream order. So at most
-one thread per CPU computes, and a call of one chunk, or on one CPU, starts
-no thread. Each sample's action is computed by the same operations whatever
+Every estimator runs one pipeline (_stream) on every CPU of the process's
+affinity mask, on the calling thread and a pool of one helper thread fewer
+than the CPUs or chunks. The calling thread draws each substream's normals
+in order and cuts them into equal chunks of at most about 2 MB of field, two
+per worker where each keeps 256 samples. It draws the real parts of a whole
+substream first, then the imaginary parts one chunk's rows at a time, and
+each chunk may be taken as soon as its rows are drawn: the helpers take the
+chunks of a substream while the calling thread still draws it. Only the
+real half of the first substream is drawn while no chunk can run. After
+drawing substream j + 1, the calling thread, beside the helpers, takes the
+next chunk not yet taken (oldest substream first) until substream j is
+done. A chunk is a task with one Future (_in_order): mc_boltzmann and
+mc_vertex_expectation build its spectra, transform them to the grid and
+contract every term on them, mc_two_point sums its fields at the probes
+(NumPy releases the GIL in the draw, FFT, matmul and einsum); the calling
+thread merges each substream's per-sample results in substream order, and
+a chunk's exception is raised there, at its substream's turn. So at most
+one thread per CPU computes, and a call of one chunk, or on one CPU, builds
+no pool. Each sample's result is computed by the same operations whatever
 its chunk or thread, so the output is bit-identical at any worker count,
 and the fields are held one chunk per computing thread, never for a whole
 substream. The calling thread allocates every large array once per call,
-two float slots of normals and a workspace per computing thread sized to
-the largest chunk, and the chunks reuse them, so the memory a run holds
-does not depend on how its threads interleave.
+two float slots of normals and, for the vertex action, a workspace per
+computing thread sized to the largest chunk, and the chunks reuse them, so
+the memory a run holds does not depend on how its threads interleave.
 """
 from __future__ import annotations
 
@@ -63,7 +66,6 @@ import functools
 import math
 import os
 import queue
-import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -201,10 +203,10 @@ def _to_grid(normals: np.ndarray, p: PeriodicPropagator, K: int, out=None,
 
 # Bytes of field, q and qd together, per chunk of samples (2 MB). A chunk is
 # one task of _in_order: its modes are transformed and every vertex is
-# contracted on them at once, so the fields of a whole substream are never
-# held. A substream is cut into chunks of equal size, at least two per worker
-# where each still holds _MIN_CHUNK samples, so that the last chunks keep
-# every worker busy.
+# contracted on them at once (mc_two_point cuts by the same rule), so the
+# fields of a whole substream are never held. A substream is cut into chunks
+# of equal size, at least two per worker where each still holds _MIN_CHUNK
+# samples, so that the last chunks keep every worker busy.
 _CHUNK_BYTES = 1 << 21
 _MIN_CHUNK = 256
 _VARIANCE_GUARD = 1.0  # mc_boltzmann rejects a run whose action variance reaches it
@@ -231,95 +233,56 @@ def _substreams(D: int, M: int, n: int, seed: int) -> Iterator[tuple[np.random.G
              min(batch, n - lo)) for j, lo in enumerate(range(0, n, batch)))
 
 
-def _in_order(batches, threads: int, consume, ahead: int = 1) -> None:
-    """Run the tasks of each batch and pass consume each batch's results,
-    concatenated, in batch order, so the bits never depend on the thread count.
+def _in_order(batches, threads: int, consume) -> None:
+    """Pass consume each batch's task results in batch order, the same bits at any thread count.
 
-    batches yields one producer per batch, a callable that the calling thread
-    runs with publish: it calls publish(task) for each zero-argument task of
-    its batch, in order, and each task may be claimed as soon as it is
-    published, while the producer goes on; so only the first producer's work
-    before its first publish (in _actions, the draw of the first substream's
-    real half) has no task to run beside it. The calling thread and threads - 1
-    helper threads each claim the next unclaimed task of the oldest pending
-    batch, so at most threads compute at once, and a call of one thread
-    starts none. The calling thread produces batch j + ahead, then runs tasks
-    until batch j is done and consumes it: batch j + ahead + 1 is produced
-    only after batch j was consumed, so its tasks have all returned. After a
-    producer, a task or consume raises, no task is claimed, and every helper
-    has returned before the exception leaves this call.
-    """
-    cond = threading.Condition()
-    todo = collections.deque()  # (batch, index, task) of each unclaimed task, oldest batch first
-    failed = []                 # what a helper's task raised: once set, nothing is claimed
-    stopped = False
+    Producers from batches run on the calling thread, calling publish(task) for
+    each task of their batch; with one thread it runs then, else its Future joins
+    a FIFO whose oldest task the caller and threads - 1 pooled helpers run. The
+    caller produces batch j + 1, runs tasks until batch j is done, consumes it.
+    An error drops the FIFO, reaches the caller, and leaves no helper running."""
+    if threads == 1:
+        for produce in batches:
+            results = []
+            produce(lambda task: results.append(task()))
+            consume(np.concatenate(results))
+        return
+    from concurrent.futures import Future, ThreadPoolExecutor  # start-up time only threads need
+    unclaimed = collections.deque()  # (future, task) of each task not yet taken, oldest first
+
+    def run_next():
+        try:
+            future, task = unclaimed.popleft()
+        except IndexError:  # another thread took it
+            return
+        try:
+            future.set_result(task())
+        except BaseException as exc:  # raised again on the calling thread
+            unclaimed.clear()  # drop the tasks not yet taken
+            future.set_exception(exc)
 
     def publish(batch, task):
-        with cond:
-            todo.append((batch, len(batch[0]), task))
-            batch[0].append(None)
-            batch[1] += 1
-            cond.notify()  # only helpers wait while the calling thread produces
-
-    def finish(batch, i, result):
-        with cond:
-            batch[0][i] = result
-            batch[1] -= 1
-            if not batch[1]:
-                cond.notify_all()
-
-    def helper():
-        while True:
-            with cond:
-                while not (stopped or failed or todo):
-                    cond.wait()
-                if stopped or failed:
-                    return
-                batch, i, task = todo.popleft()
-            try:
-                result = task()
-            except BaseException as exc:  # raised again on the calling thread
-                with cond:
-                    failed.append(exc)
-                    cond.notify_all()
-                return
-            finish(batch, i, result)
+        batch.append(Future())
+        unclaimed.append((batch[-1], task))
+        pool.submit(run_next)
 
     def complete(batch):
-        """Run unclaimed tasks on the calling thread until batch, whose
-        producer has returned, is done."""
-        while True:
-            with cond:
-                while not (failed or not batch[1] or todo):
-                    cond.wait()
-                if failed:
-                    raise failed[0]
-                if not batch[1]:
-                    return np.concatenate(batch[0])
-                claimed, i, task = todo.popleft()
-            finish(claimed, i, task())
+        while unclaimed and not all(future.done() for future in batch):
+            run_next()
+        consume(np.concatenate([future.result() for future in batch]))
 
-    helpers = []
+    pool, pending = ThreadPoolExecutor(threads - 1), []
     try:
-        for _ in range(threads - 1):
-            thread = threading.Thread(target=helper)
-            thread.start()
-            helpers.append(thread)
-        pending = collections.deque()
         for produce in batches:
-            batch = [[], 0]  # results in publishing order, tasks published and not yet done
-            pending.append(batch)
-            produce(functools.partial(publish, batch))
-            if len(pending) > ahead:
-                consume(complete(pending.popleft()))
-        while pending:
-            consume(complete(pending.popleft()))
+            pending.append([])
+            produce(functools.partial(publish, pending[-1]))
+            if len(pending) == 2:
+                complete(pending.pop(0))
+        for batch in pending:
+            complete(batch)
     finally:
-        with cond:
-            stopped = True
-            cond.notify_all()
-        for thread in helpers:
-            thread.join()
+        unclaimed.clear()
+        pool.shutdown()
 
 
 def _frame_coeff(coeff: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -403,43 +366,38 @@ def _vertex_action(slots: tuple, coeff: np.ndarray, spectrum: np.ndarray, fields
     return integral * (beta / K)
 
 
-def _chunk_action(terms, p: PeriodicPropagator, normals: np.ndarray, spaces) -> np.ndarray:
+def _chunk_action(terms, p: PeriodicPropagator, normals: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Summed per-sample action of the _terms on one chunk, the (2, n, D, M)
-    normals of its modes, from fields on the exact grid written to a
-    _Workspace borrowed from the queue spaces."""
+    normals of its modes, from fields on the exact grid written to ws."""
     n = normals.shape[1]
-    ws = spaces.get()
-    try:
-        # an overflow at extreme beta ends as a non-finite variance, which the guard rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            spectrum = ws.spectrum[:, :n]
-            fields = _to_grid(normals, p, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
-            a = np.zeros(n)
-            for slots, coeff in terms:
-                a += _vertex_action(slots, coeff, spectrum, fields, p.beta, p.M, ws)
-        return a
-    finally:
-        spaces.put(ws)
+    # an overflow at extreme beta ends as a non-finite variance, which the guard rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = ws.spectrum[:, :n]
+        fields = _to_grid(normals, p, ws.fields.shape[-1], ws.fields[:, :n], spectrum)
+        a = np.zeros(n)
+        for slots, coeff in terms:
+            a += _vertex_action(slots, coeff, spectrum, fields, p.beta, p.M, ws)
+    return a
 
 
-def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed: int,
-             consume) -> None:
-    """Pass consume the summed per-sample action of the vertices on each
-    substream of the sample stream, in order.
+def _stream(D: int, p: PeriodicPropagator, n: int, seed: int, work, consume,
+            workspace=None) -> None:
+    """Pass consume work's per-sample results on each substream of the sample
+    stream, in order: the one pipeline of every estimator.
 
     The calling thread draws each substream's normals and cuts them into
     chunks (see _CHUNK_BYTES), publishing each chunk to _in_order once its
-    imaginary parts are drawn; the helpers scale, transform and contract the
-    chunks from then on, and the calling thread, once it has drawn the next
-    substream. The calling thread allocates the arrays once: two float slots of
-    normals, used in turn (a slot is redrawn after its batch was consumed),
-    and a _Workspace per computing thread, sized to the largest chunk, that
-    each task borrows, so the memory held does not depend on thread timing."""
-    M, D = p.M, geom.dim
+    imaginary parts are drawn. work(normals, ws) computes a chunk from its
+    (2, rows, D, M) normals: on the helpers from then on, and on the calling
+    thread once it has drawn the next substream. The calling thread allocates
+    the arrays once: two float slots of normals, used in turn (a slot is
+    redrawn after its batch was consumed), and, given workspace, one
+    workspace(rows) per computing thread sized to the largest chunk, which
+    each chunk borrows as ws (else ws is None). So the memory held does not
+    depend on thread timing."""
+    M = p.M
     streams = _substreams(D, M, n, seed)
-    terms = _terms(vertices, geom, p.beta, M)
-    K = _grid_size(M)
-    rows = max(1, _CHUNK_BYTES // (2 * D * K * 8))
+    rows = max(1, _CHUNK_BYTES // (2 * D * _grid_size(M) * 8))
     available = _workers()
 
     def cut(size):
@@ -454,18 +412,36 @@ def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed:
     slots = np.empty((min(2, full + (rest > 0)), 2, sizes[0], D, M))
     spaces = queue.SimpleQueue()
     for _ in range(threads):
-        spaces.put(_Workspace(largest, D, M, K))
+        spaces.put(None if workspace is None else workspace(largest))
+
+    def chunk(normals):
+        ws = spaces.get()
+        try:
+            return work(normals, ws)
+        finally:
+            spaces.put(ws)
 
     def draw(j, rng, size, publish):
         """Draw substream j into its slot, publishing each chunk's task as
         soon as its imaginary parts are drawn."""
         normals = slots[j % len(slots), :, :size]
         edges = [size * i // cut(size) for i in range(cut(size) + 1)]
-        _draw_modes(rng, size, D, M, normals, edges, lambda lo, hi: publish(
-            functools.partial(_chunk_action, terms, p, normals[:, lo:hi], spaces)))
+        _draw_modes(rng, size, D, M, normals, edges,
+                    lambda lo, hi: publish(functools.partial(chunk, normals[:, lo:hi])))
 
     _in_order((functools.partial(draw, j, rng, size) for j, (rng, size) in enumerate(streams)),
-              threads, consume, ahead=1)
+              threads, consume)
+
+
+def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed: int,
+             consume) -> None:
+    """Pass consume the summed per-sample action of the vertices on each
+    substream of the sample stream, in order: _stream with _chunk_action on
+    a _Workspace per computing thread."""
+    D, K = geom.dim, _grid_size(p.M)
+    terms = _terms(vertices, geom, p.beta, p.M)
+    _stream(D, p, n, seed, functools.partial(_chunk_action, terms, p), consume,
+            lambda rows: _Workspace(rows, D, p.M, K))
 
 
 def mc_vertex_expectation(v: Vertex, geom: PointGeometry, beta: float, M: int,
@@ -526,8 +502,8 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     """Empirical <xi(tau) . xi(tau')>/D at probe pairs against the kernel.
 
     Probe times are rounded to the lattice tau_j = j beta / 8M, and the
-    fields there are summed directly from the modes. Each substream, draw
-    included, is one task of _in_order."""
+    fields there are summed directly from the modes: the two-point case of
+    _stream, whose chunks need no workspace."""
     p = PeriodicPropagator(beta, M)
     K = 8 * M
     idx = np.array([(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
@@ -536,21 +512,14 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     phase = np.outer(np.arange(1, M + 1), idx.ravel()) % K
     basis = np.exp(-2j * math.pi * phase / K)
 
-    def products(rng, size):
-        modes = _modes(_draw_modes(rng, size, D, M), p)
-        q = 2.0 * np.matmul(modes, basis).real.reshape(size, D, len(idx), 2)
+    def products(normals, ws):
+        """The probe products of one chunk of samples."""
+        q = 2.0 * np.matmul(_modes(normals, p), basis).real.reshape(
+            normals.shape[1], D, len(idx), 2)
         return (q[..., 0] * q[..., 1]).sum(axis=1) / D
 
     acc = _Moments()
-    streams = _substreams(D, M, n, seed)
-    # one task per substream, so keep one per computing thread in flight
-    threads = min(_workers(), -(-n // _block_size(D, M)))
-
-    def substream(rng, size, publish):
-        publish(functools.partial(products, rng, size))
-
-    _in_order((functools.partial(substream, rng, size) for rng, size in streams),
-              threads, acc.add, ahead=threads - 1)
+    _stream(D, p, n, seed, products, acc.add)
     means, stderrs = acc.mean, acc.stderr()
     return [{"tau": t1, "taup": t2, "mean": float(means[k]), "stderr": float(stderrs[k]),
              "expected": p.green_modes((i1 - i2) * beta / K)}

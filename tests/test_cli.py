@@ -399,9 +399,20 @@ ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
      "MetricError", "conformal2d requires D = 2"),
     (ECP + ["--builtin", "conformal2d:2", "--params", "a=1,e=0.1, a=0.2", "--point=0.1,0"],
      "MetricError", "parameter 'a' is given more than once"),
+    # these printed a bare CSV header and exited 0
+    (["sweep", "--builtin", "sphere:2", "--points", ";", "--beta", "0.1"],
+     "MetricError", "--points ';' names no point"),
+    (["sweep", "--builtin", "sphere:2", "--points", "", "--beta", "0.1"],
+     "MetricError", "--points '' names no point"),
+    # these ended as int()'s own ValueError
+    (["geometry", "--builtin", "sphere:x", "--point=0.1,0.2"],
+     "MetricError", "--builtin needs the form name:D, e.g. sphere:2"),
+    (["geometry", "--builtin", "sphere:2.0", "--point=0.1,0.2"],
+     "MetricError", "--builtin needs the form name:D, e.g. sphere:2"),
 ], ids=["point-text", "point-nan", "point-empty-inner", "point-empty-last",
         "sweep-point-empty", "params-text", "builtin-no-dim", "sweep-route",
-        "sweep-point-dim", "conformal2d-dim", "params-repeated"])
+        "sweep-point-dim", "conformal2d-dim", "params-repeated", "sweep-no-point",
+        "sweep-empty-points", "builtin-dim-text", "builtin-dim-float"])
 def test_input_errors_end_as_one_json_error_document(capsys, argv, error, message):
     code, out = run_cli(capsys, argv)
     assert code == 1

@@ -5,7 +5,9 @@ rebuilt from metric values alone: the compiled metric program runs on plain
 floats, and every derivative is a fourth-order central difference. divV is
 taken as (1/sqrt g) d_m(sqrt g V^m), not from the bundle's closed form. The
 oracle is compared with point_geometry and vector_divergence on the seven
-golden charts and on seeded random metric files of dimension 1 to 4.
+golden charts and on seeded random metric files of dimension 1 to 4. In two
+dimensions, Brioschi's formula gives the Gaussian curvature R/2 from E, F, G
+and their partials alone, with no Christoffel symbol.
 """
 import json
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from curvepath.geometry import point_geometry, vector_divergence
-from curvepath.metrics import builtin, parse_metric
+from curvepath.metrics import builtin, eval_metric_jet, parse_metric
 
 H = 2e-3  # step of the differences; Gamma differenced once more gives dGamma
 RTOL = 1e-7  # of the largest entry of each compared field, or of 1
@@ -125,3 +127,32 @@ def test_bundle_matches_the_oracle_on_the_golden_charts(chart, q0):
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_bundle_matches_the_oracle_on_random_metrics(seed):
     _compare(*_random_metric(seed))
+
+
+def _brioschi(spec, q0):
+    """Gaussian curvature from E = g_11, F = g_12, G = g_22 and their first
+    and second partials in u = q1, v = q2 (Brioschi's formula)."""
+    g, dg, ddg = eval_metric_jet(spec, q0)
+    E, F, G = g[0, 0], g[0, 1], g[1, 1]
+    # d_s of g_11, g_12 and g_22, for s = u and s = v
+    (Eu, Fu, Gu), (Ev, Fv, Gv) = (dg[s][[0, 0, 1], [0, 1, 1]] for s in (0, 1))
+    first = np.linalg.det([[-ddg[1, 1, 0, 0] / 2 + ddg[0, 1, 0, 1] - ddg[0, 0, 1, 1] / 2,
+                            Eu / 2, Fu - Ev / 2],
+                           [Fv - Gu / 2, E, F],
+                           [Gv / 2, F, G]])
+    second = np.linalg.det([[0, Ev / 2, Gu / 2], [Ev / 2, E, F], [Gu / 2, F, G]])
+    return (first - second) / (E * G - F * F) ** 2
+
+
+BRIOSCHI_CHARTS = ["flat", "sphere", "sphere-stereographic", "hyperbolic-ball", "conformal2d"]
+
+
+@pytest.mark.parametrize("name", BRIOSCHI_CHARTS)
+def test_gaussian_curvature_of_the_2d_builtins_is_brioschis(name):
+    """The embedding chart of sphere:2 has F != 0 off the axes, so all of
+    the formula's terms are exercised there."""
+    spec = builtin(name, 2)
+    rng = np.random.default_rng(8)
+    for q0 in rng.uniform(-0.45, 0.45, size=(6, 2)):
+        K = _brioschi(spec, q0)
+        assert point_geometry(spec, q0).R / 2 == pytest.approx(K, rel=1e-11, abs=1e-11)

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures.thread
 import itertools
 import json
 import math
@@ -600,25 +601,43 @@ def _helpers_started(monkeypatch, call):
     return len(_CountedThread.started)
 
 
+def _pools_built(monkeypatch, call):
+    """The sizes of the helper pools built while call() runs, and the
+    threads started."""
+    built = []
+
+    class Counted(concurrent.futures.thread.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            built.append(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    started = _helpers_started(monkeypatch, call)
+    return built, started
+
+
 def test_each_call_starts_one_helper_fewer_than_its_computing_threads(monkeypatch):
-    """The calling thread computes beside min(workers, chunks) - 1 helpers."""
+    """The calling thread computes beside a pool of min(workers, chunks) - 1
+    helpers, for either estimator. The pool starts a helper for a chunk while
+    none is idle: always for the first, and at most its size in all."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
-    # below twice the 256-sample floor a substream is one chunk; a two-point
-    # task is a whole substream of 8192 samples at D = 2, M = 16
+    # below twice the 256-sample floor a substream is one chunk
     calls = [lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=1),
-             lambda: mc_two_point(0.5, 16, 2, 8000, seed=1, pairs=[(0.1, 0.3)]),
+             lambda: mc_two_point(0.5, 16, 2, 511, seed=1, pairs=[(0.1, 0.3)]),
              lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 512, seed=1),
-             lambda: mc_two_point(0.5, 16, 2, 9000, seed=1, pairs=[(0.1, 0.3)]),
+             lambda: mc_two_point(0.5, 16, 2, 512, seed=1, pairs=[(0.1, 0.3)]),
              lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1),
-             lambda: mc_two_point(0.5, 16, 2, 40000, seed=1, pairs=[(0.1, 0.3)])]
-    assert [_helpers_started(monkeypatch, call) for call in calls] == [0, 0, 1, 1, 3, 3]
+             lambda: mc_two_point(0.5, 16, 2, 20000, seed=1, pairs=[(0.1, 0.3)])]
+    pools = [_pools_built(monkeypatch, call) for call in calls]
+    assert [built for built, _ in pools] == [[], [], [1], [1], [3], [3]]
+    assert all(min(1, sum(built)) <= started <= sum(built) for built, started in pools)
     monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
-    assert [_helpers_started(monkeypatch, call) for call in calls] == [0] * 6
+    assert [_pools_built(monkeypatch, call) for call in calls] == [([], 0)] * 6
 
 
 def test_one_chunk_calls_start_no_thread_and_keep_their_bits(monkeypatch):
-    """A call of one chunk, or of one two-point substream, runs on the calling
-    thread alone at any worker count, and gives the same bits at each."""
+    """A call of one chunk, of either estimator, runs on the calling thread
+    alone at any worker count, and gives the same bits at each."""
     results = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(montecarlo, "_workers", lambda: workers)
@@ -626,7 +645,7 @@ def test_one_chunk_calls_start_no_thread_and_keep_their_bits(monkeypatch):
         def call():
             results[workers] = repr((
                 mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=3).as_dict(),
-                mc_two_point(0.5, 16, 2, 8000, seed=3, pairs=[(0.1, 0.3), (0.2, 0.2)])))
+                mc_two_point(0.5, 16, 2, 511, seed=3, pairs=[(0.1, 0.3), (0.2, 0.2)])))
 
         assert _helpers_started(monkeypatch, call) == 0
     assert results[1] == results[2] == results[3]
@@ -716,23 +735,62 @@ def test_a_helper_computes_a_chunk_while_its_substream_is_drawn(monkeypatch):
     assert order == ["helper chunk", "draw returned"]
 
 
-@pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch", "draw"])
+def test_two_point_draws_on_the_calling_thread_while_a_helper_computes(monkeypatch):
+    """At two workers, mc_two_point draws both substreams of 10000 samples on
+    the calling thread, and a helper enters the first chunk before the first
+    draw returns. When each substream, draw included, was one task, a helper
+    drew the first substream."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    caller = threading.get_ident()
+    entered = threading.Event()
+    draws, order = [], []
+
+    def before(k):
+        if k == 4:  # the real parts, then the imaginary parts of chunks 0 to 2
+            entered.wait(timeout=10)
+
+    real_modes, real_draw = montecarlo._modes, montecarlo._draw_modes
+
+    def modes(*args):
+        if threading.get_ident() != caller and not entered.is_set():
+            order.append("helper chunk")
+            entered.set()
+        return real_modes(*args)
+
+    def draw(*args):
+        draws.append(threading.get_ident())
+        result = real_draw(*args)
+        order.append("draw returned")
+        return result
+
+    _hook_draws(monkeypatch, before)
+    monkeypatch.setattr(montecarlo, "_modes", modes)
+    monkeypatch.setattr(montecarlo, "_draw_modes", draw)
+    mc_two_point(0.5, 16, 2, 10000, seed=1, pairs=[(0.1, 0.3)])
+    assert draws == [caller, caller]
+    assert order == ["helper chunk", "draw returned", "draw returned"]
+
+
+@pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch", "draw",
+                                     "two-point chunk"])
 def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure):
     """Whichever thread a failing chunk runs on, or when on_batch or a draw
     raises, the exception reaches the caller, no chunk starts afterwards, and
-    every helper thread has ended."""
+    every helper thread has ended; a two-point chunk failing on a helper too."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     threads = threading.active_count()
     caller = threading.get_ident()
     starts = []
-    real = montecarlo._chunk_action
 
-    def chunk(*args):
-        starts.append(threading.get_ident())
-        on_caller = threading.get_ident() == caller
-        if len(starts) >= 5 and failure.endswith("chunk") and on_caller == (failure != "helper chunk"):
-            raise RuntimeError(failure)
-        return real(*args)
+    def counted(real):
+        def chunk(*args):
+            starts.append(threading.get_ident())
+            on_caller = threading.get_ident() == caller
+            if (len(starts) >= 5 and failure.endswith("chunk")
+                    and on_caller == (failure == "calling-thread chunk")):
+                raise RuntimeError(failure)
+            return real(*args)
+        return chunk
 
     def on_batch(count, mean, stderr):
         if failure == "on_batch":
@@ -745,12 +803,16 @@ def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure)
             raise RuntimeError(failure)
 
     _hook_draws(monkeypatch, before)
-    monkeypatch.setattr(montecarlo, "_chunk_action", chunk)
+    monkeypatch.setattr(montecarlo, "_chunk_action", counted(montecarlo._chunk_action))
+    monkeypatch.setattr(montecarlo, "_modes", counted(montecarlo._modes))  # a two-point chunk
     with pytest.raises(RuntimeError, match=failure):
-        mc_boltzmann("sphere", SPHERE0, 0.02, 16, 40000, seed=1, on_batch=on_batch)
+        if failure == "two-point chunk":
+            mc_two_point(0.5, 16, 2, 40000, seed=1, pairs=[(0.1, 0.3)])
+        else:
+            mc_boltzmann("sphere", SPHERE0, 0.02, 16, 40000, seed=1, on_batch=on_batch)
     seen = len(starts)
     time.sleep(0.05)
-    # the call has 48 chunks, 10 in each of the first two substreams
+    # either call has 48 chunks, 10 in each of the first two substreams
     assert len(starts) == seen <= 20
     assert threading.active_count() == threads
 
