@@ -35,23 +35,24 @@ accurate when the mean is large against the spread.
 
 Every estimator runs one pipeline (_stream) on every CPU of the process's
 affinity mask, on the calling thread and a pool of one helper thread fewer
-than the CPUs or chunks. The calling thread draws each substream's normals
-in order and cuts them into equal chunks of at most about 2 MB of field, two
-per worker where each keeps 256 samples. It draws the real parts of a whole
-substream first, then the imaginary parts one chunk's rows at a time, and
-each chunk may be taken as soon as its rows are drawn: the helpers take the
-chunks of a substream while the calling thread still draws it. Only the
-real half of the first substream is drawn while no chunk can run. After
-drawing substream j + 1, the calling thread, beside the helpers, takes the
-next chunk not yet taken (oldest substream first) until substream j is
-done. A chunk is a task with one Future (_in_order): mc_boltzmann and
+than the CPUs or chunks, all started at once. The calling thread draws each
+substream's normals in order and cuts them into equal chunks of at most
+about 2 MB of field, two per worker where each keeps 256 samples. It draws
+the real parts of a whole substream first, then the imaginary parts one
+chunk's rows at a time, and each chunk may be taken as soon as its rows are
+drawn: the helpers take the chunks of a substream while the calling thread
+still draws it. Only the real half of the first substream is drawn while
+no chunk can run. After drawing substream j + 1, the calling thread,
+beside the helpers, takes the next chunk not yet taken (oldest substream
+first) until substream j is done. A chunk is a task with one Future (_in_order): mc_boltzmann and
 mc_vertex_expectation build its spectra, transform them to the grid and
 contract every term on them, mc_two_point sums its fields at the probes
 (NumPy releases the GIL in the draw, FFT, matmul and einsum); the calling
-thread merges each substream's per-sample results in substream order, and
-a chunk's exception is raised there, at its substream's turn. So at most
-one thread per CPU computes, and a call of one chunk, or on one CPU, builds
-no pool. Each sample's result is computed by the same operations whatever
+thread merges each substream's per-sample results in substream order. Once
+a chunk raises, no chunk starts and no substream is drawn further, and the
+calling thread raises the error once every helper has returned. So at most
+one thread per CPU computes, and a call of one chunk, or on one CPU, starts
+no thread. Each sample's result is computed by the same operations whatever
 its chunk or thread, so the output is bit-identical at any worker count,
 and the fields are held one chunk per computing thread, never for a whole
 substream. The calling thread allocates every large array once per call,
@@ -61,8 +62,8 @@ the memory a run holds does not depend on how its threads interleave.
 """
 from __future__ import annotations
 
-import collections
 import functools
+import itertools
 import math
 import os
 import queue
@@ -234,54 +235,54 @@ def _substreams(D: int, M: int, n: int, seed: int) -> Iterator[tuple[np.random.G
 
 
 def _in_order(batches, threads: int, consume) -> None:
-    """Pass consume each batch's task results in batch order, the same bits at any thread count.
+    """Pass consume each batch's task results in batch order, the same bits at any thread count:
+    producers publish(task) one Future per task to a FIFO that the caller and threads - 1 pooled
+    helpers drain; batch j is consumed after j + 1 is produced. Nothing starts after an error."""
+    from concurrent.futures import Future, ThreadPoolExecutor, wait  # not at import time
+    unclaimed = queue.SimpleQueue()  # (future, task) of tasks not yet taken; None ends a helper
+    stop = []  # what a task raised, then None once the call ends: no task starts after either
 
-    Producers from batches run on the calling thread, calling publish(task) for
-    each task of their batch; with one thread it runs then, else its Future joins
-    a FIFO whose oldest task the caller and threads - 1 pooled helpers run. The
-    caller produces batch j + 1, runs tasks until batch j is done, consumes it.
-    An error drops the FIFO, reaches the caller, and leaves no helper running."""
-    if threads == 1:
-        for produce in batches:
-            results = []
-            produce(lambda task: results.append(task()))
-            consume(np.concatenate(results))
-        return
-    from concurrent.futures import Future, ThreadPoolExecutor  # start-up time only threads need
-    unclaimed = collections.deque()  # (future, task) of each task not yet taken, oldest first
-
-    def run_next():
+    def run(future, task):
         try:
-            future, task = unclaimed.popleft()
-        except IndexError:  # another thread took it
-            return
-        try:
-            future.set_result(task())
+            if not stop:
+                return future.set_result(task())
         except BaseException as exc:  # raised again on the calling thread
-            unclaimed.clear()  # drop the tasks not yet taken
-            future.set_exception(exc)
+            stop.append(exc)
+        future.cancel()  # done, for wait: the task raised or never started
+
+    def helper():
+        for claimed in iter(unclaimed.get, None):
+            run(*claimed)
+        unclaimed.put(None)  # for the next helper
 
     def publish(batch, task):
+        if stop:
+            raise stop[0]
         batch.append(Future())
-        unclaimed.append((batch[-1], task))
-        pool.submit(run_next)
+        unclaimed.put((batch[-1], task))
 
     def complete(batch):
-        while unclaimed and not all(future.done() for future in batch):
-            run_next()
+        while not (stop or all(future.done() for future in batch)):
+            try:
+                run(*unclaimed.get_nowait())
+            except queue.Empty:  # the helpers run the rest of the batch
+                wait(batch)
+        if stop:
+            raise stop[0]
         consume(np.concatenate([future.result() for future in batch]))
 
-    pool, pending = ThreadPoolExecutor(threads - 1), []
+    pool, pending = ThreadPoolExecutor(max(1, threads - 1)), []
     try:
-        for produce in batches:
+        for _ in range(threads - 1):  # all at once: each blocks on the FIFO until the call ends
+            pool.submit(helper)
+        for produce in itertools.chain(batches, [lambda publish: None]):  # then an empty batch
             pending.append([])
             produce(functools.partial(publish, pending[-1]))
             if len(pending) == 2:
                 complete(pending.pop(0))
-        for batch in pending:
-            complete(batch)
-    finally:
-        unclaimed.clear()
+    finally:  # every helper returns before an error leaves
+        stop.append(None)
+        unclaimed.put(None)
         pool.shutdown()
 
 

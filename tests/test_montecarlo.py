@@ -1,5 +1,4 @@
 import collections
-import concurrent.futures.thread
 import itertools
 import json
 import math
@@ -601,25 +600,9 @@ def _helpers_started(monkeypatch, call):
     return len(_CountedThread.started)
 
 
-def _pools_built(monkeypatch, call):
-    """The sizes of the helper pools built while call() runs, and the
-    threads started."""
-    built = []
-
-    class Counted(concurrent.futures.thread.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            super().__init__(max_workers)
-            built.append(max_workers)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
-    started = _helpers_started(monkeypatch, call)
-    return built, started
-
-
 def test_each_call_starts_one_helper_fewer_than_its_computing_threads(monkeypatch):
-    """The calling thread computes beside a pool of min(workers, chunks) - 1
-    helpers, for either estimator. The pool starts a helper for a chunk while
-    none is idle: always for the first, and at most its size in all."""
+    """The calling thread computes beside min(workers, chunks) - 1 helpers,
+    for either estimator."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 4)
     # below twice the 256-sample floor a substream is one chunk
     calls = [lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 511, seed=1),
@@ -628,11 +611,9 @@ def test_each_call_starts_one_helper_fewer_than_its_computing_threads(monkeypatc
              lambda: mc_two_point(0.5, 16, 2, 512, seed=1, pairs=[(0.1, 0.3)]),
              lambda: mc_boltzmann("sphere", SPHERE0, 0.02, 16, 20000, seed=1),
              lambda: mc_two_point(0.5, 16, 2, 20000, seed=1, pairs=[(0.1, 0.3)])]
-    pools = [_pools_built(monkeypatch, call) for call in calls]
-    assert [built for built, _ in pools] == [[], [], [1], [1], [3], [3]]
-    assert all(min(1, sum(built)) <= started <= sum(built) for built, started in pools)
+    assert [_helpers_started(monkeypatch, call) for call in calls] == [0, 0, 1, 1, 3, 3]
     monkeypatch.setattr(montecarlo, "_workers", lambda: 1)
-    assert [_pools_built(monkeypatch, call) for call in calls] == [([], 0)] * 6
+    assert [_helpers_started(monkeypatch, call) for call in calls] == [0] * 6
 
 
 def test_one_chunk_calls_start_no_thread_and_keep_their_bits(monkeypatch):
@@ -769,6 +750,33 @@ def test_two_point_draws_on_the_calling_thread_while_a_helper_computes(monkeypat
     mc_two_point(0.5, 16, 2, 10000, seed=1, pairs=[(0.1, 0.3)])
     assert draws == [caller, caller]
     assert order == ["helper chunk", "draw returned", "draw returned"]
+
+
+def test_a_chunk_that_raises_stops_the_draw_at_its_next_chunk(monkeypatch):
+    """At two workers, the first chunk raises on the helper while the calling
+    thread draws the first substream: the draw stops at its next chunk, so
+    the second substream (draw 11 on) is never drawn. Before the error was
+    recorded for the producer, both substreams were drawn first."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    caller = threading.get_ident()
+    failed = threading.Event()
+    draws = []
+
+    def before(k):
+        draws.append(k)
+        if k == 2:  # the second chunk's imaginary parts: the helper has the first
+            failed.wait(timeout=10)
+
+    def chunk(*args):
+        assert threading.get_ident() != caller
+        failed.set()
+        raise RuntimeError("helper chunk")
+
+    _hook_draws(monkeypatch, before)
+    monkeypatch.setattr(montecarlo, "_chunk_action", chunk)
+    with pytest.raises(RuntimeError, match="helper chunk"):
+        mc_boltzmann("sphere", SPHERE0, 0.02, 16, 40000, seed=1)
+    assert failed.is_set() and max(draws) < 11
 
 
 @pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch", "draw",
