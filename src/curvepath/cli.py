@@ -202,9 +202,11 @@ def cmd_ecp(args) -> int:
 def cmd_sweep(args) -> int:
     spec = _resolve_metric(args)
     routes = args.routes.split(",")
-    for route in routes:
+    for k, route in enumerate(routes):
         if route not in ("covariant", "eta"):
             raise RouteError(f"sweep supports covariant and eta routes, not {route!r}")
+        if route in routes[:k]:
+            raise RouteError(f"route {route!r} is given more than once")
     points = [_parse_point(p) for p in args.points.split(";") if p.strip()]
     if not points:
         raise MetricError(f"--points {args.points!r} names no point")

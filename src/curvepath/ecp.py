@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import PointGeometry, geometry_blocks, point_geometry
 from .metrics import MetricSpec, builtin
-from .propagator import CounterPolynomial, PeriodicPropagator, _all
+from .propagator import CounterPolynomial, PeriodicPropagator, _all, _check_beta
 from .wick import expand, richardson_limit, second_order_mode_series, vertex_catalog
 
 __all__ = [
@@ -148,8 +148,9 @@ def sphere_geometry(D: int) -> PointGeometry:
 
 
 def _free_density(beta: float, D: int) -> float:
-    """(2 pi beta)^(-D/2), the free density at coincidence; a ValueError where
-    it leaves the float64 range."""
+    """(2 pi beta)^(-D/2), the free density at coincidence; a ValueError for a
+    beta that is not finite and > 0, or where it leaves the float64 range."""
+    _check_beta(beta)
     try:
         return (2.0 * math.pi * beta) ** (-D / 2.0)
     except OverflowError:
@@ -165,8 +166,6 @@ def seeley_density(geom: PointGeometry, beta: float,
     (2 pi beta)^(-D/2) (1 + R beta / 12). The two brackets differ at this
     order by R beta / 8, the flat-measure correction factor.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     pref = _free_density(beta, geom.dim)
     if convention == "path_integral":
         return pref * (1.0 - geom.R * beta / 24.0)
@@ -211,8 +210,6 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def partition_function(spec: MetricSpec, beta: float, grid: QuadratureGrid) -> float:
     """Quadrature of sqrt(g) B(q0) / (2 pi beta)^(D/2) over the chart."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     D = spec.dim
     pref = _free_density(beta, D)
     x, w = _gauss_legendre(grid.n)

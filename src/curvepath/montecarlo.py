@@ -34,39 +34,17 @@ variances are merged batch by batch (Chan et al.), which keeps the variance
 accurate when the mean is large against the spread.
 
 Every estimator runs one pipeline (_stream) on every CPU of the process's
-affinity mask, on the calling thread and a pool of one helper thread fewer
-than the CPUs or chunks, all started at once. The calling thread draws each
-substream's normals in order and cuts them into equal chunks of at most
-about 2 MB of field, two per worker where each keeps 256 samples. It draws
-the real parts of a whole substream first, then the imaginary parts one
-chunk's rows at a time, and each chunk may be taken as soon as its rows are
-drawn: the helpers take the chunks of a substream while the calling thread
-still draws it. Only the real half of the first substream is drawn while
-no chunk can run. After drawing substream j + 1, the calling thread,
-beside the helpers, takes the next chunk not yet taken (oldest substream
-first) until substream j is done. A chunk is a task with one Future (_in_order): mc_boltzmann and
-mc_vertex_expectation build its spectra, transform them to the grid and
-contract every term on them, mc_two_point sums its fields at the probes
-(NumPy releases the GIL in the draw, FFT, matmul and einsum); the calling
-thread merges each substream's per-sample results in substream order. Once
-a chunk raises, no chunk starts and no substream is drawn further, and the
-calling thread raises the error once every helper has returned. So at most
-one thread per CPU computes, and a call of one chunk, or on one CPU, starts
-no thread. Each sample's result is computed by the same operations whatever
-its chunk or thread, so the output is bit-identical at any worker count,
-and the fields are held one chunk per computing thread, never for a whole
-substream. The calling thread allocates every large array once per call,
-two float slots of normals and, for the vertex action, a workspace per
-computing thread sized to the largest chunk, and the chunks reuse them, so
-the memory a run holds does not depend on how its threads interleave.
+affinity mask. Its output is bit-identical at any worker count, no thread it
+starts outlives the call, and an error anywhere in it stops the draw and is
+raised on the calling thread.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 import queue
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -203,7 +181,7 @@ def _to_grid(normals: np.ndarray, p: PeriodicPropagator, K: int, out=None,
 
 
 # Bytes of field, q and qd together, per chunk of samples (2 MB). A chunk is
-# one task of _in_order: its modes are transformed and every vertex is
+# one task of _stream: its modes are transformed and every vertex is
 # contracted on them at once (mc_two_point cuts by the same rule), so the
 # fields of a whole substream are never held. A substream is cut into chunks
 # of equal size, at least two per worker where each still holds _MIN_CHUNK
@@ -232,58 +210,6 @@ def _substreams(D: int, M: int, n: int, seed: int) -> Iterator[tuple[np.random.G
     batch = _block_size(D, M)
     return ((np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(j,)))),
              min(batch, n - lo)) for j, lo in enumerate(range(0, n, batch)))
-
-
-def _in_order(batches, threads: int, consume) -> None:
-    """Pass consume each batch's task results in batch order, the same bits at any thread count:
-    producers publish(task) one Future per task to a FIFO that the caller and threads - 1 pooled
-    helpers drain; batch j is consumed after j + 1 is produced. Nothing starts after an error."""
-    from concurrent.futures import Future, ThreadPoolExecutor, wait  # not at import time
-    unclaimed = queue.SimpleQueue()  # (future, task) of tasks not yet taken; None ends a helper
-    stop = []  # what a task raised, then None once the call ends: no task starts after either
-
-    def run(future, task):
-        try:
-            if not stop:
-                return future.set_result(task())
-        except BaseException as exc:  # raised again on the calling thread
-            stop.append(exc)
-        future.cancel()  # done, for wait: the task raised or never started
-
-    def helper():
-        for claimed in iter(unclaimed.get, None):
-            run(*claimed)
-        unclaimed.put(None)  # for the next helper
-
-    def publish(batch, task):
-        if stop:
-            raise stop[0]
-        batch.append(Future())
-        unclaimed.put((batch[-1], task))
-
-    def complete(batch):
-        while not (stop or all(future.done() for future in batch)):
-            try:
-                run(*unclaimed.get_nowait())
-            except queue.Empty:  # the helpers run the rest of the batch
-                wait(batch)
-        if stop:
-            raise stop[0]
-        consume(np.concatenate([future.result() for future in batch]))
-
-    pool, pending = ThreadPoolExecutor(max(1, threads - 1)), []
-    try:
-        for _ in range(threads - 1):  # all at once: each blocks on the FIFO until the call ends
-            pool.submit(helper)
-        for produce in itertools.chain(batches, [lambda publish: None]):  # then an empty batch
-            pending.append([])
-            produce(functools.partial(publish, pending[-1]))
-            if len(pending) == 2:
-                complete(pending.pop(0))
-    finally:  # every helper returns before an error leaves
-        stop.append(None)
-        unclaimed.put(None)
-        pool.shutdown()
 
 
 def _frame_coeff(coeff: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -386,16 +312,27 @@ def _stream(D: int, p: PeriodicPropagator, n: int, seed: int, work, consume,
     """Pass consume work's per-sample results on each substream of the sample
     stream, in order: the one pipeline of every estimator.
 
-    The calling thread draws each substream's normals and cuts them into
-    chunks (see _CHUNK_BYTES), publishing each chunk to _in_order once its
-    imaginary parts are drawn. work(normals, ws) computes a chunk from its
-    (2, rows, D, M) normals: on the helpers from then on, and on the calling
-    thread once it has drawn the next substream. The calling thread allocates
-    the arrays once: two float slots of normals, used in turn (a slot is
-    redrawn after its batch was consumed), and, given workspace, one
-    workspace(rows) per computing thread sized to the largest chunk, which
-    each chunk borrows as ws (else ws is None). So the memory held does not
-    depend on thread timing."""
+    The calling thread draws each substream's normals into one of two float
+    slots, used in turn, and cuts them into equal chunks (see _CHUNK_BYTES):
+    the real parts whole, then the imaginary parts one chunk's rows at a
+    time, putting each chunk with its Future on a FIFO once its rows are
+    drawn. threads - 1 helper threads, one fewer than the CPUs or chunks and
+    all started at once, take chunks from the FIFO, oldest first, while the
+    draw goes on (NumPy releases the GIL in the draw, FFT, matmul and
+    einsum). After drawing substream j, the calling thread takes chunks
+    beside them until substream j - 1 is done, then merges its results in
+    order; a slot is redrawn only after its substream was consumed. So at
+    most one thread per CPU computes, and a call of one chunk, or on one
+    CPU, starts no thread. work(normals, ws) computes a chunk from its
+    (2, rows, D, M) normals, each sample by the same operations on any
+    thread, so the output keeps its bits at any worker count. The calling
+    thread allocates the arrays once: the slots and, given workspace, one
+    workspace(rows) per computing thread sized to the largest chunk, passed
+    as ws to each chunk that thread computes (else ws is None); so the
+    memory held does not depend on thread timing. Once a chunk, the draw or
+    consume raises, no chunk starts and nothing more is drawn, and every
+    helper has returned before the error leaves."""
+    from concurrent.futures import Future, wait  # not at import time
     M = p.M
     streams = _substreams(D, M, n, seed)
     rows = max(1, _CHUNK_BYTES // (2 * D * _grid_size(M) * 8))
@@ -411,27 +348,57 @@ def _stream(D: int, p: PeriodicPropagator, n: int, seed: int, work, consume,
     largest = max(-(-size // cut(size)) for size in sizes)
     threads = min(available, full * cut(batch) + (rest > 0) * cut(rest))
     slots = np.empty((min(2, full + (rest > 0)), 2, sizes[0], D, M))
-    spaces = queue.SimpleQueue()
-    for _ in range(threads):
-        spaces.put(None if workspace is None else workspace(largest))
+    spaces = [None if workspace is None else workspace(largest) for _ in range(threads)]
+    unclaimed = queue.SimpleQueue()  # (future, normals) of chunks not yet taken; None ends a helper
+    stop = []  # what a chunk raised, then None once the call ends: no chunk starts after either
 
-    def chunk(normals):
-        ws = spaces.get()
+    def run(future, normals, ws):
         try:
-            return work(normals, ws)
-        finally:
-            spaces.put(ws)
+            future.set_result(None if stop else work(normals, ws))
+        except BaseException as exc:  # raised again on the calling thread
+            stop.append(exc)
+            future.set_exception(exc)  # done, which wakes wait (a cancel would not)
 
-    def draw(j, rng, size, publish):
-        """Draw substream j into its slot, publishing each chunk's task as
-        soon as its imaginary parts are drawn."""
-        normals = slots[j % len(slots), :, :size]
-        edges = [size * i // cut(size) for i in range(cut(size) + 1)]
-        _draw_modes(rng, size, D, M, normals, edges,
-                    lambda lo, hi: publish(functools.partial(chunk, normals[:, lo:hi])))
+    def helper(ws):
+        for claimed in iter(unclaimed.get, None):
+            run(*claimed, ws)
+        unclaimed.put(None)  # for the next helper
 
-    _in_order((functools.partial(draw, j, rng, size) for j, (rng, size) in enumerate(streams)),
-              threads, consume)
+    def publish(futures, normals):
+        if stop:
+            raise stop[0]
+        futures.append(Future())
+        unclaimed.put((futures[-1], normals))
+
+    def complete(futures):
+        while not (stop or all(future.done() for future in futures)):
+            try:
+                run(*unclaimed.get_nowait(), spaces[0])
+            except queue.Empty:  # the helpers run the rest of the substream
+                wait(futures)
+        if stop:
+            raise stop[0]
+        consume(np.concatenate([future.result() for future in futures]))
+
+    helpers, pending = [], []  # pending: the futures of substream j - 1, then of j
+    try:
+        for ws in spaces[1:]:  # a helper takes chunks from the FIFO until the call ends
+            thread = threading.Thread(target=helper, args=(ws,))
+            thread.start()
+            helpers.append(thread)  # once started: the finally joins every listed helper
+        for j, (rng, size) in enumerate(streams):
+            normals, chunks = slots[j % len(slots), :, :size], cut(size)
+            pending.append([])
+            _draw_modes(rng, size, D, M, normals, [size * i // chunks for i in range(chunks + 1)],
+                        lambda lo, hi: publish(pending[-1], normals[:, lo:hi]))
+            if len(pending) == 2:
+                complete(pending.pop(0))
+        complete(pending.pop())
+    finally:  # every helper returns before an error leaves
+        stop.append(None)
+        unclaimed.put(None)
+        for thread in helpers:
+            thread.join()
 
 
 def _actions(vertices, geom: PointGeometry, p: PeriodicPropagator, n: int, seed: int,
@@ -506,6 +473,8 @@ def mc_two_point(beta: float, M: int, D: int, n: int, seed: int,
     fields there are summed directly from the modes: the two-point case of
     _stream, whose chunks need no workspace."""
     p = PeriodicPropagator(beta, M)
+    if D < 1:
+        raise ValueError(f"dimension D must be >= 1, got {D}")
     K = 8 * M
     idx = np.array([(int(round(t1 / beta * K)) % K, int(round(t2 / beta * K)) % K)
                     for t1, t2 in pairs]).reshape(-1, 2)

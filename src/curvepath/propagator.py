@@ -32,6 +32,12 @@ import numpy as np
 __all__ = ["CounterPolynomial", "PeriodicPropagator"]
 
 
+def _check_beta(beta: float) -> None:
+    """Reject an inverse temperature that is not a finite float > 0."""
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError(f"beta must be a finite float > 0, got {beta!r}")
+
+
 def _all(flags) -> bool:
     """True when a flag, or every flag of a batch, is set."""
     return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
@@ -131,8 +137,7 @@ class PeriodicPropagator:
     M: int
 
     def __post_init__(self):
-        if self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        _check_beta(self.beta)
         if self.M < 1:
             raise ValueError(f"mode cutoff must be >= 1, got {self.M}")
         if not math.isfinite(2.0 * math.pi * self.M / self.beta):

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import curvepath
@@ -18,3 +21,13 @@ def test_readme_library_example_uses_only_exported_names():
     used = set(re.findall(r"\bcp\.(\w+)", block))
     assert "boltzmann" in used
     assert used <= set(curvepath.__all__), sorted(used - set(curvepath.__all__))
+
+
+def test_importing_the_cli_leaves_concurrent_futures_unloaded():
+    """The Monte Carlo pipeline imports concurrent.futures inside its call, so
+    a command that draws no sample does not pay for that import at startup."""
+    env = dict(os.environ, PYTHONPATH=str(Path(curvepath.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", "import sys, curvepath.cli; "
+                           "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout == "[]\n"

@@ -393,6 +393,9 @@ ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
      "MetricError", "--builtin needs the form name:D, e.g. sphere:2"),
     (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--routes", "sphere", "--beta", "0.1"],
      "RouteError", "sweep supports covariant and eta routes, not 'sphere'"),
+    # this printed every row twice and exited 0
+    (["sweep", "--builtin", "sphere:2", "--points=0.1,0", "--routes", "covariant,eta,covariant",
+      "--beta", "0.1"], "RouteError", "route 'covariant' is given more than once"),
     (["sweep", "--builtin", "sphere:2", "--points=0.1,0;0.1,0,0", "--beta", "0.1"],
      "MetricError", "point [0.1, 0.0, 0.0] has wrong dimension, expected 2"),
     (ECP + ["--builtin", "conformal2d:3", "--point=0,0,0"],
@@ -410,7 +413,7 @@ ECP = ["ecp", "--route", "covariant", "--beta", "0.1"]
     (["geometry", "--builtin", "sphere:2.0", "--point=0.1,0.2"],
      "MetricError", "--builtin needs the form name:D, e.g. sphere:2"),
 ], ids=["point-text", "point-nan", "point-empty-inner", "point-empty-last",
-        "sweep-point-empty", "params-text", "builtin-no-dim", "sweep-route",
+        "sweep-point-empty", "params-text", "builtin-no-dim", "sweep-route", "sweep-route-repeated",
         "sweep-point-dim", "conformal2d-dim", "params-repeated", "sweep-no-point",
         "sweep-empty-points", "builtin-dim-text", "builtin-dim-float"])
 def test_input_errors_end_as_one_json_error_document(capsys, argv, error, message):

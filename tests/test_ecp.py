@@ -514,3 +514,19 @@ def test_sweep_across_a_block_boundary_matches_one_point_ecp_calls():
                                           "--beta", "0.1"]))
             want.append(f"{point},0.1,{route},{doc['B_coefficient']!r},{doc['discrepancy']!r}")
     assert rows == want
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan, 0.0])
+def test_one_check_rejects_a_beta_that_is_not_finite_and_positive(beta):
+    """PeriodicPropagator, seeley_density and partition_function reject beta
+    with one message. Before, PeriodicPropagator took inf and read nan as an
+    overflow of omega_M, and the two densities returned NaN with a
+    RuntimeWarning for inf and nan."""
+    spec = builtin("flat", 2)
+    geom = point_geometry(spec, [0.0, 0.0])
+    grid = QuadratureGrid(kind="box", bounds=((0.0, 1.0), (0.0, 1.0)), n=4)
+    for call in (lambda: PeriodicPropagator(beta, 4), lambda: seeley_density(geom, beta),
+                 lambda: partition_function(spec, beta, grid)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == f"beta must be a finite float > 0, got {beta!r}"

@@ -779,12 +779,51 @@ def test_a_chunk_that_raises_stops_the_draw_at_its_next_chunk(monkeypatch):
     assert failed.is_set() and max(draws) < 11
 
 
-@pytest.mark.parametrize("failure", ["helper chunk", "calling-thread chunk", "on_batch", "draw",
-                                     "two-point chunk"])
-def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure):
+def test_a_helper_chunk_that_fails_while_the_caller_waits_for_it_ends_the_call(monkeypatch):
+    """At two workers, a 512-sample call is two chunks: the calling thread
+    computes one and waits for the helper's, which raises only then. The
+    call ends with that error; when a failed chunk's future was cancelled,
+    which does not wake a wait, the call hung here."""
+    monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
+    threads = threading.active_count()
+    entered = threading.Event()
+    caller, outcome = [], []
+    real = montecarlo._chunk_action
+
+    def chunk(*args):
+        if threading.get_ident() != caller[0]:
+            entered.set()
+            time.sleep(0.2)  # the calling thread has finished its chunk by now
+            raise RuntimeError("late helper chunk")
+        entered.wait(timeout=10)  # so the helper takes the other chunk
+        return real(*args)
+
+    def call():
+        caller.append(threading.get_ident())
+        try:
+            mc_boltzmann("sphere", SPHERE0, 0.02, 16, 512, seed=1)
+        except RuntimeError as exc:
+            outcome.append(str(exc))
+
+    monkeypatch.setattr(montecarlo, "_chunk_action", chunk)
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(timeout=20)
+    assert outcome == ["late helper chunk"]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failure,error", [
+    ("helper chunk", RuntimeError), ("calling-thread chunk", RuntimeError),
+    ("on_batch", RuntimeError), ("draw", RuntimeError), ("two-point chunk", RuntimeError),
+    ("helper chunk", KeyboardInterrupt), ("on_batch", KeyboardInterrupt),
+], ids=["helper chunk", "calling-thread chunk", "on_batch", "draw", "two-point chunk",
+        "helper chunk-KeyboardInterrupt", "on_batch-KeyboardInterrupt"])
+def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure, error):
     """Whichever thread a failing chunk runs on, or when on_batch or a draw
     raises, the exception reaches the caller, no chunk starts afterwards, and
-    every helper thread has ended; a two-point chunk failing on a helper too."""
+    every helper thread has ended; a two-point chunk failing on a helper too,
+    and a KeyboardInterrupt, which is no Exception, as well."""
     monkeypatch.setattr(montecarlo, "_workers", lambda: 2)
     threads = threading.active_count()
     caller = threading.get_ident()
@@ -796,24 +835,24 @@ def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure)
             on_caller = threading.get_ident() == caller
             if (len(starts) >= 5 and failure.endswith("chunk")
                     and on_caller == (failure == "calling-thread chunk")):
-                raise RuntimeError(failure)
+                raise error(failure)
             return real(*args)
         return chunk
 
     def on_batch(count, mean, stderr):
         if failure == "on_batch":
-            raise RuntimeError(failure)
+            raise error(failure)
 
     def before(k):
         # the third chunk's draw in the second substream: the ten chunks of
         # the first and two of the second are published by then
         if failure == "draw" and k == 14:
-            raise RuntimeError(failure)
+            raise error(failure)
 
     _hook_draws(monkeypatch, before)
     monkeypatch.setattr(montecarlo, "_chunk_action", counted(montecarlo._chunk_action))
     monkeypatch.setattr(montecarlo, "_modes", counted(montecarlo._modes))  # a two-point chunk
-    with pytest.raises(RuntimeError, match=failure):
+    with pytest.raises(error, match=failure):
         if failure == "two-point chunk":
             mc_two_point(0.5, 16, 2, 40000, seed=1, pairs=[(0.1, 0.3)])
         else:
@@ -823,6 +862,16 @@ def test_no_chunk_starts_after_an_error_reaches_the_caller(monkeypatch, failure)
     # either call has 48 chunks, 10 in each of the first two substreams
     assert len(starts) == seen <= 20
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("D", [0, -1])
+def test_two_point_rejects_a_dimension_below_one(monkeypatch, D):
+    """D = 0 ended as a ZeroDivisionError in the chunk rule and D = -1 as
+    NumPy's "negative dimensions are not allowed"; both end as a ValueError
+    that names D, before anything is drawn."""
+    monkeypatch.setattr(montecarlo, "_substreams", lambda *args: pytest.fail("drawn"))
+    with pytest.raises(ValueError, match=f"^dimension D must be >= 1, got {D}$"):
+        mc_two_point(0.5, 16, D, 100, 1, [(0.1, 0.2)])
 
 
 def test_substreams_are_spawned_children_made_as_they_are_reached():
